@@ -40,6 +40,7 @@ from .harness import (
     CheckpointMismatch,
     FileSink,
     LedgerWriter,
+    _fsync_dir,
     record_to_row,
 )
 from .modular import VARIANTS, VerificationRecord, cost_model, kh_equivalent_residue, residue_direct
@@ -146,6 +147,7 @@ def _resume_csv(path: str, frontier: int | None):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    _fsync_dir(path)  # make the rename itself durable, as the ledger does
     return open(path, "a", encoding="utf-8", newline="\n")
 
 

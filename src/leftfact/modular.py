@@ -49,7 +49,13 @@ class ResidueResult:
 
 @dataclass(frozen=True, slots=True)
 class VerificationRecord:
-    """Per-prime outcome of a divisibility sweep: does p divide !p?"""
+    """Per-prime outcome of a divisibility sweep: does p divide !p?
+
+    elapsed_ns is not a per-prime measurement: it is the kernel time of the
+    record's whole chunk, floor-divided by the number of primes in that
+    chunk, so every record of a chunk carries the same average. It is a
+    timing field, dropped by canonical_lines.
+    """
 
     prime: int
     residue: int

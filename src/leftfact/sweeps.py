@@ -1,16 +1,22 @@
 """Bulk verification sweeps over primes.
 
-The per-prime recurrences of the modular module are vectorized here across
-chunks of primes (int64, double-width products stay below 2^63), so a
-desk-scale sweep to 10^5 takes seconds and the 10^6 tier minutes. Work may
-be partitioned across processes; chunk boundaries depend only on the range,
-so the emitted record stream is identical for every worker count.
+The KH sweep takes its primes in chunks of CHUNK_PRIMES. batch_residues
+computes a chunk's residues with an accumulating remainder tree over exact
+integers (Costa, Gerbicz & Harvey, "A search for Wilson primes", 2014;
+Andrejić & Tatarević, "Searching for a counterexample to Kurepa's
+conjecture", 2016): the recurrence steps below the chunk's first prime are
+folded modulo the product of its primes in big-integer blocks, and the
+steps between its primes descend a product tree. Each chunk is a pure
+function of its primes, so work may be partitioned across processes; chunk
+boundaries depend only on the range, so the emitted record stream is
+identical for every worker count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol
@@ -36,22 +42,121 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Largest prime whose square fits below 2^63 (int64 product bound).
+# Largest prime whose square fits below 2^63. The kernel computes in exact
+# integers; this bound only keeps the chunk's prime and residue arrays int64.
 MAX_SWEEP_PRIME = 3_037_000_499
-# chunk = unit of vectorization, checkpoint cadence, and work distribution;
+# chunk = unit of the kernel, checkpoint cadence, and work distribution;
 # must stay fixed or old checkpoints land mid-chunk and resumed ledgers
 # would interleave differently
 CHUNK_PRIMES = 1024
 
 _KERNEL_METHODS = ("forward_v", "forward_t", "backward_s")
 
+# An affine map x -> a + b*x, stored as (a, b).
+_Map = tuple[int, int]
+_IDENTITY: _Map = (0, 1)
+
+
+def _step_maps(method: str, lo: int, hi: int) -> list[_Map]:
+    """The maps of recurrence steps lo..hi-1, with each two neighbouring
+    steps composed into one entry, which halves the Python-level work.
+
+    Step i is (1, -i) for forward_v, ((-1)^i, i) for forward_t and (1, i)
+    for backward_s.
+    """
+    top = hi - (hi - lo) % 2
+    if method == "forward_v":
+        maps = [(-i, i * (i + 1)) for i in range(lo, top, 2)]
+    elif method == "forward_t":
+        maps = [(-i if i % 2 else i, i * (i + 1)) for i in range(lo, top, 2)]
+    else:
+        maps = [(i + 1, i * (i + 1)) for i in range(lo, top, 2)]
+    if top < hi:  # an odd count leaves the last step on its own
+        i = top
+        single = {"forward_v": (1, -i), "forward_t": ((-1) ** i, i), "backward_s": (1, i)}
+        maps.append(single[method])
+    return maps
+
+
+def _compose_forward(first: _Map, second: _Map) -> _Map:
+    """second after first: the forward recurrences apply later steps outside."""
+    (a1, b1), (a2, b2) = first, second
+    return a2 + b2 * a1, b2 * b1
+
+
+def _compose_backward(first: _Map, second: _Map) -> _Map:
+    """first after second: the backward recurrence applies later steps inside."""
+    (a1, b1), (a2, b2) = first, second
+    return a1 + b1 * a2, b1 * b2
+
+
+def _product_levels(leaves: list, combine, top: int) -> list[list]:
+    """Product-tree levels, leaves first. Each level combines neighbouring
+    pairs of the one below (an odd tail moves up as is), until a level has
+    at most top nodes."""
+    levels = [leaves]
+    while len(leaves) > top:
+        it = iter(leaves)
+        paired = [combine(x, y) for x, y in zip(it, it)]
+        if len(leaves) % 2:
+            paired.append(leaves[-1])
+        leaves = paired
+        levels.append(leaves)
+    return levels
+
+
+def _exact_map(method: str, compose, lo: int, hi: int) -> _Map:
+    """The exact composition of steps lo..hi-1 (identity when empty)."""
+    maps = _step_maps(method, lo, hi)
+    return _product_levels(maps, compose, 1)[-1][0] if maps else _IDENTITY
+
+
+def _reducer(modulus: int):
+    """x -> x % modulus by Barrett reduction, exact for every int x.
+
+    The prefix fold reduces about a thousand products by one modulus per
+    chunk. A reciprocal computed once turns each reduction into two
+    multiplications, which CPython does in subquadratic time, where `%` is
+    schoolbook long division. The estimated quotient is off by at most 3
+    when |x| < 2^(2m), and the loops correct it; larger x falls back to `%`.
+    """
+    m = modulus.bit_length()
+    recip = (1 << (2 * m)) // modulus
+
+    def reduce(x: int) -> int:
+        if x.bit_length() >= 2 * m:
+            return x % modulus
+        r = x - ((x >> (m - 1)) * recip >> (m + 1)) * modulus
+        while r < 0:
+            r += modulus
+        while r >= modulus:
+            r -= modulus
+        return r
+
+    return reduce
+
+
+def _then(state: _Map, seg: _Map, reduce, compose) -> _Map:
+    """The prefix map state followed by the steps of seg, reduced by reduce."""
+    a, b = compose(state, seg)
+    return reduce(a), reduce(b)
+
 
 def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
-    """rest(!q, q) for an ascending array of odd primes, vectorized.
+    """rest(!q, q) for an ascending array of odd primes, by a remainder tree.
 
-    All three recurrences walk one shared index i while peeling finished
-    primes off the sorted front (forward) or admitting them at the back
-    (backward), so each prime sees exactly its own recurrence steps.
+    Each recurrence step is an affine map x -> a + b*x over exact integers
+    (_step_maps), and a prime's residue is the constant term a of the
+    composition of its steps: i = 2..q-1 for forward_v and forward_t, with
+    later steps outermost; i = 1..q-2 for backward_s, with earlier steps
+    outermost.
+    With M the product of the primes, the steps before the first prime are
+    folded modulo M in exact blocks about as wide as M. The result then
+    descends an accumulating remainder tree (Costa, Gerbicz & Harvey,
+    Math. Comp. 83, 2014): a node's prefix, reduced modulo its primes'
+    product, passes to its left child as is and to its right child after
+    the exact steps that separate the two. Leaves are the primes, so each
+    prime sees exactly its own steps. No float is involved.
     """
     if method not in _KERNEL_METHODS:
         raise ValueError(f"method must be one of {_KERNEL_METHODS}, got {method!r}")
@@ -62,37 +167,46 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
         raise ValueError(f"primes must lie in [3, {MAX_SWEEP_PRIME}]")
     if np.any(np.diff(q) <= 0):
         raise ValueError("primes must be strictly ascending")
-    out = np.zeros(q.size, dtype=np.int64)
-    top = int(q[-1])
+    backward = method == "backward_s"
+    compose = _compose_backward if backward else _compose_forward
+    ps = q.tolist()
+    # prime p takes the steps first..end-1
+    first = 1 if backward else 2
+    ends = [p - 1 if backward else p for p in ps]
 
-    if method == "backward_s":
-        # s_{q-1} = 0; s_i = 1 + i*s_{i+1} for i = q-2 .. 1; result s_1.
-        # Prime q is active once i <= q-2.
-        start = q.size
-        for i in range(top - 2, 0, -1):
-            while start > 0 and q[start - 1] >= i + 2:
-                start -= 1
-            vv = out[start:]
-            np.multiply(vv, i, out=vv)
-            np.add(vv, 1, out=vv)
-            np.remainder(vv, q[start:], out=vv)
-        return out
+    moduli = _product_levels(ps, operator.mul, 1)
+    modulus = moduli.pop()[0]
+    # A forward prefix starts as the constant map x -> 0 (v_1 = t_1 = 0), so
+    # it stays constant and its scale costs nothing; later backward steps go
+    # inside the prefix, which therefore starts as the identity.
+    state = _IDENTITY if backward else (0, 0)
+    # blocks about as wide as M (1024 steps near 10^6), kept 64 bits short
+    # so that every product stays in the reducer's fast range
+    block = max(64, (modulus.bit_length() - 64) // ends[0].bit_length())
+    reduce = _reducer(modulus)
+    for lo in range(first, ends[0], block):
+        seg = _exact_map(method, compose, lo, min(lo + block, ends[0]))
+        state = _then(state, seg, reduce, compose)
 
-    # forward_v: v_1 = 0; v_i = 1 - i*v_{i-1};      result v_{q-1}
-    # forward_t: t_1 = 0; t_i = (-1)^i + i*t_{i-1}; result t_{q-1}
-    lo = 0  # primes q[:lo] are finished (q - 1 < i)
-    for i in range(2, top):
-        while lo < q.size and q[lo] <= i:
-            lo += 1
-        vv = out[lo:]
-        if method == "forward_v":
-            np.multiply(vv, -i, out=vv)
-            np.add(vv, 1, out=vv)
-        else:
-            np.multiply(vv, i, out=vv)
-            np.add(vv, 1 if i % 2 == 0 else -1, out=vv)
-        np.remainder(vv, q[lo:], out=vv)
-    return out
+    gaps = [_exact_map(method, compose, e0, e1) for e0, e1 in zip(ends, ends[1:])]
+    # gap k holds the steps between the ends of primes k and k+1, so a
+    # node's gap carries a prefix from its first prime to the prime after
+    # its last; the root's gap is never needed
+    gaps = _product_levels(gaps + [_IDENTITY], compose, 2)
+    states = [state]
+    while moduli:
+        # each level is dropped once the descent has passed it
+        level_moduli, level_gaps = moduli.pop(), gaps.pop()
+        below = []
+        for n, state in enumerate(states):
+            # m.__rmod__ is x -> x % m
+            left = level_moduli[2 * n].__rmod__
+            below.append(_then(state, _IDENTITY, left, compose))
+            if 2 * n + 1 < len(level_moduli):
+                right = level_moduli[2 * n + 1].__rmod__
+                below.append(_then(state, level_gaps[2 * n], right, compose))
+        states = below
+    return np.array([head for head, _scale in states], dtype=np.int64)
 
 
 class CheckpointSink(Protocol):
@@ -155,7 +269,7 @@ def kh_sweep(
     if lo < 3:
         raise ValueError(f"kh_sweep requires lo >= 3, got {lo}")
     if hi > MAX_SWEEP_PRIME:
-        raise ValueError(f"hi {hi} exceeds vectorized bound {MAX_SWEEP_PRIME}")
+        raise ValueError(f"hi {hi} exceeds sweep bound {MAX_SWEEP_PRIME}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     if hi < lo:

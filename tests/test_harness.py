@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -357,6 +358,34 @@ def test_cli_interrupt_resume_csv_matches_clean(tmp_path, capsys):
 
     assert _csv_rows_no_timing(part) == _csv_rows_no_timing(clean)
     assert part.read_text().splitlines().count(CSV_HEADER) == 1
+
+
+def test_cli_csv_resume_fsyncs_its_directory(tmp_path, monkeypatch, capsys):
+    # the truncated csv is renamed over the old one; until its directory is
+    # synced, a crash can bring the old file back
+    cp_dir, csv_dir = tmp_path / "cp", tmp_path / "csv"
+    cp_dir.mkdir()
+    csv_dir.mkdir()
+    cp, out = cp_dir / "cp.json", csv_dir / "out.csv"
+    run_cli(
+        "kh", "--from", "3", "--to", "30000",
+        "--checkpoint", cp, "--csv", out, "--halt-after", "1500",
+    )
+    synced_dirs = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            synced_dirs.append((info.st_dev, info.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    code = run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--csv", out)
+    capsys.readouterr()
+    assert code == EXIT_OK
+    info = os.stat(csv_dir)
+    assert (info.st_dev, info.st_ino) in synced_dirs
 
 
 def test_cli_finished_checkpoint_rerun_keeps_csv(tmp_path, capsys):

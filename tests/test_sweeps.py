@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from stepper import stepped_residues
 
 from leftfact import (
     CHUNK_PRIMES,
@@ -16,8 +19,10 @@ from leftfact import (
     residue_summatory,
 )
 from leftfact.primes import build_sieve
+from leftfact.sweeps import _reducer
 
 SIEVE = build_sieve(20000)
+METHODS = ("forward_v", "forward_t", "backward_s")
 
 
 def primes_between(lo, hi):
@@ -38,6 +43,56 @@ def test_batch_residues_methods_agree_on_larger_block():
     base = batch_residues(primes, "forward_v")
     assert np.array_equal(base, batch_residues(primes, "forward_t"))
     assert np.array_equal(base, batch_residues(primes, "backward_s"))
+
+
+def test_batch_residues_matches_stepper_to_1e5_in_chunks():
+    # every odd prime <= 10^5, chunked as kh_sweep chunks them
+    primes = build_sieve(10**5).primes_up_to(10**5)
+    primes = primes[primes >= 3]
+    for s in range(0, primes.size, CHUNK_PRIMES):
+        chunk = primes[s : s + CHUNK_PRIMES]
+        assert np.array_equal(batch_residues(chunk), stepped_residues(chunk)), chunk[0]
+
+
+@pytest.mark.parametrize("method", ["forward_t", "backward_s"])
+def test_batch_residues_matches_stepper_to_2e4(method):
+    primes = primes_between(3, 20000)
+    for s in range(0, primes.size, CHUNK_PRIMES):
+        chunk = primes[s : s + CHUNK_PRIMES]
+        want = stepped_residues(chunk, method)
+        assert np.array_equal(batch_residues(chunk, method), want), chunk[0]
+
+
+ODD_PRIMES = primes_between(3, 8000).tolist()
+prime_sets = st.lists(st.sampled_from(ODD_PRIMES), min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(primes=st.one_of(prime_sets, prime_sets.map(lambda ps: [3] + ps)).map(
+    lambda ps: sorted(set(ps))
+))
+@example(primes=[3])
+@example(primes=[7919])
+@example(primes=[3, 5, 7, 11, 13])
+@example(primes=[3, 101, 7919])
+def test_batch_residues_matches_direct_on_any_prime_set(primes):
+    want = [residue_direct(p, p).residue for p in primes]
+    for method in METHODS:
+        got = batch_residues(np.array(primes, dtype=np.int64), method)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, method
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.integers(min_value=2, max_value=2**300),
+    x=st.integers(min_value=-(2**700), max_value=2**700),
+)
+@example(modulus=337, x=120318)  # quotient estimate 2 short
+@example(modulus=27, x=-352)  # quotient estimate 1 over
+@example(modulus=3, x=10**50)  # far past 2^(2m): plain %
+def test_reducer_is_exact_mod(modulus, x):
+    assert _reducer(modulus)(x) == x % modulus
 
 
 def test_batch_residues_validation():
