@@ -33,7 +33,7 @@ from .exact import (
     evaluate_identity,
     left_factorial,
 )
-from .factorint import DEFAULT_EFFORT, factorize
+from .factorint import factorize
 from .harness import (
     CSV_HEADER,
     CheckpointCorrupt,
@@ -165,7 +165,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     if value < 2:
         print(f"{label} has no prime factorization")
         return EXIT_OK
-    fz = factorize(value, effort_bound=args.effort, backend=args.backend)
+    fz = factorize(value, limit=args.limit)
     print(f"{label} = {fz}")
     print(f"complete: {str(fz.complete).lower()}")
     return EXIT_OK
@@ -562,8 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor !n (or n itself with --raw)")
     p.add_argument("n", type=_nonnegative)
     p.add_argument("--raw", action="store_true", help="factor the literal n, not !n")
-    p.add_argument("--effort", type=_positive, default=DEFAULT_EFFORT)
-    p.add_argument("--backend", choices=("auto", "own"), default="auto")
+    p.add_argument("--limit", type=_positive, metavar="N", help="bound the factoring effort (sympy's limit)")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("identity", help="check a summation identity exactly")

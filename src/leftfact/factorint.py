@@ -1,119 +1,23 @@
-"""Integer factorization: trial division, Miller-Rabin, Brent's rho.
+"""Integer factorization and primality, delegated to sympy.
 
-Sized for left factorials up to !40 (the default effort bound factors all
-of them completely); this is not a general-purpose tool for
-cryptographic-size inputs. Cofactors that survive the own rho budget are
-handed to sympy's factorint, which brings stronger methods; passing
-backend="own" disables that escalation and yields a partial result with
-an explicit composite remainder instead.
+factorize turns sympy.factorint's output into a Factorization, and
+is_probable_prime is sympy.isprime (BPSW). sympy is imported inside the
+functions, not here, so that commands which never factor (the kh sweep
+above all) do not pay for importing it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 __all__ = ["Factorization", "factorize", "is_probable_prime"]
 
-# Deterministic Miller-Rabin bases: correct for all n < 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BELOW = 3317044064679887385961981
-
-_SMALL_PRIME_LIMIT = 1 << 16
-_EXTRA_ROUNDS = 32  # pseudo-random bases appended above the deterministic range
-
-DEFAULT_EFFORT = 3_000_000  # rho iterations per cofactor; covers !n, n <= 40
-
-
-def _small_primes() -> list[int]:
-    sieve = bytearray(b"\x01") * _SMALL_PRIME_LIMIT
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(_SMALL_PRIME_LIMIT**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i in range(_SMALL_PRIME_LIMIT) if sieve[i]]
-
-
-_SMALL_PRIMES: list[int] | None = None
-
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.3e24, 32 extra fixed-seed rounds above.
+    """sympy.isprime: exact below 2^64, Baillie-PSW (no known counterexample) above."""
+    import sympy
 
-    The extra bases are derived from n, so repeated calls are reproducible.
-    """
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def witness(a: int) -> bool:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            return False
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                return False
-        return True
-
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue  # base 41 against n = 41: a ≡ 0 is no witness
-        if witness(a):
-            return False
-    if n >= _MR_DETERMINISTIC_BELOW:
-        seed = n
-        for _ in range(_EXTRA_ROUNDS):
-            seed = (seed * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            a = 2 + seed % (n - 3)
-            if witness(a):
-                return False
-    return True
-
-
-def _brent_rho(n: int, effort: int) -> int | None:
-    """One nontrivial factor of odd composite n, or None if effort runs out.
-
-    Brent's cycle-finding variant with batched gcd; the polynomial constant
-    steps deterministically (c = 1, 2, ...), so results are reproducible.
-    """
-    spent = 0
-    c = 1
-    while spent < effort:
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        while g == 1 and spent < effort:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                batch = min(128, r - k)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                spent += batch
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            # backtrack one step at a time from the last batch start
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-        c += 1
-    return None
+    return sympy.isprime(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,9 +25,9 @@ class Factorization:
     """Prime factorization, possibly partial.
 
     factors holds (prime, exponent) pairs with strictly increasing primes,
-    every prime certified by is_probable_prime. When the effort budget ran
-    out, composite_remainder carries the unfactored cofactor (> 1, and
-    provably composite); it is None for a complete factorization.
+    every prime certified by sympy.isprime. When factorize ran under a
+    limit and stopped early, composite_remainder carries the unfactored
+    cofactor (> 1, and composite); it is None for a complete factorization.
     """
 
     value: int
@@ -149,60 +53,29 @@ class Factorization:
         return " * ".join(parts)
 
 
-def factorize(v: int, effort_bound: int = DEFAULT_EFFORT, backend: str = "auto") -> Factorization:
-    """Factor v >= 2.
+def factorize(v: int, limit: int | None = None) -> Factorization:
+    """Factor v >= 2 with sympy.factorint.
 
-    Trial division strips primes below 2^16; remaining cofactors go through
-    Miller-Rabin and Brent's rho within effort_bound iterations per
-    cofactor. backend="auto" (default) escalates cofactors that exhaust the
-    budget to sympy.factorint; backend="own" returns a partial result with
-    the composite remainder marked instead.
+    With limit=None (the default) the factorization is complete. A limit
+    >= 1 is passed to sympy.factorint, which then bounds its trial division
+    and its rho and p-1 steps; whatever sympy leaves unsplit (the keys that
+    fail sympy.isprime) is multiplied into composite_remainder.
     """
     if v < 2:
         raise ValueError(f"factorize requires v >= 2, got {v}")
-    if backend not in ("auto", "own"):
-        raise ValueError(f"backend must be 'auto' or 'own', got {backend!r}")
+    if limit is not None and limit < 1:
+        # sympy reads limit=0 as "no limit"
+        raise ValueError(f"limit must be >= 1 or None, got {limit}")
+    import sympy
 
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = _small_primes()
-
-    counts: dict[int, int] = {}
-    rest = v
-    for p in _SMALL_PRIMES:
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rest //= p
-    if 1 < rest < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
-        # survived trial division below its own square root: prime
-        counts[rest] = counts.get(rest, 0) + 1
-        rest = 1
-
+    factors: list[tuple[int, int]] = []
     remainder: int | None = None
-    stack = [rest] if rest > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_probable_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        d = _brent_rho(m, effort_bound)
-        if d is None:
-            if backend == "auto":
-                import sympy
-
-                for p, e in sympy.factorint(m).items():
-                    counts[int(p)] = counts.get(int(p), 0) + int(e)
-            else:
-                if remainder is not None:
-                    m *= remainder  # fold multiple stuck cofactors together
-                remainder = m
-            continue
-        stack.append(d)
-        stack.append(m // d)
-
-    factors = tuple(sorted(counts.items()))
-    result = Factorization(value=v, factors=factors, composite_remainder=remainder)
+    for p, e in sorted(sympy.factorint(v, limit=limit).items()):
+        p, e = int(p), int(e)
+        if sympy.isprime(p):
+            factors.append((p, e))
+        else:
+            remainder = (remainder or 1) * p**e
+    result = Factorization(value=v, factors=tuple(factors), composite_remainder=remainder)
     assert result.reassemble() == v
     return result

@@ -46,26 +46,21 @@ def test_factorize_small_values():
     with pytest.raises(ValueError):
         factorize(1)
     with pytest.raises(ValueError):
-        factorize(360, backend="sympy-only")
+        factorize(360, limit=0)
 
 
-def test_factorize_own_backend_reports_partial():
-    # two 25-digit-ish primes; effort far below what rho needs
-    p = 2**89 - 1
-    q = 2305843009213693951  # 2^61 - 1
-    f = factorize(p * q * 12, effort_bound=10, backend="own")
+def test_factorize_limit_reports_partial():
+    # two Mersenne primes, 2^61 - 1 and 2^89 - 1; a limit of 10 stops sympy
+    # long before it splits their product
+    v = (2**89 - 1) * (2**61 - 1) * 12
+    f = factorize(v, limit=10)
     assert not f.complete
+    assert f.factors == ((2, 2), (3, 1))
     assert f.composite_remainder is not None
     assert f.composite_remainder > 1
     assert not is_probable_prime(f.composite_remainder)
-    assert f.reassemble() == p * q * 12
+    assert f.reassemble() == v
     assert "(composite)" in str(f)
-
-
-def test_factorize_own_backend_finishes_easy_inputs():
-    f = factorize(left_factorial(16), backend="own")
-    assert f.complete
-    assert f.factors == PUBLISHED_TABLE[16]
 
 
 @settings(deadline=None, max_examples=80)

@@ -251,6 +251,19 @@ def test_cli_exit_ok_simple_commands(capsys):
     assert "complete: true" in out
 
 
+def test_cli_factor_output(capsys):
+    assert run_cli("factor", "25") == EXIT_OK
+    assert capsys.readouterr().out == (
+        "!25 = 647478071469567844940314\n"
+        "!25 = 2 * 41 * 103 * 2875688099 * 26658285041\n"
+        "complete: true\n"
+    )
+    v = (2**89 - 1) * (2**61 - 1) * 12
+    assert run_cli("factor", "--raw", v, "--limit", "10") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "complete: false"
+    assert run_cli("factor", "12", "--limit", "0") == EXIT_USAGE
+
+
 def test_cli_usage_exits():
     # inverted range
     assert run_cli("kh", "--from", "50", "--to", "10") == EXIT_USAGE
@@ -417,6 +430,14 @@ def test_cli_resume_may_change_workers(tmp_path):
     assert canonical_lines(led) == canonical_lines(clean)
 
 
+def _child_env():
+    # run the very source this test imports, whatever the working directory
+    # or an installed copy of the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
     # a hard kill mid-sweep must leave a resumable checkpoint + ledger + csv
     cp = tmp_path / "cp.json"
@@ -426,11 +447,7 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
         sys.executable, "-m", "leftfact", "kh", "--from", "3", "--to", "100000",
         "--checkpoint", str(cp), "--ledger", str(led), "--csv", str(csv),
     ]
-    # run the very source this test imports, whatever the working directory
-    # or an installed copy of the package
-    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env = _child_env()
     proc = subprocess.Popen(
         argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env
     )
@@ -461,6 +478,22 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
     assert code == EXIT_OK
     assert canonical_lines(led) == canonical_lines(clean)
     assert _csv_rows_no_timing(csv) == _csv_rows_no_timing(clean_csv)
+
+
+def test_cli_kh_never_imports_sympy():
+    # sympy costs about 0.4 s to import; only factoring and primality need it
+    code = (
+        "import sys\n"
+        "from leftfact.cli import main\n"
+        "rc = main(['kh', '--from', '3', '--to', '2000', '--workers', '1'])\n"
+        "print('exit', rc, 'sympy', 'sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"exit {EXIT_OK} sympy False", proc.stderr
 
 
 def test_cli_report_topics_smoke(capsys):
