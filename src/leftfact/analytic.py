@@ -9,6 +9,13 @@ K has simple poles at z = -1, -3, -4, -5, ... (-2 is not a pole), and an
 independent closed form as a cotangent term plus a constant block plus a
 series of gamma values. Everything here is double precision; residues are
 exact rationals. The supported window is |z| <= 50 and Re z >= -20.
+
+The integral is a composite 48/24-point Gauss-Legendre rule. Its nodes
+depend only on the patch width and the tail cut T, so they are built once
+per (delta, T) with e^(-t) and log t precomputed, and each z then costs one
+numpy pass over every node plus a vectorized series on the patch across
+t = 1. The node-by-node scalar form of the same rule is kept as a test
+oracle in tests/quadrature_oracle.py.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .exact import left_factorial, pole_residue_fraction
 from .factorint import is_probable_prime
@@ -169,34 +178,82 @@ class QuadratureResult:
     truncation: float
 
 
-# 24/48-point Gauss-Legendre nodes and weights on [-1, 1]; the half-order
+# 48/24-point Gauss-Legendre nodes and weights on [-1, 1]; the half-order
 # evaluation provides the per-panel error estimate.
-def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
+@lru_cache(maxsize=2)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
 
 
-_GL48 = _leggauss(48)
-_GL24 = _leggauss(24)
+@dataclass(frozen=True, slots=True)
+class _PanelNodes:
+    """Every quadrature node of one (delta, T) panel list, z-independent.
+
+    Row i holds panel i's 48-point nodes followed by its 24-point nodes.
+    `patch` indexes the nodes within delta of t = 1, where the integrand is
+    summed as a series instead.
+    """
+
+    half: np.ndarray
+    t: np.ndarray
+    exp_neg_t: np.ndarray
+    log_t: np.ndarray
+    patch: tuple[np.ndarray, np.ndarray]
 
 
-def _integrand(t: float, z: complex, delta: float, series_order: int) -> complex:
-    if abs(t - 1.0) < delta:
-        # (t^z - 1)/(t - 1) = sum_{k>=1} binom(z, k) (t-1)^(k-1); the ratio
-        # |next/prev| is below |z - k + 1| * delta / k < 1/2 for |z| <= 50,
-        # so truncation at series_order is geometric.
-        u = t - 1.0
-        term = z
-        acc = 0j
-        for k in range(1, series_order + 1):
-            acc += term
-            term = term * (z - k) / (k + 1) * u
-            if abs(term) < 1e-18 * max(1.0, abs(acc)):
-                break
-        return math.exp(-t) * acc
-    return math.exp(-t) * (cmath.exp(z * cmath.log(t)) - 1.0) / (t - 1.0)
+@lru_cache(maxsize=8)
+def _panel_nodes(delta: float, big_t: float) -> _PanelNodes:
+    # Panel list: dyadically graded toward 0 (t^z has unbounded derivatives
+    # at 0 for Re z < 1), one panel across the series patch, then fixed-width
+    # panels out to T.
+    cuts = [0.0]
+    left_edge = (1.0 - delta) / 2
+    grade = []
+    while left_edge > 1e-13:
+        grade.append(left_edge)
+        left_edge /= 2
+    cuts.extend(reversed(grade))
+    cuts.append(1.0 - delta)
+    cuts.append(1.0 + delta)
+    a = 1.0 + delta
+    while a < big_t:
+        b = min(a + 6.0, big_t)
+        cuts.append(b)
+        a = b
+
+    edges = np.array(cuts)
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = np.concatenate([_leggauss(48)[0], _leggauss(24)[0]])
+    t = mid + half[:, None] * u
+    nodes = _PanelNodes(
+        half=half,
+        t=t,
+        exp_neg_t=np.exp(-t),
+        log_t=np.log(t),
+        patch=np.nonzero(np.abs(t - 1.0) < delta),
+    )
+    # every caller shares the cached arrays
+    for array in (nodes.half, nodes.t, nodes.exp_neg_t, nodes.log_t, *nodes.patch):
+        array.flags.writeable = False
+    return nodes
+
+
+def _patch_series(z: complex, u: np.ndarray, series_order: int) -> np.ndarray:
+    # (t^z - 1)/(t - 1) = sum_{k>=1} binom(z, k) (t-1)^(k-1) at u = t - 1; the
+    # ratio |next/prev| is below |z - k + 1| * delta / k < 1/2 for |z| <= 50,
+    # so truncation at series_order is geometric. Each node stops adding
+    # once its next term falls below 1e-18 of its sum.
+    acc = np.zeros(u.shape, dtype=complex)
+    term = np.full(u.shape, z, dtype=complex)
+    live = np.ones(u.shape, dtype=bool)
+    for k in range(1, series_order + 1):
+        acc[live] += term[live]
+        term = term * (z - k) / (k + 1) * u
+        live &= np.abs(term) >= 1e-18 * np.maximum(1.0, np.abs(acc))
+        if not live.any():
+            break
+    return acc
 
 
 def _upper_gamma_asymptotic(s: complex, big_t: float) -> complex:
@@ -229,51 +286,38 @@ def _pick_truncation(x: float, tol: float) -> float:
     return big_t
 
 
+@lru_cache(maxsize=16)
+def _tail_constants(big_t: float) -> tuple[complex, ...]:
+    # the z-independent half of each tail term: Gamma(1-j, T), j = 1..79
+    return tuple(_upper_gamma_asymptotic(complex(1 - j, 0), big_t) for j in range(1, 80))
+
+
 @lru_cache(maxsize=4096)
 def _k_integral_cached(z: complex, cfg: QuadratureConfig) -> QuadratureResult:
     x = z.real
     tol = cfg.tolerance
     big_t = cfg.truncation if cfg.truncation is not None else _pick_truncation(x, tol)
 
-    def f(t: float) -> complex:
-        return _integrand(t, z, cfg.delta, cfg.series_order)
-
-    # Panel list: dyadically graded toward 0 (t^z has unbounded derivatives
-    # at 0 for Re z < 1), one panel across the series patch, then fixed-width
-    # panels out to T.
-    cuts = [0.0]
-    left_edge = (1.0 - cfg.delta) / 2
-    grade = []
-    while left_edge > 1e-13:
-        grade.append(left_edge)
-        left_edge /= 2
-    cuts.extend(reversed(grade))
-    cuts.append(1.0 - cfg.delta)
-    cuts.append(1.0 + cfg.delta)
-    a = 1.0 + cfg.delta
-    while a < big_t:
-        b = min(a + 6.0, big_t)
-        cuts.append(b)
-        a = b
-
-    total = 0j
-    panel_err = 0.0
-    x48, w48 = _GL48
-    x24, w24 = _GL24
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        fine = half * sum(w * f(mid + half * u) for u, w in zip(x48, w48))
-        coarse = half * sum(w * f(mid + half * u) for u, w in zip(x24, w24))
-        total += fine
-        panel_err += abs(fine - coarse)
+    # One numpy pass evaluates the integrand at every node of every panel;
+    # only the nodes on the series patch across t = 1 are then redone by the
+    # binomial series. Each panel's 48- and 24-point sums are one weighted
+    # product each, and their difference is the panel's error estimate.
+    nodes = _panel_nodes(cfg.delta, big_t)
+    vals = nodes.exp_neg_t * (np.exp(z * nodes.log_t) - 1.0) / (nodes.t - 1.0)
+    patch = nodes.patch
+    vals[patch] = nodes.exp_neg_t[patch] * _patch_series(
+        z, nodes.t[patch] - 1.0, cfg.series_order
+    )
+    fine = (vals[:, :48] @ _leggauss(48)[1]) * nodes.half
+    coarse = (vals[:, 48:] @ _leggauss(24)[1]) * nodes.half
+    total = complex(fine.sum())
+    panel_err = float(np.abs(fine - coarse).sum())
 
     # Tail: sum_j [Gamma(z-j+1, T) - Gamma(1-j, T)] from the identity
     # (t^z - 1)/(t - 1) = sum_{j>=1} (t^(z-j) - t^(-j)) for t > 1.
     tail = 0j
-    for j in range(1, 80):
-        d = _upper_gamma_asymptotic(z - j + 1, big_t) - _upper_gamma_asymptotic(
-            complex(1 - j, 0), big_t
-        )
+    for j, upper_const in enumerate(_tail_constants(big_t), start=1):
+        d = _upper_gamma_asymptotic(z - j + 1, big_t) - upper_const
         tail += d
         if abs(d) < 1e-19:
             break
@@ -283,7 +327,7 @@ def _k_integral_cached(z: complex, cfg: QuadratureConfig) -> QuadratureResult:
     return QuadratureResult(
         value=total,
         error_estimate=estimate,
-        panels=len(cuts) - 1,
+        panels=len(nodes.half),
         truncation=big_t,
     )
 
@@ -354,9 +398,10 @@ def k_continued(z: complex | float, cfg: QuadratureConfig = QuadratureConfig()) 
 
     Unfolds K(z) = K(z+1) - Gamma(z+1) until the argument reaches the
     integral's half-plane. z = -2 is the one point where individual gamma
-    terms blow up while the sum stays finite; there
-    Gamma(z+2) + Gamma(z+1) = Gamma(z+2)(z+2)/(z+1) -> -1, giving
-    K(-2) = K(0) + 1 = 1 exactly.
+    terms blow up while the sum stays finite, so within 1/2 of it the pair
+    is subtracted as its exact sum Gamma(z+1) + Gamma(z+2) = Gamma(z+3)/(z+1).
+    That sum is -1 at z = -2, so K(-2) = K(1) + 1 - 1 = 1; z = -2 itself
+    returns 1 exactly rather than the quadrature's roundoff in K(1).
     """
     z = complex(z)
     pole_n = _pole_at(z)
@@ -373,7 +418,11 @@ def k_continued(z: complex | float, cfg: QuadratureConfig = QuadratureConfig()) 
         return 1.0 + 0j
     unfolds = math.floor(-z.real) + 1
     value = k_integral(z + unfolds, cfg)
-    for j in range(1, unfolds + 1):
+    first = 1
+    if abs(z + 2) < 0.5:
+        value -= gamma(z + 3) / (z + 1)
+        first = 3
+    for j in range(first, unfolds + 1):
         value -= gamma(z + j)
     return value
 

@@ -24,6 +24,8 @@ from leftfact import (
     pole_residue,
     slavic_constant_block,
 )
+from leftfact.analytic import _k_integral_cached
+from quadrature_oracle import scalar_k_integral
 
 # independent quadrature oracle: mpmath.quad at 40 digits over the defining
 # integral, split [0, 1, inf] with the removable point patched by its limit
@@ -34,6 +36,24 @@ ORACLE = {
     complex(2.5, 1.5): complex(1.3988389012218134054, 1.8398014184464678013),
     complex(0.75, -2.0): complex(0.79161390050332185108, -1.0871236041152474745),
 }
+
+# mpmath at 50 digits near the removable point z = -2, where Gamma(z+1) and
+# Gamma(z+2) each blow up: K(z+3) - Gamma(z+1) - Gamma(z+2) - Gamma(z+3) with
+# K(z+3) by mpmath.quad over the defining integral, at the double nearest z
+NEAR_MINUS_TWO = {
+    -2 + 1e-10: 1.0000000001854990223,
+    -2 - 1e-8: 0.99999998145009946007,
+    complex(-2, 1e-12): complex(1.0, 1.8549900697516915169e-12),
+    -2 + 1e-13: 1.0000000000001853507,
+    -2 - 1e-13: 0.99999999999981464926,
+    complex(-1.7, -0.2): complex(1.5487827147060582979, -0.50129910238253792396),
+    -2.4: 0.22831982000785032003,
+}
+
+QUADRATURE_CONFIGS = (
+    QuadratureConfig(),
+    QuadratureConfig(truncation=6.0, delta=0.05, series_order=10, tolerance=1e-12),
+)
 
 
 def test_gamma_matches_math_on_reals():
@@ -115,6 +135,44 @@ def test_k_continued_exact_special_points():
     assert k_continued(-2) == 1.0 + 0j
     assert abs(k_continued(0.0)) < 1e-9
     assert abs(k_continued(1.0) - 1) < 1e-9
+
+
+def test_k_continued_near_removable_point_minus_two():
+    for z, want in NEAR_MINUS_TWO.items():
+        assert abs(k_continued(z) - want) < 1e-12, z
+
+
+def test_vectorized_quadrature_matches_scalar_oracle():
+    # criterion 08's box after unfolding (0 < Re z <= 10, |Im z| <= 4.5),
+    # then the wider Re z <= 50, |Im z| <= 20
+    rng = np.random.default_rng(20261018)
+    box = [complex(rng.uniform(0, 10), rng.uniform(-4.5, 4.5)) for _ in range(30)]
+    wide = [complex(rng.uniform(0, 50), rng.uniform(-20, 20)) for _ in range(30)]
+    outcomes = set()
+    for cfg in QUADRATURE_CONFIGS:
+        for z in box + wide:
+            want, want_panel_err = scalar_k_integral(z, cfg)
+            want_raises = want.error_estimate > cfg.tolerance + 1e-13 * abs(want.value)
+            got = _k_integral_cached(z, cfg)
+            assert (got.panels, got.truncation) == (want.panels, want.truncation), z
+            try:
+                assert k_integral_detailed(z, cfg) == got
+                raised = False
+            except QuadratureError as err:
+                assert err.value == got.value
+                raised = True
+            assert raised == want_raises, (z, cfg)
+            bound = 1e-13 * max(1.0, abs(want.value))
+            if raised:
+                # the rule misses its tolerance here: roundoff in the node sums
+                # (|Im z| large against Re z) swamps K, so two summation orders
+                # may differ by up to the oracle's own panel error estimate
+                bound = max(bound, want_panel_err)
+            assert abs(got.value - want.value) <= bound, (z, cfg)
+            outcomes.add((cfg.truncation, raised))
+    # the grid exercises a certified and a refused result for the default
+    # config, and the refusal of the short truncation
+    assert outcomes == {(None, False), (None, True), (6.0, True)}
 
 
 def test_k_continued_functional_equation_grid():
