@@ -172,9 +172,13 @@ class LedgerWriter:
         self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="\n")
 
     def _truncate_to(self, frontier: int) -> None:
-        kept: list[str] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
+        # every line is parsed, to find a torn tail or a stale summary, but a
+        # kept line is copied as it was read
+        tmp = f"{self.path}.tmp.{os.getpid()}"
+        with open(self.path, "r", encoding="utf-8") as src, open(
+            tmp, "w", encoding="utf-8", newline="\n"
+        ) as fh:
+            for line in src:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError:
@@ -183,19 +187,23 @@ class LedgerWriter:
                     continue  # stale summary from an older completed run
                 if int(obj.get("prime", -1)) > frontier:
                     break
-                kept.append(json.dumps(obj, sort_keys=True))
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for line in kept:
-                fh.write(line + "\n")
+                fh.write(line if line.endswith("\n") else line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         _fsync_dir(self.path)
 
     def write_record(self, record: VerificationRecord) -> None:
-        obj = {"type": "record", **dataclasses.asdict(record)}
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        # the line json.dumps({"type": "record", **asdict(record)},
+        # sort_keys=True) gives, without building the dict; the method is
+        # escaped by the function json.dumps uses for a str
+        self._fh.write(
+            f'{{"elapsed_ns": {record.elapsed_ns:d}, '
+            f'"method": {json.encoder.encode_basestring_ascii(record.method)}, '
+            f'"prime": {record.prime:d}, "residue": {record.residue:d}, '
+            f'"type": "record", '
+            f'"violates_kh": {"true" if record.violates_kh else "false"}}}\n'
+        )
 
     def write_summary(self, **fields: Any) -> None:
         self._fh.write(json.dumps({"type": "summary", **fields}, sort_keys=True) + "\n")

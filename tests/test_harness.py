@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -9,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leftfact
 from leftfact import (
@@ -26,6 +29,7 @@ from leftfact import (
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leftfact.harness import CSV_HEADER, record_to_row
+from leftfact.sweeps import _KERNEL_METHODS
 
 
 def rec(prime, residue, ns=7, method="forward_v"):
@@ -170,6 +174,64 @@ def test_ledger_resume_drops_partial_tail(tmp_path):
     resumed.close()
     lines = [json.loads(l) for l in open(path)]
     assert [l["prime"] for l in lines] == [3, 5]
+
+
+@st.composite
+def ascending_records(draw):
+    """VerificationRecords on ascending primes: violations (residue 0),
+    primes far past int64, every kernel method and arbitrary method text."""
+    primes = draw(
+        st.lists(st.integers(min_value=2, max_value=2**80), min_size=1, max_size=6, unique=True)
+    )
+    out = []
+    for p in sorted(primes):
+        residue = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1)))
+        out.append(
+            rec(
+                p,
+                residue,
+                ns=draw(st.integers(min_value=0, max_value=2**64)),
+                method=draw(st.one_of(st.sampled_from(_KERNEL_METHODS), st.text(max_size=8))),
+            )
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=ascending_records(), cut=st.integers(min_value=0, max_value=6))
+def test_ledger_record_lines_are_json_dumps_and_resume_keeps_them(tmp_path_factory, records, cut):
+    path = str(tmp_path_factory.mktemp("ledger") / "run.jsonl")
+    writer = LedgerWriter(path)
+    for r in records:
+        writer.write_record(r)
+    writer.write_summary(records=len(records))
+    writer.close()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    want = [
+        json.dumps({"type": "record", **dataclasses.asdict(r)}, sort_keys=True) + "\n"
+        for r in records
+    ]
+    assert [line.decode("utf-8") for line in lines[:-1]] == want
+    # resume at a frontier inside the records: the kept prefix is the
+    # original file's, byte for byte
+    kept = records[: min(cut, len(records))]
+    frontier = kept[-1].prime if kept else records[0].prime - 1
+    LedgerWriter(path, resume_frontier=frontier).close()
+    with open(path, "rb") as fh:
+        assert fh.read() == b"".join(lines[: len(kept)])
+
+
+def test_ledger_resume_restores_missing_final_newline(tmp_path):
+    path = tmp_path / "run.jsonl"
+    writer = LedgerWriter(str(path))
+    writer.write_record(rec(3, 1))
+    writer.write_record(rec(5, 4))
+    writer.close()
+    whole = path.read_bytes()
+    path.write_bytes(whole.rstrip(b"\n"))  # a valid last line, cut before its newline
+    LedgerWriter(str(path), resume_frontier=1000).close()
+    assert path.read_bytes() == whole
 
 
 def test_canonical_lines_strip_timing(tmp_path):

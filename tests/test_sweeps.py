@@ -17,9 +17,10 @@ from leftfact import (
     kh_sweep,
     residue_direct,
     residue_summatory,
+    sweeps,
 )
 from leftfact.primes import build_sieve
-from leftfact.sweeps import _reducer
+from leftfact.sweeps import _GRID, _grid_block, _reducer
 
 SIEVE = build_sieve(20000)
 METHODS = ("forward_v", "forward_t", "backward_s")
@@ -61,6 +62,74 @@ def test_batch_residues_matches_stepper_to_2e4(method):
         chunk = primes[s : s + CHUNK_PRIMES]
         want = stepped_residues(chunk, method)
         assert np.array_equal(batch_residues(chunk, method), want), chunk[0]
+
+
+def chunk_at(p, size=CHUNK_PRIMES):
+    """The size primes from p on."""
+    return primes_between(p, 20000)[:size]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_memo_cold_and_warm_agree(method):
+    chunk = chunk_at(13001)
+    want = stepped_residues(chunk, method)
+    _grid_block.cache_clear()
+    assert np.array_equal(batch_residues(chunk, method), want)
+    assert _grid_block.cache_info().currsize == int(chunk[0]) // _GRID
+    assert np.array_equal(batch_residues(chunk, method), want)
+    assert _grid_block.cache_info().hits >= int(chunk[0]) // _GRID
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_memo_chunks_out_of_order(method):
+    # a pool worker may take a high chunk before the ones below it
+    primes = primes_between(3, 20000)
+    starts = (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES)
+    _grid_block.cache_clear()
+    for s in starts:
+        chunk = primes[s : s + CHUNK_PRIMES]
+        assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
+
+
+def test_fold_memo_first_end_on_grid_boundary(monkeypatch):
+    # backward_s ends 7681's steps at 7680 = 15 * 512: fifteen whole blocks
+    # and no partial one
+    chunk = chunk_at(7681)
+    assert chunk[0] == 7681 and (int(chunk[0]) - 1) % _GRID == 0
+    spans = []
+    exact_map = sweeps._exact_map
+
+    def recording(method, compose, lo, hi):
+        spans.append((lo, hi))
+        return exact_map(method, compose, lo, hi)
+
+    monkeypatch.setattr(sweeps, "_exact_map", recording)
+    _grid_block.cache_clear()
+    got = batch_residues(chunk, "backward_s")
+    assert np.array_equal(got, stepped_residues(chunk, "backward_s"))
+    assert _grid_block.cache_info().currsize == 15
+    prefix = [(lo, hi) for lo, hi in spans if hi <= 7680]
+    assert prefix == [(max(1, k * _GRID), (k + 1) * _GRID) for k in range(15)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
+    chunk = chunk_at(19991, size=2)
+    modulus = int(chunk[0]) * int(chunk[1])
+    # a block is at least twice as wide as the modulus, so its products
+    # leave the reducer's fast range
+    block = _grid_block(method, int(chunk[0]) // _GRID - 1)
+    assert max(x.bit_length() for x in block) >= 2 * modulus.bit_length()
+    assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
+
+
+def test_fold_memo_grows_with_range_not_chunk_count():
+    _grid_block.cache_clear()
+    records = list(kh_sweep((3, 10**5)))
+    last_start = records[(len(records) - 1) // CHUNK_PRIMES * CHUNK_PRIMES].prime
+    size = _grid_block.cache_info().currsize
+    assert size == last_start // _GRID
+    assert size <= -(-(10**5) // _GRID)
 
 
 ODD_PRIMES = primes_between(3, 8000).tolist()
