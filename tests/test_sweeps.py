@@ -20,7 +20,7 @@ from leftfact import (
     sweeps,
 )
 from leftfact.primes import build_sieve
-from leftfact.sweeps import _GRID, _grid_block, _reducer
+from leftfact.sweeps import _FOLD_MEMO, _GRID, _reducer
 
 SIEVE = build_sieve(20000)
 METHODS = ("forward_v", "forward_t", "backward_s")
@@ -69,33 +69,13 @@ def chunk_at(p, size=CHUNK_PRIMES):
     return primes_between(p, 20000)[:size]
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_fold_memo_cold_and_warm_agree(method):
-    chunk = chunk_at(13001)
-    want = stepped_residues(chunk, method)
-    _grid_block.cache_clear()
-    assert np.array_equal(batch_residues(chunk, method), want)
-    assert _grid_block.cache_info().currsize == int(chunk[0]) // _GRID
-    assert np.array_equal(batch_residues(chunk, method), want)
-    assert _grid_block.cache_info().hits >= int(chunk[0]) // _GRID
+def memo_blocks(method):
+    return sorted(k for m, k in _FOLD_MEMO.maps if m == method)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_fold_memo_chunks_out_of_order(method):
-    # a pool worker may take a high chunk before the ones below it
-    primes = primes_between(3, 20000)
-    starts = (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES)
-    _grid_block.cache_clear()
-    for s in starts:
-        chunk = primes[s : s + CHUNK_PRIMES]
-        assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
-
-
-def test_fold_memo_first_end_on_grid_boundary(monkeypatch):
-    # backward_s ends 7681's steps at 7680 = 15 * 512: fifteen whole blocks
-    # and no partial one
-    chunk = chunk_at(7681)
-    assert chunk[0] == 7681 and (int(chunk[0]) - 1) % _GRID == 0
+@pytest.fixture
+def recorded_spans(monkeypatch):
+    """The (lo, hi) of every exact map the kernel builds, in order."""
     spans = []
     exact_map = sweeps._exact_map
 
@@ -104,11 +84,44 @@ def test_fold_memo_first_end_on_grid_boundary(monkeypatch):
         return exact_map(method, compose, lo, hi)
 
     monkeypatch.setattr(sweeps, "_exact_map", recording)
-    _grid_block.cache_clear()
+    return spans
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_memo_cold_and_warm_agree(method, recorded_spans):
+    chunk = chunk_at(13001)
+    want = stepped_residues(chunk, method)
+    _FOLD_MEMO.clear()
+    assert np.array_equal(batch_residues(chunk, method), want)
+    whole = int(chunk[0]) // _GRID
+    assert memo_blocks(method) == list(range(whole))
+    # warm: the prefix below the last grid line comes from the memo
+    recorded_spans.clear()
+    assert np.array_equal(batch_residues(chunk, method), want)
+    assert all(lo >= whole * _GRID for lo, _hi in recorded_spans)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_memo_chunks_out_of_order(method):
+    # a pool worker may take a high chunk before the ones below it
+    primes = primes_between(3, 20000)
+    starts = (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES)
+    _FOLD_MEMO.clear()
+    for s in starts:
+        chunk = primes[s : s + CHUNK_PRIMES]
+        assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
+
+
+def test_fold_memo_first_end_on_grid_boundary(recorded_spans):
+    # backward_s ends 7681's steps at 7680 = 15 * 512: fifteen whole blocks
+    # and no partial one
+    chunk = chunk_at(7681)
+    assert chunk[0] == 7681 and (int(chunk[0]) - 1) % _GRID == 0
+    _FOLD_MEMO.clear()
     got = batch_residues(chunk, "backward_s")
     assert np.array_equal(got, stepped_residues(chunk, "backward_s"))
-    assert _grid_block.cache_info().currsize == 15
-    prefix = [(lo, hi) for lo, hi in spans if hi <= 7680]
+    assert memo_blocks("backward_s") == list(range(15))
+    prefix = [(lo, hi) for lo, hi in recorded_spans if hi <= 7680]
     assert prefix == [(max(1, k * _GRID), (k + 1) * _GRID) for k in range(15)]
 
 
@@ -118,18 +131,59 @@ def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
     modulus = int(chunk[0]) * int(chunk[1])
     # a block is at least twice as wide as the modulus, so its products
     # leave the reducer's fast range
-    block = _grid_block(method, int(chunk[0]) // _GRID - 1)
+    block = _FOLD_MEMO.block(method, int(chunk[0]) // _GRID - 1)
     assert max(x.bit_length() for x in block) >= 2 * modulus.bit_length()
     assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
 
 
-def test_fold_memo_grows_with_range_not_chunk_count():
-    _grid_block.cache_clear()
-    records = list(kh_sweep((3, 10**5)))
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("budget", [0, 6000])
+def test_fold_memo_full_folds_the_rest_in_fresh_blocks(method, budget, monkeypatch, recorded_spans):
+    # a memo with no room, or room for a few blocks, keeps the blocks that
+    # fit and folds the steps above them in blocks as wide as the chunk's M
+    monkeypatch.setattr(sweeps, "_MEMO_BYTES", budget)
+    primes = primes_between(3, 20000)
+    _FOLD_MEMO.clear()
+    for s in (2 * CHUNK_PRIMES, CHUNK_PRIMES):
+        chunk = primes[s : s + CHUNK_PRIMES]
+        assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
+    kept = memo_blocks(method)
+    assert kept == list(range(len(kept)))
+    top = int(primes[CHUNK_PRIMES])
+    assert len(kept) < top // _GRID
+    assert _FOLD_MEMO.nbytes < budget + 4 * _GRID  # the last block kept overshoots
+    fresh = [hi - lo for lo, hi in recorded_spans if len(kept) * _GRID <= lo and hi <= top]
+    assert fresh and max(fresh) > _GRID
+
+
+def test_fold_memo_grows_with_range_not_chunk_count_and_ends_with_the_sweep():
+    class Sizes(MemorySink):
+        def advance(self, frontier, counters):
+            super().advance(frontier, counters)
+            sizes.append(len(_FOLD_MEMO.maps))
+
+    sizes = []
+    _FOLD_MEMO.clear()
+    records = list(kh_sweep((3, 10**5), checkpoint_sink=Sizes()))
     last_start = records[(len(records) - 1) // CHUNK_PRIMES * CHUNK_PRIMES].prime
-    size = _grid_block.cache_info().currsize
-    assert size == last_start // _GRID
-    assert size <= -(-(10**5) // _GRID)
+    assert sizes[-1] == last_start // _GRID <= -(-(10**5) // _GRID)
+    assert sizes == sorted(sizes)
+    assert _FOLD_MEMO.maps == {} and _FOLD_MEMO.nbytes == 0
+
+
+def test_narrow_high_window_keeps_the_memo_in_its_budget(monkeypatch):
+    # one chunk far above its range's start reuses no block: the memo stops
+    # at its budget and the residues match a sweep with no memo at all
+    monkeypatch.setattr(sweeps, "_MEMO_BYTES", 20000)
+    _FOLD_MEMO.clear()
+    window = (200_000, 200_400)
+    seen = []
+    for rec in kh_sweep(window):
+        seen.append((rec.prime, rec.residue))
+        assert _FOLD_MEMO.nbytes < 20000 + 6 * _GRID
+    monkeypatch.setattr(sweeps, "_MEMO_BYTES", 0)
+    assert [(r.prime, r.residue) for r in kh_sweep(window)] == seen
+    assert [r for _p, r in seen[:3]] == [residue_direct(p, p).residue for p, _r in seen[:3]]
 
 
 ODD_PRIMES = primes_between(3, 8000).tolist()
