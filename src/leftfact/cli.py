@@ -9,6 +9,8 @@ is a direct computation printed to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -35,15 +37,14 @@ from .exact import (
 )
 from .factorint import factorize
 from .harness import (
-    CSV_HEADER,
-    CheckpointCorrupt,
+    CheckpointError,
     CheckpointMismatch,
+    CsvWriter,
     FileSink,
     LedgerWriter,
-    _fsync_dir,
     record_to_row,
 )
-from .modular import VARIANTS, VerificationRecord, cost_model, kh_equivalent_residue, residue_direct
+from .modular import VARIANTS, cost_model, kh_equivalent_residue, residue_direct
 from .primes import (
     build_sieve,
     count_pair_progressions,
@@ -103,54 +104,6 @@ def _sieve_for_primes(count: int):
     return build_sieve(_nth_prime_bound(count))
 
 
-def _open_csv(path: str):
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    return fh
-
-
-def _resume_csv(path: str, frontier: int | None):
-    """CSV twin of the ledger's resume truncation.
-
-    Keeps the header plus rows at or below the checkpoint frontier and
-    appends from there, so a resumed run ends with the same table as an
-    uninterrupted one instead of just its own tail. The sink flushes the
-    handle before every checkpoint advance, which keeps the file on disk
-    at or ahead of the frontier; a file that still falls short (started
-    mid-run, or damaged out of band) is warned about, not repaired.
-    """
-    if frontier is None:
-        fh = _open_csv(path)
-        fh.write(CSV_HEADER + "\n")
-        return fh
-    kept = [CSV_HEADER]
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                row = line.rstrip("\n")
-                if i == 0:
-                    if row != CSV_HEADER:
-                        break  # stale file from something else: start over
-                    continue
-                head = row.split(",", 1)[0]
-                if not head.isdigit() or int(head) > frontier:
-                    break  # torn tail, or a row the resumed sweep re-emits
-                kept.append(row)
-    if len(kept) == 1 or kept[-1].split(",", 1)[0] != str(frontier):
-        print(
-            f"kh: csv {path} is missing rows below the checkpoint frontier; "
-            "the resumed table will be incomplete (the ledger is authoritative)",
-            file=sys.stderr,
-        )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(kept) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path)  # make the rename itself durable, as the ledger does
-    return open(path, "a", encoding="utf-8", newline="\n")
-
-
 def _cmd_kn(args: argparse.Namespace) -> int:
     print(left_factorial(args.n))
     return EXIT_OK
@@ -197,22 +150,28 @@ def _cmd_kh(args: argparse.Namespace) -> int:
     params = {"lo": args.lo, "hi": args.hi, "method": args.method}
     counters = {"records": 0, "violations": 0}
     sink = None
-    ledger = None
     try:
         if args.checkpoint:
-            sink = FileSink(args.checkpoint, "kh", params, live_counters=counters)
+            sink = FileSink(args.checkpoint, "kh", params)
             counters.update(sink.counters)
-        if args.ledger:
-            frontier = sink.frontier if sink is not None else None
-            ledger = LedgerWriter(args.ledger, resume_frontier=frontier)
-            if sink is not None:
-                sink.ledger = ledger
-    except CheckpointMismatch as exc:
+            sink.counters = counters  # persisted with each frontier
+    except CheckpointError as exc:
         print(f"kh: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckpointCorrupt as exc:
-        print(f"kh: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, CheckpointMismatch) else EXIT_RUNTIME
+    frontier = sink.frontier if sink is not None else None
+    ledger = LedgerWriter(args.ledger, resume_frontier=frontier) if args.ledger else None
+    csv = CsvWriter(args.csv, resume_frontier=frontier) if args.csv else None
+    if csv is not None and frontier is not None and not csv.last_kept.startswith(f"{frontier},"):
+        # the sink keeps the csv on disk at or ahead of the frontier; a file
+        # that still falls short (started mid-run, or damaged out of band) is
+        # warned about, not repaired
+        print(
+            f"kh: csv {args.csv} is missing rows below the checkpoint frontier; "
+            "the resumed table will be incomplete (the ledger is authoritative)",
+            file=sys.stderr,
+        )
+    if sink is not None:
+        sink.writers = tuple(w for w in (ledger, csv) if w is not None)
 
     stream = kh_sweep(
         (args.lo, args.hi),
@@ -220,44 +179,37 @@ def _cmd_kh(args: argparse.Namespace) -> int:
         checkpoint_sink=sink,
         method=args.method,
     )
-    csv_fh = None
-    if args.csv:
-        csv_fh = _resume_csv(args.csv, sink.frontier if sink is not None else None)
-        if sink is not None:
-            # persisted with the ledger before each checkpoint advance
-            sink.flush_handles = (csv_fh,)
+    # the testing aids are filters on the record stream
+    records = stream
+    if args.inject_violation is not None:
+        records = (
+            dataclasses.replace(rec, residue=0, violates_kh=True)
+            if rec.prime == args.inject_violation
+            else rec
+            for rec in records
+        )
+    if args.halt_after is not None:
+        records = itertools.islice(records, args.halt_after)
     emitted = 0
-    halted = False
     t0 = time.monotonic()
     try:
-        for rec in stream:
-            if args.inject_violation is not None and rec.prime == args.inject_violation:
-                rec = VerificationRecord(
-                    prime=rec.prime,
-                    residue=0,
-                    violates_kh=True,
-                    elapsed_ns=rec.elapsed_ns,
-                    method=rec.method,
-                )
+        for rec in records:
+            emitted += 1
             counters["records"] += 1
             counters["violations"] += int(rec.violates_kh)
             if rec.violates_kh:
                 print(f"VIOLATION: {rec.prime} divides !{rec.prime}", file=sys.stderr)
             if ledger is not None:
                 ledger.write_record(rec)
-            if csv_fh is not None:
-                csv_fh.write(record_to_row(rec) + "\n")
-            emitted += 1
-            if args.halt_after is not None and emitted >= args.halt_after:
-                halted = True
-                break
+            if csv is not None:
+                csv.write(record_to_row(rec))
     finally:
         stream.close()
-        if csv_fh is not None:
-            csv_fh.close()
+        if csv is not None:
+            csv.close()
     wall = time.monotonic() - t0
 
-    if halted:
+    if emitted == args.halt_after:
         # mimics an interruption: the ledger keeps its records, gets no summary
         print(f"kh: halted after {emitted} records, no summary written", file=sys.stderr)
     else:
@@ -284,7 +236,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
 def _cmd_kh2(args: argparse.Namespace) -> int:
     hits = kh2_scan((2, args.p_max), args.n_max)
     if args.csv:
-        with _open_csv(args.csv) as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("p,n\n")
             for p, n in hits:
                 fh.write(f"{p},{n}\n")
@@ -298,7 +250,7 @@ def _cmd_kh2(args: argparse.Namespace) -> int:
 def _cmd_aset(args: argparse.Namespace) -> int:
     members = a_set_scan(args.r, args.n_bound, primes_only=args.primes_only)
     if args.csv:
-        with _open_csv(args.csv) as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("n\n")
             for n in members:
                 fh.write(f"{n}\n")
@@ -314,7 +266,7 @@ def _cmd_aset(args: argparse.Namespace) -> int:
 def _cmd_h4(args: argparse.Namespace) -> int:
     witnesses = h4_witness_search(args.n_bound, args.s_bound)
     if args.csv:
-        with _open_csv(args.csv) as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("n,s,gcd\n")
             for n, s, g in witnesses:
                 fh.write(f"{n},{s},{g}\n")

@@ -1,11 +1,13 @@
-"""Checkpoint and ledger persistence for long sweeps.
+"""Checkpoint and record-file persistence for long sweeps.
 
 A sweep owns at most one checkpoint file (JSON, atomically replaced) and
-one ledger file (JSON lines, append-only between checkpoints). The
-invariant linking them: every record at or below the checkpoint frontier
-is on disk in the ledger before the checkpoint naming that frontier is
-visible. Resume therefore only ever has to discard ledger lines past the
-frontier, never invent missing ones.
+any number of record files: the JSON-lines ledger and the CSV export, one
+line per record in ascending prime order, appended between checkpoints.
+The invariant for every record file: each record at or below the
+checkpoint frontier is on disk in the file before the checkpoint naming
+that frontier is visible. Resume therefore only ever has to discard lines
+past the frontier, never invent missing ones, and truncate_to_frontier does
+that for every format; a format adds only its rule for which lines to keep.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, IO
+from typing import IO, Any, Callable, Iterator
 
 from .modular import VerificationRecord
 
@@ -28,7 +30,10 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "ensure_compatible",
+    "truncate_to_frontier",
+    "RecordWriter",
     "LedgerWriter",
+    "CsvWriter",
     "FileSink",
     "canonical_lines",
     "record_to_row",
@@ -153,7 +158,63 @@ def record_to_row(record: VerificationRecord) -> str:
     )
 
 
-class LedgerWriter:
+def truncate_to_frontier(
+    path: str, frontier: int, kept_lines: Callable[[IO[str], int], Iterator[str]]
+) -> str | None:
+    """Cut a record file back to the lines kept_lines(file, frontier) yields
+    from it (a missing file reads as empty), each ending in a newline, and
+    make the cut durable: temp file, fsync, rename over, directory fsync.
+    When reading raises, the file stays as it was and the temp file goes.
+    Returns the last line kept."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    last = None
+    # "a+" creates a missing file, which the rename then replaces
+    with open(path, "a+", encoding="utf-8") as src, open(
+        tmp, "w", encoding="utf-8", newline="\n"
+    ) as fh:
+        try:
+            src.seek(0)
+            for last in kept_lines(src, frontier):
+                fh.write(last if last.endswith("\n") else last + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    os.replace(tmp, path)
+    _fsync_dir(path)
+    return last
+
+
+class RecordWriter:
+    """A record file: opened fresh with its header, or cut back to a resume
+    frontier by its format's kept_lines rule; then appended to."""
+
+    header = ""
+
+    def __init__(self, path: str, resume_frontier: int | None = None) -> None:
+        self.path = path
+        self.last_kept: str | None = None
+        if resume_frontier is None:
+            # treat any stale file as a fresh start
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(self.header)
+        else:
+            self.last_kept = truncate_to_frontier(path, resume_frontier, self.kept_lines)
+        self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="\n")
+
+    def write(self, line: str) -> None:
+        self._fh.write(line + "\n")
+
+    def flush_fsync(self) -> None:
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        self._fh.close()
+
+
+class LedgerWriter(RecordWriter):
     """Append-only JSON-lines ledger with resume truncation.
 
     Record lines carry type "record"; a single type "summary" line closes a
@@ -161,43 +222,21 @@ class LedgerWriter:
     reader tells a partial ledger from a complete one.
     """
 
-    def __init__(self, path: str, resume_frontier: int | None = None) -> None:
-        self.path = path
-        if resume_frontier is not None and os.path.exists(path):
-            self._truncate_to(resume_frontier)
-        else:
-            # treat any stale file as a fresh start
-            with open(path, "w", encoding="utf-8"):
-                pass
-        self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="\n")
-
-    def _truncate_to(self, frontier: int) -> None:
+    @staticmethod
+    def kept_lines(src: IO[str], frontier: int) -> Iterator[str]:
         # every line is parsed, to find a torn tail or a stale summary, but a
-        # kept line is copied as it was read
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(self.path, "r", encoding="utf-8") as src, open(
-                tmp, "w", encoding="utf-8", newline="\n"
-            ) as fh:
-                for line in src:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        break  # partial tail from an interrupted write
-                    if obj.get("type") != "record":
-                        continue  # stale summary from an older completed run
-                    if int(obj.get("prime", -1)) > frontier:
-                        break
-                    fh.write(line if line.endswith("\n") else line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        except BaseException:
-            # a line that parses but is no record object leaves the ledger
-            # as it was, and no temporary file beside it
-            os.unlink(tmp)
-            raise
-        os.replace(tmp, self.path)
-        _fsync_dir(self.path)
+        # kept line is copied as it was read; a line that parses but is no
+        # record object raises
+        for line in src:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                return  # partial tail from an interrupted write
+            if obj.get("type") != "record":
+                continue  # stale summary from an older completed run
+            if int(obj.get("prime", -1)) > frontier:
+                return
+            yield line
 
     def write_record(self, record: VerificationRecord) -> None:
         # the line json.dumps({"type": "record", **asdict(record)},
@@ -214,14 +253,22 @@ class LedgerWriter:
     def write_summary(self, **fields: Any) -> None:
         self._fh.write(json.dumps({"type": "summary", **fields}, sort_keys=True) + "\n")
 
-    def flush_fsync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+class CsvWriter(RecordWriter):
+    """The records as CSV rows (record_to_row) under CSV_HEADER."""
+
+    header = CSV_HEADER + "\n"
+
+    @staticmethod
+    def kept_lines(src: IO[str], frontier: int) -> Iterator[str]:
+        yield CSV_HEADER
+        if next(src, "").rstrip("\n") != CSV_HEADER:
+            return  # stale file from something else: start over
+        for line in src:
+            head, comma, _rest = line.partition(",")
+            if not comma or not head.isdigit() or int(head) > frontier:
+                return  # torn tail, or a row the resumed sweep re-emits
+            yield line
 
 
 def canonical_lines(path: str, volatile: tuple[str, ...] = VOLATILE_FIELDS) -> list[str]:
@@ -240,23 +287,19 @@ def canonical_lines(path: str, volatile: tuple[str, ...] = VOLATILE_FIELDS) -> l
 
 @dataclass
 class FileSink:
-    """Checkpoint sink bound to a file, optionally fronting a ledger.
+    """Checkpoint sink bound to a file, fronting the sweep's record files.
 
-    advance() flushes the ledger to disk first and only then replaces the
-    checkpoint, so a crash between the two leaves a ledger that is ahead of
-    the checkpoint, which is the recoverable direction. flush_handles get the
-    same treatment, for callers persisting derived outputs (a csv export)
-    alongside the ledger. When live_counters is supplied the sink persists
-    those (the caller's view, which may include synthetic test records)
-    rather than the counts the sweep engine passes.
+    counters are the caller's running totals: restored from the checkpoint
+    and persisted with each frontier. advance() flushes and fsyncs every
+    record writer in writers first and only then replaces the checkpoint, so
+    a crash between the two leaves record files that are ahead of the
+    checkpoint, which is the recoverable direction.
     """
 
     path: str
     command: str
     params: dict[str, Any]
-    ledger: LedgerWriter | None = None
-    live_counters: dict[str, int] | None = None
-    flush_handles: tuple[IO[str], ...] = ()
+    writers: tuple[RecordWriter, ...] = ()
     frontier: int | None = field(init=False, default=None)
     counters: dict[str, int] = field(init=False, default_factory=dict)
     base_wall: float = field(init=False, default=0.0)
@@ -273,25 +316,19 @@ class FileSink:
     def wall_seconds(self) -> float:
         return self.base_wall + (time.monotonic() - self._t0)
 
-    def advance(self, frontier: int, counters: dict[str, int]) -> None:
+    def advance(self, frontier: int) -> None:
         if self.frontier is not None and frontier < self.frontier:
             raise ValueError(f"frontier regressed: {frontier} < {self.frontier}")
         self.frontier = frontier
-        self.counters = dict(
-            self.live_counters if self.live_counters is not None else counters
-        )
-        if self.ledger is not None:
-            self.ledger.flush_fsync()
-        for fh in self.flush_handles:
-            fh.flush()
-            os.fsync(fh.fileno())
+        for writer in self.writers:
+            writer.flush_fsync()
         write_checkpoint(
             self.path,
             Checkpoint(
                 command=self.command,
                 params=self.params,
                 frontier=frontier,
-                counters=self.counters,
+                counters=dict(self.counters),
                 wall_seconds=self.wall_seconds(),
             ),
         )

@@ -23,8 +23,11 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import os
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -273,15 +276,15 @@ class CheckpointSink(Protocol):
     """Receives completed-prefix notifications from a sweep.
 
     frontier is the largest prime through which all work is already
-    recorded (None for a fresh sweep); advance is called after every
-    completed chunk, in ascending order, and must persist before returning
-    if the sink is durable.
+    recorded (None for a fresh sweep). advance takes only the new frontier;
+    it is called after every completed chunk, in ascending order, and must
+    persist before returning if the sink is durable.
     """
 
     @property
     def frontier(self) -> int | None: ...
 
-    def advance(self, frontier: int, counters: dict[str, int]) -> None: ...
+    def advance(self, frontier: int) -> None: ...
 
 
 @dataclass
@@ -289,22 +292,32 @@ class MemorySink:
     """In-memory checkpoint sink; handy default and test double."""
 
     frontier: int | None = None
-    counters: dict[str, int] = field(default_factory=dict)
     advances: int = 0
 
-    def advance(self, frontier: int, counters: dict[str, int]) -> None:
+    def advance(self, frontier: int) -> None:
         if self.frontier is not None and frontier < self.frontier:
             raise ValueError(f"frontier regressed: {frontier} < {self.frontier}")
         self.frontier = frontier
-        self.counters = dict(counters)
         self.advances += 1
 
 
-def _kernel_task(args: tuple[np.ndarray, str]) -> tuple[np.ndarray, int]:
-    chunk, method = args
+def _kernel_task(chunk: np.ndarray, method: str) -> tuple[np.ndarray, int]:
     t0 = time.perf_counter_ns()
     residues = batch_residues(chunk, method)
     return residues, time.perf_counter_ns() - t0
+
+
+def _exit_with(parent: int) -> None:
+    """Pool worker initializer: a worker waiting for its next chunk would
+    outlive a killed parent, so a watcher thread ends it once the parent is
+    gone."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def kh_sweep(
@@ -322,8 +335,9 @@ def kh_sweep(
     range are record-for-record identical (timing fields aside). A zero
     residue is flagged loudly on the log and in the record, and the sweep
     carries on; a violation is a result, not an error. The sink's frontier
-    suppresses re-emission of already-recorded primes on resume; progress
-    is reported to the sink after each completed chunk.
+    suppresses re-emission of already-recorded primes on resume; the sink
+    is advanced after each completed chunk. Closing the stream early waits
+    only for the chunks workers have already taken.
     """
     lo, hi = prime_range
     if lo < 3:
@@ -342,16 +356,8 @@ def kh_sweep(
         return
 
     frontier = checkpoint_sink.frontier if checkpoint_sink is not None else None
-    counters = {"records": 0, "violations": 0}
     chunks = [primes[s : s + CHUNK_PRIMES] for s in range(0, primes.size, CHUNK_PRIMES)]
     if frontier is not None:
-        restored = dict(getattr(checkpoint_sink, "counters", None) or {})
-        if restored:
-            counters.update(restored)
-        else:
-            counters["records"] = sum(
-                int(c.size) for c in chunks if int(c[-1]) <= frontier
-            )
         chunks = [c for c in chunks if int(c[-1]) > frontier]
 
     def emit(
@@ -364,8 +370,6 @@ def kh_sweep(
             violation = r == 0
             if violation:
                 log.warning("violation: prime %d divides its left factorial", p)
-            counters["records"] += 1
-            counters["violations"] += int(violation)
             yield VerificationRecord(
                 prime=p,
                 residue=r,
@@ -374,24 +378,22 @@ def kh_sweep(
                 method=method,
             )
 
+    pool = None
+    if worker_count > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(worker_count, initializer=_exit_with, initargs=(os.getpid(),))
     try:
-        if worker_count == 1 or len(chunks) <= 1:
-            for chunk in chunks:
-                residues, elapsed = _kernel_task((chunk, method))
-                yield from emit(chunk, residues, elapsed)
-                if checkpoint_sink is not None:
-                    checkpoint_sink.advance(int(chunk[-1]), dict(counters))
-            return
-
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=worker_count) as pool:
-            tasks = ((chunk, method) for chunk in chunks)
-            for chunk, (residues, elapsed) in zip(chunks, pool.imap(_kernel_task, tasks)):
-                yield from emit(chunk, residues, elapsed)
-                if checkpoint_sink is not None:
-                    checkpoint_sink.advance(int(chunk[-1]), dict(counters))
+        results = (pool.map if pool is not None else map)(_kernel_task, chunks, repeat(method))
+        for chunk, (residues, elapsed) in zip(chunks, results):
+            yield from emit(chunk, residues, elapsed)
+            if checkpoint_sink is not None:
+                checkpoint_sink.advance(int(chunk[-1]))
     finally:
+        if pool is not None:
+            # chunks no worker has taken are cancelled, so closing the
+            # stream early waits only for the few already taken
+            pool.shutdown(cancel_futures=True)
         # the memo serves the chunks of one sweep; pool workers drop theirs
         # with the pool
         _FOLD_MEMO.clear()
@@ -485,14 +487,5 @@ def residue_summatory(x: int, sieve: PrimeSieve | None = None) -> tuple[int, flo
     """
     if x < 3:
         raise ValueError(f"residue_summatory requires x >= 3, got {x}")
-    if sieve is None:
-        sieve = build_sieve(x)
-    primes = sieve.primes_up_to(x)
-    primes = primes[primes >= 3]
-    total = 0
-    try:
-        for s in range(0, primes.size, CHUNK_PRIMES):
-            total += int(batch_residues(primes[s : s + CHUNK_PRIMES]).sum())
-    finally:
-        _FOLD_MEMO.clear()
+    total = sum(record.residue for record in kh_sweep((3, x), sieve=sieve))
     return total, total / (x * x / math.log(x))

@@ -274,16 +274,22 @@ def test_file_sink_persists_advances(tmp_path):
     path = str(tmp_path / "cp.json")
     params = {"lo": 3, "hi": 9999, "method": "forward_v"}
     sink = FileSink(path, "kh", params)
-    consumed = [r for r in kh_sweep((3, 9999), checkpoint_sink=sink)]
+    sink.counters = {"records": 0}
+    consumed = []
+    for r in kh_sweep((3, 9999), checkpoint_sink=sink):
+        consumed.append(r)
+        sink.counters["records"] += 1
     saved = load_checkpoint(path)
     assert saved is not None
     assert saved.frontier == consumed[-1].prime
-    assert saved.counters["records"] == len(consumed)
+    # the caller's counts, as they stood at the last frontier
+    assert saved.counters == {"records": len(consumed)}
     assert saved.command == "kh"
 
     # a second sink over the same file resumes rather than restarting
     again = FileSink(path, "kh", params)
     assert again.frontier == saved.frontier
+    assert again.counters == saved.counters
     assert list(kh_sweep((3, 9999), checkpoint_sink=again)) == []
 
 
@@ -298,17 +304,26 @@ def test_file_sink_rejects_incompatible_resume(tmp_path):
 
 def test_file_sink_frontier_regression_rejected(tmp_path):
     sink = FileSink(str(tmp_path / "cp.json"), "kh", {})
-    sink.advance(100, {"records": 1})
+    sink.advance(100)
     with pytest.raises(ValueError):
-        sink.advance(50, {"records": 2})
+        sink.advance(50)
 
 
-def test_file_sink_live_counters_override(tmp_path):
+def test_file_sink_persists_the_callers_counters_after_its_writers(tmp_path):
+    # advance syncs every writer before the checkpoint and persists the
+    # counters the caller keeps in sink.counters
     path = str(tmp_path / "cp.json")
-    live = {"records": 0, "violations": 7}
-    sink = FileSink(path, "kh", {}, live_counters=live)
-    sink.advance(100, {"records": 55, "violations": 0})
-    assert load_checkpoint(path).counters == live
+    order = []
+
+    class Spy:
+        def flush_fsync(self):
+            order.append(("flush", load_checkpoint(path)))
+
+    sink = FileSink(path, "kh", {}, writers=(Spy(), Spy()))
+    sink.counters["violations"] = 7
+    sink.advance(100)
+    assert order == [("flush", None), ("flush", None)]
+    assert load_checkpoint(path).counters == {"violations": 7}
 
 
 # ------------------------------------------------------------- CLI behaviour
@@ -490,6 +505,88 @@ def test_cli_finished_checkpoint_rerun_keeps_csv(tmp_path, capsys):
     assert out.read_text() == before
 
 
+def _halted_csv_run(tmp_path, *extra):
+    """A checkpointed [3, 30000] run halted mid-chunk 2; returns the
+    checkpoint and CSV paths and the checkpoint frontier."""
+    cp, out = tmp_path / "cp.json", tmp_path / "out.csv"
+    code = run_cli(
+        "kh", "--from", "3", "--to", "30000", "--workers", "1",
+        "--checkpoint", cp, "--csv", out, "--halt-after", "1500", *extra,
+    )
+    assert code == EXIT_OK
+    return cp, out, load_checkpoint(str(cp)).frontier
+
+
+def _resume_csv_run(cp, out, *extra):
+    return run_cli(
+        "kh", "--from", "3", "--to", "30000", "--workers", "1",
+        "--checkpoint", cp, "--csv", out, *extra,
+    )
+
+
+def test_cli_csv_resume_drops_a_torn_last_row(tmp_path, capsys):
+    clean = tmp_path / "clean.csv"
+    run_cli("kh", "--from", "3", "--to", "30000", "--workers", "1", "--csv", clean)
+    cp, out, frontier = _halted_csv_run(tmp_path)
+    lines = out.read_text().splitlines(keepends=True)
+    # the last row, cut inside its residue and without its newline
+    out.write_text("".join(lines[:-1]) + lines[-1][: lines[-1].index(",") + 2])
+    assert _resume_csv_run(cp, out) == EXIT_OK
+    assert "missing rows" not in capsys.readouterr().err
+    assert _csv_rows_no_timing(out) == _csv_rows_no_timing(clean)
+
+
+def test_cli_csv_resume_drops_a_torn_row_whose_head_is_below_the_frontier(tmp_path, capsys):
+    # a row cut inside its prime leaves digits that may read as a small
+    # prime; a row with no comma is torn, not a record
+    clean = tmp_path / "clean.csv"
+    run_cli("kh", "--from", "3", "--to", "30000", "--workers", "1", "--csv", clean)
+    cp, out, frontier = _halted_csv_run(tmp_path)
+    kept = [l for l in out.read_text().splitlines(keepends=True)[1:] if int(l.split(",")[0]) <= frontier]
+    out.write_text(CSV_HEADER + "\n" + "".join(kept) + str(frontier)[:2])
+    assert _resume_csv_run(cp, out) == EXIT_OK
+    assert "missing rows" not in capsys.readouterr().err
+    assert _csv_rows_no_timing(out) == _csv_rows_no_timing(clean)
+
+
+def test_cli_csv_resume_restarts_a_file_with_another_header(tmp_path, capsys):
+    cp, out, frontier = _halted_csv_run(tmp_path)
+    out.write_text("p,n\n3,1,false,0,forward_v\n")
+    assert _resume_csv_run(cp, out) == EXIT_OK
+    assert "missing rows" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and "p,n" not in lines
+    assert int(lines[1].split(",")[0]) > frontier  # only the resumed rows follow
+
+
+def test_cli_csv_resume_short_of_the_frontier_warns_and_succeeds(tmp_path, capsys):
+    cp, out, frontier = _halted_csv_run(tmp_path)
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:101]))  # header and the first 100 rows
+    assert _resume_csv_run(cp, out) == EXIT_OK
+    err = capsys.readouterr().err
+    assert f"kh: csv {out} is missing rows below the checkpoint frontier" in err
+    rows = out.read_text().splitlines()[1:]
+    assert rows[:100] == [l.rstrip("\n") for l in lines[1:101]]
+    assert int(rows[100].split(",")[0]) > frontier
+
+
+def test_cli_resume_leaves_no_temporary_files(tmp_path, capsys):
+    led = tmp_path / "led.jsonl"
+    cp, out, _frontier = _halted_csv_run(tmp_path, "--ledger", led)
+    assert _resume_csv_run(cp, out, "--ledger", led) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
+    # a resume that raises on a malformed ledger line leaves both files as
+    # they were and no temporary file beside them
+    led.write_text('{"type": "record", "prime": "seven"}\n')
+    before = out.read_bytes()
+    assert _resume_csv_run(cp, out, "--ledger", led) == EXIT_RUNTIME
+    assert "seven" in capsys.readouterr().err
+    assert led.read_text() == '{"type": "record", "prime": "seven"}\n'
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
+
+
 def test_cli_resume_may_change_workers(tmp_path):
     cp = tmp_path / "cp.json"
     led = tmp_path / "led.jsonl"
@@ -555,6 +652,34 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
     assert code == EXIT_OK
     assert canonical_lines(led) == canonical_lines(clean)
     assert _csv_rows_no_timing(csv) == _csv_rows_no_timing(clean_csv)
+
+
+def _processes_naming(text):
+    """pids whose command line contains text (empty without /proc)."""
+    found = []
+    for pid in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                if text.encode() in fh.read():
+                    found.append(pid)
+        except OSError:
+            pass  # not a process, or one that has just exited
+    return found
+
+
+def test_cli_pooled_sweep_closed_early_exits_and_leaves_no_worker(tmp_path):
+    # --halt-after closes the record stream while chunks are in flight on
+    # two workers; a worker left alive would also hold the output pipes
+    # open and run into the timeout
+    argv = [
+        sys.executable, "-m", "leftfact", "kh", "--from", "3", "--to", "30000",
+        "--workers", "2", "--halt-after", "1500",
+        "--checkpoint", str(tmp_path / "cp.json"), "--csv", str(tmp_path / "out.csv"),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "halted after 1500 records" in proc.stderr
+    assert _processes_naming(str(tmp_path)) == []
 
 
 def test_cli_kh_never_imports_sympy():

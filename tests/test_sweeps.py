@@ -158,8 +158,8 @@ def test_fold_memo_full_folds_the_rest_in_fresh_blocks(method, budget, monkeypat
 
 def test_fold_memo_grows_with_range_not_chunk_count_and_ends_with_the_sweep():
     class Sizes(MemorySink):
-        def advance(self, frontier, counters):
-            super().advance(frontier, counters)
+        def advance(self, frontier):
+            super().advance(frontier)
             sizes.append(len(_FOLD_MEMO.maps))
 
     sizes = []
@@ -264,7 +264,6 @@ def test_kh_sweep_advances_sink_per_chunk():
     expected_chunks = -(-n_primes // CHUNK_PRIMES)
     assert sink.advances == expected_chunks
     assert sink.frontier == records[-1].prime
-    assert sink.counters == {"records": n_primes, "violations": 0}
 
 
 def test_kh_sweep_resumes_from_frontier():
@@ -279,12 +278,10 @@ def test_kh_sweep_resumes_from_frontier():
             break
     assert sink.advances == 1
     assert sink.frontier == full[CHUNK_PRIMES - 1]
-    assert sink.counters == {"records": CHUNK_PRIMES, "violations": 0}
     resumed = [r.prime for r in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE)]
     # the ten unacknowledged chunk-2 records are re-emitted, none skipped
     assert resumed[0] == full[CHUNK_PRIMES]
     assert seen[:CHUNK_PRIMES] + resumed == full
-    assert sink.counters["records"] == len(full)
 
 
 def test_kh_sweep_finished_range_yields_nothing():
@@ -293,24 +290,6 @@ def test_kh_sweep_finished_range_yields_nothing():
         pass
     done = list(kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE))
     assert done == []
-
-
-def test_kh_sweep_resume_counters_reconstructed_without_dict():
-    # a sink that persisted only a frontier: record totals come back from
-    # the completed chunk sizes
-    primed = MemorySink()
-    for _ in kh_sweep((3, 20000), checkpoint_sink=primed, sieve=SIEVE):
-        pass
-    mid_frontier = None
-    sink = MemorySink()
-    for record in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE):
-        if sink.advances == 2:
-            mid_frontier = sink.frontier
-            break
-    bare = MemorySink(frontier=mid_frontier)  # counters empty on purpose
-    rest = list(kh_sweep((3, 20000), checkpoint_sink=bare, sieve=SIEVE))
-    assert bare.counters["records"] == primed.counters["records"]
-    assert rest[0].prime > mid_frontier
 
 
 def test_kh2_scan_finds_only_the_known_square():
