@@ -6,8 +6,8 @@ line per record in ascending prime order, appended between checkpoints.
 The invariant for every record file: each record at or below the
 checkpoint frontier is on disk in the file before the checkpoint naming
 that frontier is visible. Resume therefore only ever has to discard lines
-past the frontier, never invent missing ones, and truncate_to_frontier does
-that for every format; a format adds only its rule for which lines to keep.
+past the frontier, never invent missing ones, and RecordWriter does that
+for every format; a format adds only its rule for which lines to keep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Iterator
 
 from .modular import VerificationRecord
 
@@ -30,7 +30,6 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "ensure_compatible",
-    "truncate_to_frontier",
     "RecordWriter",
     "LedgerWriter",
     "CsvWriter",
@@ -158,34 +157,6 @@ def record_to_row(record: VerificationRecord) -> str:
     )
 
 
-def truncate_to_frontier(
-    path: str, frontier: int, kept_lines: Callable[[IO[str], int], Iterator[str]]
-) -> str | None:
-    """Cut a record file back to the lines kept_lines(file, frontier) yields
-    from it (a missing file reads as empty), each ending in a newline, and
-    make the cut durable: temp file, fsync, rename over, directory fsync.
-    When reading raises, the file stays as it was and the temp file goes.
-    Returns the last line kept."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    last = None
-    # "a+" creates a missing file, which the rename then replaces
-    with open(path, "a+", encoding="utf-8") as src, open(
-        tmp, "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        try:
-            src.seek(0)
-            for last in kept_lines(src, frontier):
-                fh.write(last if last.endswith("\n") else last + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
-    _fsync_dir(path)
-    return last
-
-
 class RecordWriter:
     """A record file: opened fresh with its header, or cut back to a resume
     frontier by its format's kept_lines rule; then appended to."""
@@ -200,8 +171,33 @@ class RecordWriter:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(self.header)
         else:
-            self.last_kept = truncate_to_frontier(path, resume_frontier, self.kept_lines)
+            self._truncate_to(resume_frontier)
         self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="\n")
+
+    def _truncate_to(self, frontier: int) -> None:
+        """Cut the file back to the lines kept_lines(file, frontier) yields
+        from it (a missing file reads as empty), each ending in a newline,
+        and make the cut durable: temp file, fsync, rename over, directory
+        fsync. When reading raises, the file stays as it was and the temp
+        file goes. last_kept is the last line kept."""
+        tmp = f"{self.path}.tmp.{os.getpid()}"
+        last = None
+        # "a+" creates a missing file, which the rename then replaces
+        with open(self.path, "a+", encoding="utf-8") as src, open(
+            tmp, "w", encoding="utf-8", newline="\n"
+        ) as fh:
+            try:
+                src.seek(0)
+                for last in self.kept_lines(src, frontier):
+                    fh.write(last if last.endswith("\n") else last + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        os.replace(tmp, self.path)
+        _fsync_dir(self.path)
+        self.last_kept = last
 
     def write(self, line: str) -> None:
         self._fh.write(line + "\n")

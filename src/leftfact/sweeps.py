@@ -307,15 +307,20 @@ def _kernel_task(chunk: np.ndarray, method: str) -> tuple[np.ndarray, int]:
     return residues, time.perf_counter_ns() - t0
 
 
-def _exit_with(parent: int) -> None:
+def _exit_with(sweep: int) -> None:
     """Pool worker initializer: a worker waiting for its next chunk would
-    outlive a killed parent, so a watcher thread ends it once the parent is
-    gone."""
+    outlive a killed sweep, so a watcher thread ends it once its own parent
+    is gone, or the sweep's process. The parent is the sweep's process under
+    fork and spawn, and under forkserver the server, which exits with it."""
+    parent = os.getppid()
 
     def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(1)
+        try:
+            while os.getppid() == parent:
+                os.kill(sweep, 0)  # raises once the sweep's process is gone
+                time.sleep(0.5)
+        finally:
+            os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
 
@@ -336,8 +341,9 @@ def kh_sweep(
     residue is flagged loudly on the log and in the record, and the sweep
     carries on; a violation is a result, not an error. The sink's frontier
     suppresses re-emission of already-recorded primes on resume; the sink
-    is advanced after each completed chunk. Closing the stream early waits
-    only for the chunks workers have already taken.
+    is advanced after each completed chunk. Closing the stream early, or an
+    exception in it, terminates the pool's workers rather than wait for
+    their chunks.
     """
     lo, hi = prime_range
     if lo < 3:
@@ -389,11 +395,18 @@ def kh_sweep(
             yield from emit(chunk, residues, elapsed)
             if checkpoint_sink is not None:
                 checkpoint_sink.advance(int(chunk[-1]))
+    except BaseException:
+        if pool is not None:
+            # closed early or failed: end the workers rather than wait for
+            # the chunks they hold (what terminate_workers does from 3.14)
+            workers = list(pool._processes.values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.terminate()
+        raise
     finally:
         if pool is not None:
-            # chunks no worker has taken are cancelled, so closing the
-            # stream early waits only for the few already taken
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown()
         # the memo serves the chunks of one sweep; pool workers drop theirs
         # with the pool
         _FOLD_MEMO.clear()

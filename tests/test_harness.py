@@ -682,6 +682,28 @@ def test_cli_pooled_sweep_closed_early_exits_and_leaves_no_worker(tmp_path):
     assert _processes_naming(str(tmp_path)) == []
 
 
+@pytest.mark.parametrize("start_method", ["forkserver", "spawn"])
+def test_cli_pooled_sweep_runs_under_every_start_method(tmp_path, start_method):
+    # under forkserver, the Linux default from Python 3.14, a pool worker's
+    # parent is the server, not the sweep's process
+    out = tmp_path / "out.csv"
+    script = (
+        "import multiprocessing, sys\n"
+        "from leftfact.cli import main\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    argv = [
+        sys.executable, "-c", script, start_method,
+        "kh", "--from", "3", "--to", "20000", "--workers", "2", "--csv", str(out),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == EXIT_OK, proc.stderr
+    serial = tmp_path / "serial.csv"
+    assert run_cli("kh", "--from", "3", "--to", "20000", "--workers", "1", "--csv", serial) == EXIT_OK
+    assert _csv_rows_no_timing(out) == _csv_rows_no_timing(serial)
+
+
 def test_cli_kh_never_imports_sympy():
     # sympy costs about 0.4 s to import; only factoring and primality need it
     code = (

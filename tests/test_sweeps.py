@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import multiprocessing
+import time
+from multiprocessing.connection import wait
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +24,7 @@ from leftfact import (
     sweeps,
 )
 from leftfact.primes import build_sieve
-from leftfact.sweeps import _FOLD_MEMO, _GRID, _reducer
+from leftfact.sweeps import _FOLD_MEMO, _GRID, _kernel_task, _reducer
 
 SIEVE = build_sieve(20000)
 METHODS = ("forward_v", "forward_t", "backward_s")
@@ -255,6 +259,28 @@ def test_kh_sweep_worker_count_does_not_change_records():
         for r in kh_sweep((3, 9000), worker_count=3, sieve=SIEVE)
     ]
     assert serial == pooled
+
+
+def _slow_past_the_first_chunk(chunk, method):
+    # the kernel on a window whose chunks each take minutes, bar the first
+    if int(chunk[0]) > 3:
+        time.sleep(120)
+    return _kernel_task(chunk, method)
+
+
+def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
+    monkeypatch.setattr(sweeps, "_kernel_task", _slow_past_the_first_chunk)
+    stream = kh_sweep((3, 20000), worker_count=2, sieve=SIEVE)
+    assert next(stream).prime == 3
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    t0 = time.monotonic()
+    stream.close()
+    pending = [w.sentinel for w in workers]
+    while pending and time.monotonic() < t0 + 10:
+        for ended in wait(pending, timeout=t0 + 10 - time.monotonic()):
+            pending.remove(ended)
+    assert pending == [], "a worker outlived the closed stream by 10 s"
 
 
 def test_kh_sweep_advances_sink_per_chunk():
