@@ -10,12 +10,15 @@ independent closed form as a cotangent term plus a constant block plus a
 series of gamma values. Everything here is double precision; residues are
 exact rationals. The supported window is |z| <= 50 and Re z >= -20.
 
-The integral is a composite 48/24-point Gauss-Legendre rule. Its nodes
-depend only on the patch width and the tail cut T, so they are built once
-per (delta, T) with e^(-t) and log t precomputed, and each z then costs one
-numpy pass over every node plus a vectorized series on the patch across
-t = 1. The node-by-node scalar form of the same rule is kept as a test
-oracle in tests/quadrature_oracle.py.
+The integral is a composite 48/24-point Gauss-Legendre rule out to a cut
+T, with a power series on a patch of half-width 1e-2 across the removable
+point t = 1. T is picked from Re z so that the neglected tail is below
+the tolerance and below the roundoff the panel sums already carry, and
+the error estimate charges the whole tail bound. The nodes depend only on
+T, so they are built once per T with e^(-t) and log t precomputed, and
+each z then costs one numpy pass over every node plus a vectorized series
+on the patch. The node-by-node scalar form of the same rule is kept as a
+test oracle in tests/quadrature_oracle.py.
 """
 
 from __future__ import annotations
@@ -125,49 +128,24 @@ def gamma(z: complex | float) -> complex:
 
 
 def euler_constant() -> float:
-    """Euler's constant to full double precision.
-
-    Harmonic sum minus ln N with Euler-Maclaurin corrections; N = 64 keeps
-    the truncation below 1e-15. An independent quadrature of
-    -integral e^(-x) ln x dx cross-checks this in the tests.
-    """
-    n = 64
-    h = sum(1.0 / k for k in range(1, n + 1))
-    return (
-        h
-        - math.log(n)
-        - 1.0 / (2 * n)
-        + 1.0 / (12 * n**2)
-        - 1.0 / (120 * n**4)
-        + 1.0 / (252 * n**6)
-    )
+    """Euler's constant as a double (numpy's euler_gamma)."""
+    return float(np.euler_gamma)
 
 
 @dataclass(frozen=True, slots=True)
 class QuadratureConfig:
-    """Tunables for the defining-integral evaluation.
+    """The one setting of the defining-integral evaluation.
 
-    tolerance: target absolute error. Double precision imposes a floor of
-    about |K(z)| * 1e-14, which the achieved-error estimate includes; the
-    tolerance check is applied on top of that floor.
-    delta: half-width of the series patch around the removable point t = 1.
-    truncation: tail cut T; None picks T from Re z so the tail bound fits
-    inside the tolerance.
-    series_order: cap on the power-series terms used inside the patch.
+    tolerance: target absolute error; it also sets the tail cut T. Double
+    precision imposes a floor of about |K(z)| * 1e-13, which the tolerance
+    check allows on top of it. The rest of the rule is fixed.
     """
 
     tolerance: float = 1e-10
-    delta: float = 1e-2
-    truncation: float | None = None
-    series_order: int = 40
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.truncation is not None and self.truncation <= 1:
-            raise ValueError("truncation must exceed 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,6 +154,12 @@ class QuadratureResult:
     error_estimate: float
     panels: int
     truncation: float
+
+
+# Half-width of the series patch around the removable point t = 1, and the
+# cap on that series' terms.
+_DELTA = 1e-2
+_SERIES_ORDER = 40
 
 
 # 48/24-point Gauss-Legendre nodes and weights on [-1, 1]; the half-order
@@ -187,10 +171,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, slots=True)
 class _PanelNodes:
-    """Every quadrature node of one (delta, T) panel list, z-independent.
+    """Every quadrature node of one T's panel list, z-independent.
 
     Row i holds panel i's 48-point nodes followed by its 24-point nodes.
-    `patch` indexes the nodes within delta of t = 1, where the integrand is
+    `patch` indexes the nodes within _DELTA of t = 1, where the integrand is
     summed as a series instead.
     """
 
@@ -202,20 +186,20 @@ class _PanelNodes:
 
 
 @lru_cache(maxsize=8)
-def _panel_nodes(delta: float, big_t: float) -> _PanelNodes:
+def _panel_nodes(big_t: float) -> _PanelNodes:
     # Panel list: dyadically graded toward 0 (t^z has unbounded derivatives
     # at 0 for Re z < 1), one panel across the series patch, then fixed-width
     # panels out to T.
     cuts = [0.0]
-    left_edge = (1.0 - delta) / 2
+    left_edge = (1.0 - _DELTA) / 2
     grade = []
     while left_edge > 1e-13:
         grade.append(left_edge)
         left_edge /= 2
     cuts.extend(reversed(grade))
-    cuts.append(1.0 - delta)
-    cuts.append(1.0 + delta)
-    a = 1.0 + delta
+    cuts.append(1.0 - _DELTA)
+    cuts.append(1.0 + _DELTA)
+    a = 1.0 + _DELTA
     while a < big_t:
         b = min(a + 6.0, big_t)
         cuts.append(b)
@@ -231,7 +215,7 @@ def _panel_nodes(delta: float, big_t: float) -> _PanelNodes:
         t=t,
         exp_neg_t=np.exp(-t),
         log_t=np.log(t),
-        patch=np.nonzero(np.abs(t - 1.0) < delta),
+        patch=np.nonzero(np.abs(t - 1.0) < _DELTA),
     )
     # every caller shares the cached arrays
     for array in (nodes.half, nodes.t, nodes.exp_neg_t, nodes.log_t, *nodes.patch):
@@ -239,38 +223,21 @@ def _panel_nodes(delta: float, big_t: float) -> _PanelNodes:
     return nodes
 
 
-def _patch_series(z: complex, u: np.ndarray, series_order: int) -> np.ndarray:
+def _patch_series(z: complex, u: np.ndarray) -> np.ndarray:
     # (t^z - 1)/(t - 1) = sum_{k>=1} binom(z, k) (t-1)^(k-1) at u = t - 1; the
-    # ratio |next/prev| is below |z - k + 1| * delta / k < 1/2 for |z| <= 50,
-    # so truncation at series_order is geometric. Each node stops adding
+    # ratio |next/prev| is below |z - k + 1| * _DELTA / k < 1/2 for |z| <= 50,
+    # so truncation at _SERIES_ORDER is geometric. Each node stops adding
     # once its next term falls below 1e-18 of its sum.
     acc = np.zeros(u.shape, dtype=complex)
     term = np.full(u.shape, z, dtype=complex)
     live = np.ones(u.shape, dtype=bool)
-    for k in range(1, series_order + 1):
+    for k in range(1, _SERIES_ORDER + 1):
         acc[live] += term[live]
         term = term * (z - k) / (k + 1) * u
         live &= np.abs(term) >= 1e-18 * np.maximum(1.0, np.abs(acc))
         if not live.any():
             break
     return acc
-
-
-def _upper_gamma_asymptotic(s: complex, big_t: float) -> complex:
-    # Gamma(s, T) ~ T^(s-1) e^(-T) sum_k (s-1)(s-2)...(s-k) / T^k, truncated
-    # at the smallest term (the series is asymptotic, not convergent).
-    acc = 1.0 + 0j
-    term = 1.0 + 0j
-    smallest = abs(term)
-    for k in range(1, 40):
-        term = term * (s - k) / big_t
-        if abs(term) >= smallest:
-            break
-        acc += term
-        smallest = abs(term)
-        if smallest < 1e-20:
-            break
-    return cmath.exp((s - 1) * cmath.log(big_t)) * math.exp(-big_t) * acc
 
 
 def _tail_bound(x: float, big_t: float) -> float:
@@ -280,48 +247,33 @@ def _tail_bound(x: float, big_t: float) -> float:
 
 
 def _pick_truncation(x: float, tol: float) -> float:
+    # The tail beyond T is not summed, so T must push its bound below the
+    # tolerance and below the roundoff of about 1e-16 Gamma(x) that the
+    # panel sums already carry.
+    target = min(tol / 4, 1e-16 * max(1.0, math.gamma(x)))
     big_t = 30.0
-    while _tail_bound(x, big_t) > tol / 4 and big_t < 1000.0:
+    while _tail_bound(x, big_t) > target and big_t < 1000.0:
         big_t += 5.0
     return big_t
-
-
-@lru_cache(maxsize=16)
-def _tail_constants(big_t: float) -> tuple[complex, ...]:
-    # the z-independent half of each tail term: Gamma(1-j, T), j = 1..79
-    return tuple(_upper_gamma_asymptotic(complex(1 - j, 0), big_t) for j in range(1, 80))
 
 
 @lru_cache(maxsize=4096)
 def _k_integral_cached(z: complex, cfg: QuadratureConfig) -> QuadratureResult:
     x = z.real
-    tol = cfg.tolerance
-    big_t = cfg.truncation if cfg.truncation is not None else _pick_truncation(x, tol)
+    big_t = _pick_truncation(x, cfg.tolerance)
 
     # One numpy pass evaluates the integrand at every node of every panel;
     # only the nodes on the series patch across t = 1 are then redone by the
     # binomial series. Each panel's 48- and 24-point sums are one weighted
     # product each, and their difference is the panel's error estimate.
-    nodes = _panel_nodes(cfg.delta, big_t)
+    nodes = _panel_nodes(big_t)
     vals = nodes.exp_neg_t * (np.exp(z * nodes.log_t) - 1.0) / (nodes.t - 1.0)
     patch = nodes.patch
-    vals[patch] = nodes.exp_neg_t[patch] * _patch_series(
-        z, nodes.t[patch] - 1.0, cfg.series_order
-    )
+    vals[patch] = nodes.exp_neg_t[patch] * _patch_series(z, nodes.t[patch] - 1.0)
     fine = (vals[:, :48] @ _leggauss(48)[1]) * nodes.half
     coarse = (vals[:, 48:] @ _leggauss(24)[1]) * nodes.half
     total = complex(fine.sum())
     panel_err = float(np.abs(fine - coarse).sum())
-
-    # Tail: sum_j [Gamma(z-j+1, T) - Gamma(1-j, T)] from the identity
-    # (t^z - 1)/(t - 1) = sum_{j>=1} (t^(z-j) - t^(-j)) for t > 1.
-    tail = 0j
-    for j, upper_const in enumerate(_tail_constants(big_t), start=1):
-        d = _upper_gamma_asymptotic(z - j + 1, big_t) - upper_const
-        tail += d
-        if abs(d) < 1e-19:
-            break
-    total += tail
 
     estimate = panel_err + _tail_bound(x, big_t) + 1e-14 * abs(total)
     return QuadratureResult(
@@ -356,11 +308,11 @@ def k_integral_detailed(
 def k_integral(z: complex | float, cfg: QuadratureConfig = QuadratureConfig()) -> complex:
     """K(z) for Re z > 0 by composite Gauss-Legendre quadrature.
 
-    The removable point t = 1 is crossed on a power-series patch of
-    half-width cfg.delta; the tail beyond T is summed through the
-    asymptotics of the incomplete-gamma pieces with a certified bound.
-    Raises QuadratureError (value attached) if the achieved error estimate
-    misses the tolerance.
+    The removable point t = 1 is crossed on a power-series patch; the
+    range stops at a cut T beyond which the integrand's bound leaves less
+    than the tolerance and the sums' roundoff, and the error estimate
+    charges that bound in full. Raises QuadratureError (value attached) if
+    the achieved error estimate misses cfg.tolerance.
     """
     return k_integral_detailed(z, cfg).value
 
@@ -439,14 +391,14 @@ def slavic_constant_block() -> float:
     return (acc + euler_constant()) / math.e
 
 
-def k_slavic(z: complex | float, terms: int = 40, integer_eps: float = 1e-5) -> complex:
+def k_slavic(z: complex | float, terms: int = 40) -> complex:
     """K(z) by the closed form: cotangent term, constant block, gamma series.
 
         K(z) = -(pi/e) cot(pi z) + slavic_constant_block()
                + sum_{n=0}^{terms-1} Gamma(z - n)
 
     At every integer z the cot pole and the gamma-series poles cancel; the
-    finite limit is evaluated as the symmetric average at z +/- integer_eps
+    finite limit is evaluated as the symmetric average at z +/- 1e-5
     (for non-pole integers). The gamma series decays like 1/(n-1)!, and the
     first neglected term is folded into the truncation check.
     """
@@ -456,8 +408,8 @@ def k_slavic(z: complex | float, terms: int = 40, integer_eps: float = 1e-5) -> 
         raise PoleError(f"K has a pole at z = {-pole_n}", pole_residue(pole_n))
     nearest = round(z.real)
     if abs(z - nearest) < 1e-9:
-        left = k_slavic(complex(nearest - integer_eps, z.imag), terms)
-        right = k_slavic(complex(nearest + integer_eps, z.imag), terms)
+        left = k_slavic(complex(nearest - 1e-5, z.imag), terms)
+        right = k_slavic(complex(nearest + 1e-5, z.imag), terms)
         return 0.5 * (left + right)
 
     acc = -(math.pi / math.e) * (

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analytic import (
     PoleError,
@@ -30,6 +30,7 @@ from .analytic import (
     slavic_constant_block,
 )
 from .exact import (
+    IDENTITIES_WITH_M,
     IDENTITY_IDS,
     alternating_divisor_hits,
     evaluate_identity,
@@ -104,6 +105,13 @@ def _sieve_for_primes(count: int):
     return build_sieve(_nth_prime_bound(count))
 
 
+def _write_table(path: str, header: str, rows: Iterable[tuple]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def _cmd_kn(args: argparse.Namespace) -> int:
     print(left_factorial(args.n))
     return EXIT_OK
@@ -129,7 +137,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     bad = 0
     for iid in ids:
         params = {"n": args.n}
-        needs_m = iid in ("I224", "I225", "I226", "IDUAL")
+        needs_m = iid in IDENTITIES_WITH_M
         if needs_m:
             params["m"] = args.m
         lhs, rhs = evaluate_identity(iid, **params)
@@ -236,10 +244,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
 def _cmd_kh2(args: argparse.Namespace) -> int:
     hits = kh2_scan((2, args.p_max), args.n_max)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("p,n\n")
-            for p, n in hits:
-                fh.write(f"{p},{n}\n")
+        _write_table(args.csv, "p,n", hits)
     print(f"kh2 scan p <= {args.p_max}, n <= {args.n_max}: {len(hits)} hit(s)")
     for p, n in hits:
         print(f"  {p}^2 divides !{n}")
@@ -250,10 +255,7 @@ def _cmd_kh2(args: argparse.Namespace) -> int:
 def _cmd_aset(args: argparse.Namespace) -> int:
     members = a_set_scan(args.r, args.n_bound, primes_only=args.primes_only)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n\n")
-            for n in members:
-                fh.write(f"{n}\n")
+        _write_table(args.csv, "n", ((n,) for n in members))
     domain = "odd primes" if args.primes_only else "integers"
     print(f"A({args.r}) among {domain} in ({args.r}, {args.n_bound}]: {len(members)} member(s)")
     if members:
@@ -266,10 +268,7 @@ def _cmd_aset(args: argparse.Namespace) -> int:
 def _cmd_h4(args: argparse.Namespace) -> int:
     witnesses = h4_witness_search(args.n_bound, args.s_bound)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n,s,gcd\n")
-            for n, s, g in witnesses:
-                fh.write(f"{n},{s},{g}\n")
+        _write_table(args.csv, "n,s,gcd", witnesses)
     print(
         f"gcd(K(n), K(n+s)) != 2 for n < {args.n_bound}, s <= {args.s_bound}: "
         f"{len(witnesses)} witness(es)"
@@ -428,7 +427,7 @@ def _report_identities() -> int:
     for iid in IDENTITY_IDS:
         for n in (8, 20, 30):
             params = {"n": n}
-            if iid in ("I224", "I225", "I226", "IDUAL"):
+            if iid in IDENTITIES_WITH_M:
                 params["m"] = 3
             lhs, rhs = evaluate_identity(iid, **params)
             if lhs != rhs:
@@ -574,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=30.0)
     p.add_argument("--n-max", type=_positive, default=5)
     p.add_argument("--terms", type=_positive, default=40)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=float, default=QuadratureConfig().tolerance)
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("pairs", help="count k with 6k+5 and 12k+7 both prime")

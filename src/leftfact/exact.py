@@ -23,6 +23,7 @@ __all__ = [
     "weighted_sum",
     "evaluate_identity",
     "IDENTITY_IDS",
+    "IDENTITIES_WITH_M",
     "gcd_pair",
     "partial_sum_gcd",
 ]
@@ -171,6 +172,8 @@ def weighted_sum(kind: str, m: int, n: int) -> int:
 
 
 IDENTITY_IDS = ("I221", "I222", "I223", "I224", "I225", "I226", "IDUAL")
+# the identities that take a parameter m besides n
+IDENTITIES_WITH_M = ("I224", "I225", "I226", "IDUAL")
 
 
 def evaluate_identity(identity_id: str, **params: int) -> tuple[int, int]:

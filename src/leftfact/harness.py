@@ -228,6 +228,8 @@ class LedgerWriter(RecordWriter):
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 return  # partial tail from an interrupted write
+            if not isinstance(obj, dict):
+                raise ValueError(f"ledger line is not a JSON object: {line.rstrip()!r}")
             if obj.get("type") != "record":
                 continue  # stale summary from an older completed run
             if int(obj.get("prime", -1)) > frontier:

@@ -2,9 +2,9 @@
 
 This is the rule `leftfact.analytic._k_integral_cached` evaluated before
 its panels were vectorized: the same cuts, the same 48/24-point
-Gauss-Legendre pair and the same tail, but one `cmath` integrand call per
-node inside Python sums. Its only use is as an independent oracle for the
-numpy evaluation in the tests.
+Gauss-Legendre pair, the same series patch and the same tail cut, but one
+`cmath` integrand call per node inside Python sums. Its only use is as an
+independent oracle for the numpy evaluation in the tests.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import math
 import numpy as np
 
 from leftfact.analytic import (
+    _DELTA,
+    _SERIES_ORDER,
     QuadratureConfig,
     QuadratureResult,
     _pick_truncation,
     _tail_bound,
-    _upper_gamma_asymptotic,
 )
 
 
@@ -32,12 +33,12 @@ _GL48 = _leggauss(48)
 _GL24 = _leggauss(24)
 
 
-def _integrand(t: float, z: complex, delta: float, series_order: int) -> complex:
-    if abs(t - 1.0) < delta:
+def _integrand(t: float, z: complex) -> complex:
+    if abs(t - 1.0) < _DELTA:
         u = t - 1.0
         term = z
         acc = 0j
-        for k in range(1, series_order + 1):
+        for k in range(1, _SERIES_ORDER + 1):
             acc += term
             term = term * (z - k) / (k + 1) * u
             if abs(term) < 1e-18 * max(1.0, abs(acc)):
@@ -54,21 +55,21 @@ def scalar_k_integral(z: complex, cfg: QuadratureConfig) -> tuple[QuadratureResu
     converged.
     """
     x = z.real
-    big_t = cfg.truncation if cfg.truncation is not None else _pick_truncation(x, cfg.tolerance)
+    big_t = _pick_truncation(x, cfg.tolerance)
 
     def f(t: float) -> complex:
-        return _integrand(t, z, cfg.delta, cfg.series_order)
+        return _integrand(t, z)
 
     cuts = [0.0]
-    left_edge = (1.0 - cfg.delta) / 2
+    left_edge = (1.0 - _DELTA) / 2
     grade = []
     while left_edge > 1e-13:
         grade.append(left_edge)
         left_edge /= 2
     cuts.extend(reversed(grade))
-    cuts.append(1.0 - cfg.delta)
-    cuts.append(1.0 + cfg.delta)
-    a = 1.0 + cfg.delta
+    cuts.append(1.0 - _DELTA)
+    cuts.append(1.0 + _DELTA)
+    a = 1.0 + _DELTA
     while a < big_t:
         b = min(a + 6.0, big_t)
         cuts.append(b)
@@ -84,16 +85,6 @@ def scalar_k_integral(z: complex, cfg: QuadratureConfig) -> tuple[QuadratureResu
         coarse = half * sum(w * f(mid + half * u) for u, w in zip(x24, w24))
         total += fine
         panel_err += abs(fine - coarse)
-
-    tail = 0j
-    for j in range(1, 80):
-        d = _upper_gamma_asymptotic(z - j + 1, big_t) - _upper_gamma_asymptotic(
-            complex(1 - j, 0), big_t
-        )
-        tail += d
-        if abs(d) < 1e-19:
-            break
-    total += tail
 
     estimate = panel_err + _tail_bound(x, big_t) + 1e-14 * abs(total)
     result = QuadratureResult(

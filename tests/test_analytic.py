@@ -50,10 +50,7 @@ NEAR_MINUS_TWO = {
     -2.4: 0.22831982000785032003,
 }
 
-QUADRATURE_CONFIGS = (
-    QuadratureConfig(),
-    QuadratureConfig(truncation=6.0, delta=0.05, series_order=10, tolerance=1e-12),
-)
+QUADRATURE_CONFIGS = (QuadratureConfig(), QuadratureConfig(tolerance=1e-12))
 
 
 def test_gamma_matches_math_on_reals():
@@ -82,10 +79,6 @@ def test_euler_constant():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(tolerance=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(delta=1.5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation=0.5)
 
 
 def test_k_integral_reproduces_integers():
@@ -99,7 +92,16 @@ def test_k_integral_reproduces_integers():
 def test_k_integral_matches_independent_oracle():
     for z, want in ORACLE.items():
         got = k_integral(z)
-        assert abs(got - want) < 1e-9, z
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), z
+
+
+@pytest.mark.parametrize("tolerance", [1e-10, 1e-12])
+def test_k_integral_error_estimate_covers_actual_error(tolerance):
+    cfg = QuadratureConfig(tolerance=tolerance)
+    points = [(complex(n), left_factorial(n)) for n in range(1, 41)] + list(ORACLE.items())
+    for z, want in points:
+        r = k_integral_detailed(z, cfg)
+        assert abs(r.value - want) <= r.error_estimate, z
 
 
 def test_k_integral_detailed_reports_error_budget():
@@ -118,9 +120,10 @@ def test_k_integral_rejects_left_half_plane():
 
 
 def test_k_integral_raises_when_tolerance_unreachable():
-    cfg = QuadratureConfig(tolerance=1e-12, truncation=6.0)
+    # far off the real axis the rule's error estimate misses a tight tolerance
+    cfg = QuadratureConfig(tolerance=1e-12)
     with pytest.raises(QuadratureError) as err:
-        k_integral(8.0, cfg)
+        k_integral(complex(1, 20), cfg)
     # the failed evaluation still carries its best value and estimate
     assert err.value.value != 0
     assert err.value.error_estimate > 1e-12
@@ -169,10 +172,9 @@ def test_vectorized_quadrature_matches_scalar_oracle():
                 # may differ by up to the oracle's own panel error estimate
                 bound = max(bound, want_panel_err)
             assert abs(got.value - want.value) <= bound, (z, cfg)
-            outcomes.add((cfg.truncation, raised))
-    # the grid exercises a certified and a refused result for the default
-    # config, and the refusal of the short truncation
-    assert outcomes == {(None, False), (None, True), (6.0, True)}
+            outcomes.add((cfg.tolerance, raised))
+    # the grid exercises a certified and a refused result at each tolerance
+    assert outcomes == {(1e-10, False), (1e-10, True), (1e-12, False), (1e-12, True)}
 
 
 def test_k_continued_functional_equation_grid():

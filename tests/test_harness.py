@@ -185,7 +185,7 @@ def test_ledger_resume_rejects_malformed_line_and_leaves_no_temp_file(tmp_path, 
     with open(path, "a") as fh:
         fh.write(bad + "\n")
     before = path.read_bytes()
-    with pytest.raises((AttributeError, ValueError)):
+    with pytest.raises(ValueError):
         LedgerWriter(str(path), resume_frontier=1000)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["run.jsonl"]
@@ -578,13 +578,16 @@ def test_cli_resume_leaves_no_temporary_files(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
     # a resume that raises on a malformed ledger line leaves both files as
     # they were and no temporary file beside them
-    led.write_text('{"type": "record", "prime": "seven"}\n')
-    before = out.read_bytes()
-    assert _resume_csv_run(cp, out, "--ledger", led) == EXIT_RUNTIME
-    assert "seven" in capsys.readouterr().err
-    assert led.read_text() == '{"type": "record", "prime": "seven"}\n'
-    assert out.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
+    capsys.readouterr()
+    for bad, shown in (('{"type": "record", "prime": "seven"}', "seven"), ("[3, 5]", "[3, 5]")):
+        led.write_text(bad + "\n")
+        before = out.read_bytes()
+        assert _resume_csv_run(cp, out, "--ledger", led) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("leftfact: ") and shown in err, err
+        assert led.read_text() == bad + "\n"
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
 
 
 def test_cli_resume_may_change_workers(tmp_path):
@@ -738,6 +741,32 @@ def test_cli_misc_commands_smoke(capsys, tmp_path):
     assert run_cli("analytic", "eval", "--z", "2.5+1.5j") == EXIT_OK
     assert run_cli("analytic", "residues", "--n-max", "5") == EXIT_OK
     assert run_cli("pairs", "--m-bound", "500") == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    ("argv", "csv"),
+    [
+        (("kh2", "--p-max", "200", "--n-max", "300"), b"p,n\n2,3\n"),
+        (("aset", "--r", "1", "--n-bound", "100"), b"n\n3\n9\n11\n33\n99\n"),
+        (("aset", "--r", "0", "--n-bound", "100", "--primes-only"), b"n\n"),
+        (("h4", "--n-bound", "20", "--s-bound", "10"), b"n,s,gcd\n7,5,38\n7,9,38\n12,4,38\n"),
+    ],
+)
+def test_cli_table_csv_bytes(tmp_path, argv, csv):
+    out = tmp_path / "table.csv"
+    out.write_text("stale content\n" * 10)  # an existing file is replaced
+    assert run_cli(*argv, "--csv", out) == EXIT_OK
+    assert out.read_bytes() == csv
+
+
+def test_cli_analytic_eval_honours_tolerance(capsys):
+    assert run_cli("analytic", "eval", "--z", "2.5+1.5j", "--tolerance", "1e-12") == EXIT_OK
+    detail = capsys.readouterr().out.splitlines()[1]
+    assert float(detail.split()[2].rstrip(",")) <= 1e-12, detail
+    # at |Im z| = 20 the error estimate misses the tolerance
+    assert run_cli("analytic", "eval", "--z", "1+20j", "--tolerance", "1e-12") == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("leftfact: achieved error estimate"), err
 
 
 def test_cli_runtime_error_paths(capsys):
