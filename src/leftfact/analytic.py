@@ -260,22 +260,39 @@ def _pick_truncation(x: float, tol: float) -> float:
 @lru_cache(maxsize=4096)
 def _k_integral_cached(z: complex, cfg: QuadratureConfig) -> QuadratureResult:
     x = z.real
-    big_t = _pick_truncation(x, cfg.tolerance)
+    try:
+        big_t = _pick_truncation(x, cfg.tolerance)
+        tail = _tail_bound(x, big_t)
+    except OverflowError:
+        # Gamma(x) or T^(x-1) leaves double range, from about x = 109
+        raise QuadratureError(
+            f"K(z) is out of double range at z = {z}: its tail bound overflows",
+            value=complex(math.nan, math.nan),
+            error_estimate=math.inf,
+        ) from None
 
     # One numpy pass evaluates the integrand at every node of every panel;
     # only the nodes on the series patch across t = 1 are then redone by the
     # binomial series. Each panel's 48- and 24-point sums are one weighted
     # product each, and their difference is the panel's error estimate.
     nodes = _panel_nodes(big_t)
-    vals = nodes.exp_neg_t * (np.exp(z * nodes.log_t) - 1.0) / (nodes.t - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = nodes.exp_neg_t * (np.exp(z * nodes.log_t) - 1.0) / (nodes.t - 1.0)
     patch = nodes.patch
     vals[patch] = nodes.exp_neg_t[patch] * _patch_series(z, nodes.t[patch] - 1.0)
     fine = (vals[:, :48] @ _leggauss(48)[1]) * nodes.half
     coarse = (vals[:, 48:] @ _leggauss(24)[1]) * nodes.half
     total = complex(fine.sum())
     panel_err = float(np.abs(fine - coarse).sum())
+    if not (cmath.isfinite(total) and math.isfinite(panel_err)):
+        # t^z overflows at the far nodes, from about x = 108
+        raise QuadratureError(
+            f"K(z) is out of double range at z = {z}: its panel sum is not finite",
+            value=total,
+            error_estimate=math.inf,
+        )
 
-    estimate = panel_err + _tail_bound(x, big_t) + 1e-14 * abs(total)
+    estimate = panel_err + tail + 1e-14 * abs(total)
     return QuadratureResult(
         value=total,
         error_estimate=estimate,
@@ -432,7 +449,8 @@ def asymptotic_ratio(x: float, cfg: QuadratureConfig = QuadratureConfig()) -> tu
     """(K(x)/Gamma(x), K(x)/Gamma(x+1)) for real x > 0.
 
     The first ratio drifts to 1 and the second to 0 as x grows; both are
-    evaluated in doubles, so x is capped by Gamma overflow near 170.
+    evaluated in doubles, and from about x = 108 the integrand leaves double
+    range, where k_integral raises QuadratureError.
     """
     if x <= 0:
         raise ValueError(f"asymptotic_ratio requires x > 0, got {x}")

@@ -52,8 +52,9 @@ class VerificationRecord:
     """Per-prime outcome of a divisibility sweep: does p divide !p?
 
     elapsed_ns is not a per-prime measurement: it is the kernel time of the
-    record's whole chunk, floor-divided by the number of primes in that
-    chunk, so every record of a chunk carries the same average. It is a
+    record's whole span (the run of chunks one kernel call took, up to
+    sweeps.SPAN_PRIMES primes), floor-divided by the number of primes in
+    that span, so every record of a span carries the same average. It is a
     timing field, dropped by canonical_lines.
     """
 

@@ -1,33 +1,31 @@
 """Bulk verification sweeps over primes.
 
-The KH sweep takes its primes in chunks of CHUNK_PRIMES. batch_residues
-computes a chunk's residues with an accumulating remainder tree over exact
+The KH sweep cuts its primes into chunks of CHUNK_PRIMES, the unit of
+records, checkpoints and resume, and hands the kernel spans: runs of whole
+chunks of at most SPAN_PRIMES primes, at least one per worker. batch_residues
+computes a span's residues with one accumulating remainder tree over exact
 integers (Costa, Gerbicz & Harvey, "A search for Wilson primes", 2014;
 Andrejić & Tatarević, "Searching for a counterexample to Kurepa's
-conjecture", 2016): the recurrence steps below the chunk's first prime are
-folded modulo the product of its primes, and the steps between its primes
-descend a product tree. The fold runs over a fixed grid of _GRID-step
-blocks whose exact maps are memoised per process, so every chunk reuses the
-blocks that the chunks below it built. The memo keeps blocks from the
-bottom of the grid up while their integers fit in _MEMO_BYTES (8 MiB,
-the blocks below about 1.7*10^6; the prefix of a sweep to x takes about
-x*log2(x)/4 bytes, 5 MB at 10^6), and the steps above it are folded in
-blocks built afresh; kh_sweep empties it when it ends. Each chunk is a pure
-function of its primes, so work may be partitioned across processes; chunk
-boundaries depend only on the range, so the emitted record stream is
-identical for every worker count.
+conjecture", 2016): the recurrence steps below the span's first prime are
+folded once modulo the product of all its primes, and the steps between its
+primes descend a product tree whose leaves are groups of 16 to 32 primes.
+For a sweep to x its work grows like M(x log x) log x, with M(n) the cost
+of an n-bit product, where per-chunk trees that each refold every step
+below their chunk grow like x^2.
+Each span is a pure function of its primes, so work may be partitioned
+across processes; chunk boundaries depend only on the range, so the emitted
+record stream is identical for every worker count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 import os
 import threading
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -39,6 +37,7 @@ from .primes import PrimeSieve, build_sieve
 __all__ = [
     "MAX_SWEEP_PRIME",
     "CHUNK_PRIMES",
+    "SPAN_PRIMES",
     "batch_residues",
     "CheckpointSink",
     "MemorySink",
@@ -52,21 +51,28 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # Largest prime whose square fits below 2^63. The kernel computes in exact
-# integers; this bound only keeps the chunk's prime and residue arrays int64.
+# integers; this bound only keeps the span's prime and residue arrays int64.
 MAX_SWEEP_PRIME = 3_037_000_499
-# chunk = unit of the kernel, checkpoint cadence, and work distribution;
-# must stay fixed or old checkpoints land mid-chunk and resumed ledgers
-# would interleave differently
+# chunk = unit of records and checkpoint cadence; must stay fixed or old
+# checkpoints land mid-chunk and resumed ledgers would interleave differently
 CHUNK_PRIMES = 1024
+# span = unit of the kernel and of work distribution: at most this many
+# primes, a whole number of chunks, so a sweep to 10^6 (78497 primes) is
+# one span
+SPAN_PRIMES = 1 << 17
 
 _KERNEL_METHODS = ("forward_v", "forward_t", "backward_s")
-# width of the prefix fold's memoised blocks: block k holds steps
-# k*_GRID..(k+1)*_GRID-1, whose exact map is at most about half as many bits
-# as the product of a full chunk above it
-_GRID = 512
-# bytes of block integers the memo keeps per process; a memo that grew with
-# the range would take 0.66 GB at 10^8 and 7.5 GB at 10^9
-_MEMO_BYTES = 8 << 20
+# a leaf of the span tree holds 16 to 32 primes
+_LEAF_PRIMES = 32
+# Barrett keeps a product in its fast range when each block is this many
+# bits narrower than the modulus it is reduced by
+_SLACK_BITS = 64
+# fewest steps in one block, for moduli too narrow to leave room for any
+_MIN_BLOCK_STEPS = 16
+# moduli wider than this get their Barrett reciprocal by Newton's iteration
+_NEWTON_BITS = 1 << 15
+# widest block of a leaf's gap, which the leaf builds one step pair at a time
+_LEAF_BITS = 1 << 12
 
 # An affine map x -> a + b*x, stored as (a, b).
 _Map = tuple[int, int]
@@ -106,77 +112,88 @@ def _compose_backward(first: _Map, second: _Map) -> _Map:
     return a1 + b1 * a2, b1 * b2
 
 
-def _product_levels(leaves: list, combine, top: int) -> list[list]:
-    """Product-tree levels, leaves first. Each level combines neighbouring
-    pairs of the one below (an odd tail moves up as is), until a level has
-    at most top nodes."""
-    levels = [leaves]
-    while len(leaves) > top:
-        it = iter(leaves)
-        paired = [combine(x, y) for x, y in zip(it, it)]
-        if len(leaves) % 2:
-            paired.append(leaves[-1])
-        leaves = paired
-        levels.append(leaves)
-    return levels
-
-
 def _exact_map(method: str, compose, lo: int, hi: int) -> _Map:
-    """The exact composition of steps lo..hi-1 (identity when empty)."""
+    """The exact composition of steps lo..hi-1 (identity when empty), by a
+    product tree over the step maps."""
     maps = _step_maps(method, lo, hi)
-    return _product_levels(maps, compose, 1)[-1][0] if maps else _IDENTITY
+    if not maps:
+        return _IDENTITY
+    while len(maps) > 1:
+        it = iter(maps)
+        paired = [compose(x, y) for x, y in zip(it, it)]
+        if len(maps) % 2:
+            paired.append(maps[-1])
+        maps = paired
+    return maps[0]
 
 
-class _FoldMemo:
-    """Exact maps of the prefix fold's grid blocks, keyed by (method, block
-    index), kept from block 0 up while their integers fit in _MEMO_BYTES.
+def _bits(seg: _Map) -> int:
+    return max(seg[0].bit_length(), seg[1].bit_length())
 
-    A fold reads blocks in ascending order and stops at the first one the
-    memo neither holds nor has room for, so each method's stored blocks are
-    0..n-1. Inserting is idempotent, so threads that share the memo at worst
-    build a block twice.
+
+def _blocks(method: str, compose, lo: int, hi: int, cap: int) -> list[_Map]:
+    """The exact maps of steps lo..hi-1 in consecutive blocks of at most
+    about cap bits (at least _MIN_BLOCK_STEPS steps each), built on the fly.
+    A block's width is even, so every block but the last starts a step pair."""
+    width = max(_MIN_BLOCK_STEPS, cap // max(hi - 1, 2).bit_length()) & ~1
+    return [_exact_map(method, compose, s, min(s + width, hi)) for s in range(lo, hi, width)]
+
+
+def _merge(blocks: list[_Map], cap: int, compose) -> list[_Map]:
+    """Neighbouring blocks composed while the result stays within cap bits."""
+    out = [blocks[0]]
+    for seg in blocks[1:]:
+        if _bits(out[-1]) + _bits(seg) <= cap:
+            out[-1] = compose(out[-1], seg)
+        else:
+            out.append(seg)
+    return out
+
+
+def _reciprocal(modulus: int) -> int:
+    """floor(2^(2m) / modulus) for an m-bit modulus.
+
+    Above _NEWTON_BITS it takes one Newton step from the reciprocal of the
+    modulus's top m/2 + 32 bits, which leaves it off by a unit or two before
+    the correction, so it costs a few multiplications where CPython's
+    division is schoolbook (at m = 780 kbit, 0.5 s against 1.5 s on a 2-core
+    x86-64 host under CPython 3.11).
     """
-
-    def __init__(self) -> None:
-        self.maps: dict[tuple[str, int], _Map] = {}
-        self.nbytes = 0
-
-    def clear(self) -> None:
-        self.maps = {}
-        self.nbytes = 0
-
-    def block(self, method: str, k: int) -> _Map | None:
-        """Block k's exact map, built and kept on a miss while the memo has
-        room; None once it is full."""
-        got = self.maps.get((method, k))
-        if got is None and self.nbytes < _MEMO_BYTES:
-            backward = method == "backward_s"
-            compose = _compose_backward if backward else _compose_forward
-            first = 1 if backward else 2
-            got = _exact_map(method, compose, max(first, k * _GRID), (k + 1) * _GRID)
-            self.maps[(method, k)] = got
-            self.nbytes += (got[0].bit_length() + got[1].bit_length()) // 8
-        return got
-
-
-_FOLD_MEMO = _FoldMemo()
+    m = modulus.bit_length()
+    if m <= _NEWTON_BITS:
+        return (1 << (2 * m)) // modulus
+    shift = m // 2 - 32
+    r = _reciprocal(modulus >> shift) << shift
+    r += r * ((1 << (2 * m)) - modulus * r) >> (2 * m)
+    e = (1 << (2 * m)) - modulus * r
+    while e < 0:
+        r, e = r - 1, e + modulus
+    while e >= modulus:
+        r, e = r + 1, e - modulus
+    return r
 
 
 def _reducer(modulus: int):
     """x -> x % modulus by Barrett reduction, exact for every int x.
 
-    The prefix fold reduces one product per block below the chunk by one
-    modulus. A reciprocal computed once turns each reduction into two
-    multiplications, which CPython does in subquadratic time, where `%` is
-    schoolbook long division. The estimated quotient is off by at most 3
-    when |x| < 2^(2m), and the loops correct it; larger x falls back to `%`.
+    A gap's blocks are reduced one after another by the same modulus. A
+    reciprocal computed once, on the first x that needs it, turns each
+    reduction into two multiplications, which CPython does in subquadratic
+    time, where `%` is schoolbook long division. The estimated quotient is
+    off by at most 3 when |x| < 2^(2m), and the loops correct it; larger x
+    falls back to `%`, and x already in [0, modulus) is returned as is.
     """
     m = modulus.bit_length()
-    recip = (1 << (2 * m)) // modulus
+    recip = 0
 
     def reduce(x: int) -> int:
+        nonlocal recip
+        if 0 <= x < modulus:
+            return x
         if x.bit_length() >= 2 * m:
             return x % modulus
+        if not recip:
+            recip = _reciprocal(modulus)
         r = x - ((x >> (m - 1)) * recip >> (m + 1)) * modulus
         while r < 0:
             r += modulus
@@ -187,30 +204,137 @@ def _reducer(modulus: int):
     return reduce
 
 
-def _then(state: _Map, seg: _Map, reduce, compose) -> _Map:
-    """The prefix map state followed by the steps of seg, reduced by reduce."""
-    a, b = compose(state, seg)
-    return reduce(a), reduce(b)
+def _apply(state: _Map, blocks: list[_Map], modulus: int, compose) -> _Map:
+    """state followed by the blocks in turn, reduced modulo modulus after
+    each, so that no product grows past two moduli."""
+    reduce = _reducer(modulus)
+    a, b = reduce(state[0]), reduce(state[1])
+    for seg in blocks:
+        a, b = compose((a, b), seg)
+        a, b = reduce(a), reduce(b)
+    return a, b
+
+
+class _Span:
+    """One batch_residues call: its primes, their leaf groups, and the
+    residues, which the descent fills in leaf by leaf."""
+
+    def __init__(self, q: np.ndarray, method: str) -> None:
+        self.method = method
+        self.backward = method == "backward_s"
+        self.compose = _compose_backward if self.backward else _compose_forward
+        self.q = q
+        # prime p takes the steps first..end-1, with end = p - shift
+        self.first, self.shift = (1, 1) if self.backward else (2, 0)
+        groups = -(-q.size // _LEAF_PRIMES)
+        self.bounds = [g * q.size // groups for g in range(groups + 1)]
+        self.residues = np.zeros(q.size, dtype=np.int64)
+
+    def end(self, k: int) -> int:
+        return int(self.q[k]) - self.shift
+
+    def tree(self, g0: int, g1: int) -> list:
+        """[modulus, g0, g1, left, right] over leaf groups g0..g1-1; a leaf
+        has no children."""
+        if g1 - g0 == 1:
+            lo, hi = self.bounds[g0], self.bounds[g1]
+            return [math.prod(self.q[lo:hi].tolist()), g0, g1, None, None]
+        mid = (g0 + g1) // 2
+        left, right = self.tree(g0, mid), self.tree(mid, g1)
+        return [left[0] * right[0], g0, g1, left, right]
+
+    def leaf(self, g: int, modulus: int, state: _Map, cap: int | None) -> list[_Map] | None:
+        """Step the group's recurrence from its first end to its last,
+        modulo the group's product, and read each prime's residue off the
+        prefix's constant term at its end. Ends are all odd or all even, so
+        the step pairs line up with them.
+
+        Unless cap is None, the same step pairs, on to the next group's
+        first end, are then composed exactly, one after another, into the
+        group's gap: blocks of at most cap bits, and of at most _LEAF_BITS,
+        so that composing one pair at a time stays cheap.
+        """
+        lo, hi = self.bounds[g], self.bounds[g + 1]
+        ps = self.q[lo:hi].tolist()
+        ends = [p - self.shift for p in ps]
+        maps = _step_maps(self.method, ends[0], ends[-1] if cap is None else self.end(hi))
+        steps = iter(maps)
+        a, b = state
+        out = [a % ps[0]]
+        for k in range(1, len(ps)):
+            pairs = (ends[k] - ends[k - 1]) // 2
+            if self.backward:
+                for c, d in islice(steps, pairs):
+                    a, b = (a + b * c) % modulus, b * d % modulus
+            else:
+                for c, d in islice(steps, pairs):
+                    a = (c + d * a) % modulus
+            out.append(a % ps[k])
+        self.residues[lo:hi] = out
+        if cap is None:
+            return None
+        limit = min(cap, _LEAF_BITS)
+        blocks = []
+        a, b = _IDENTITY
+        for c, d in maps:
+            if b.bit_length() + d.bit_length() > limit and b != 1:
+                blocks.append((a, b))
+                a, b = _IDENTITY
+            a, b = (a + b * c, b * d) if self.backward else (c + d * a, d * b)
+        blocks.append((a, b))
+        return blocks
+
+    def descend(self, node: list, state: _Map, cap: int | None) -> list[_Map] | None:
+        """Residues for the node's primes, given the prefix through its
+        first end reduced modulo its modulus. Returns the node's gap (the
+        steps from its first end to the first end after it) as blocks of at
+        most cap bits, or None when cap is None: the nodes on the right
+        edge of the tree have no end after them.
+
+        The node is emptied on entry, so that each subtree's moduli are
+        freed once the descent has passed it.
+        """
+        modulus, g0, g1, left, right = node
+        node.clear()
+        if left is None:
+            return self.leaf(g0, modulus, state, cap)
+        del modulus
+        # a left gap is applied to the right sibling's modulus, a right gap
+        # joins its parent's
+        reduce = _reducer(left[0])
+        left_state = reduce(state[0]), reduce(state[1])
+        del reduce
+        left_gap = self.descend(left, left_state, right[0].bit_length() - _SLACK_BITS)
+        state = _apply(state, left_gap, right[0], self.compose)
+        if cap is None:
+            del left_gap
+            return self.descend(right, state, None)
+        return _merge(left_gap + self.descend(right, state, cap), cap, self.compose)
 
 
 def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
-    """rest(!q, q) for an ascending array of odd primes, by a remainder tree.
+    """rest(!q, q) for an ascending array of odd primes, by one remainder
+    tree over all of them.
 
     Each recurrence step is an affine map x -> a + b*x over exact integers
     (_step_maps), and a prime's residue is the constant term a of the
     composition of its steps: i = 2..q-1 for forward_v and forward_t, with
     later steps outermost; i = 1..q-2 for backward_s, with earlier steps
     outermost.
-    With M the product of the primes, the steps before the first prime are
-    folded modulo M: first over the fixed grid of _GRID-step blocks that
-    the per-process memo (_FOLD_MEMO) holds or has room for, then, from the
-    first block it has no room for and for the partial block that ends at
-    the first prime, in blocks about as wide as M built on the fly. The
+    The primes are cut into leaf groups of 16 to 32, and a product tree of
+    the groups' moduli is built. The steps before the first prime are
+    folded once, modulo the root's modulus, in blocks built on the fly. The
     result then descends an accumulating remainder tree (Costa, Gerbicz &
-    Harvey, Math. Comp. 83, 2014): a node's prefix, reduced modulo its primes'
-    product, passes to its left child as is and to its right child after
-    the exact steps that separate the two. Leaves are the primes, so each
-    prime sees exactly its own steps. No float is involved.
+    Harvey, Math. Comp. 83, 2014): a node's prefix, reduced modulo its
+    primes' product, passes to its left child as is and to its right child
+    after the gap between the two, the exact steps from the left child's
+    first end to the right child's. A gap is held as blocks of about the
+    right sibling's modulus, reduced by Barrett after each block, so its
+    exact product is never built; a node's gap is its children's blocks
+    composed pairwise up to its own sibling's size, and it is freed once
+    the descent has applied it. A leaf steps its group's recurrence directly
+    modulo the group's product, and composes the same steps exactly into
+    the first blocks of the gaps. No float is involved.
     """
     if method not in _KERNEL_METHODS:
         raise ValueError(f"method must be one of {_KERNEL_METHODS}, got {method!r}")
@@ -221,55 +345,19 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
         raise ValueError(f"primes must lie in [3, {MAX_SWEEP_PRIME}]")
     if np.any(np.diff(q) <= 0):
         raise ValueError("primes must be strictly ascending")
-    backward = method == "backward_s"
-    compose = _compose_backward if backward else _compose_forward
-    ps = q.tolist()
-    # prime p takes the steps first..end-1
-    first = 1 if backward else 2
-    ends = [p - 1 if backward else p for p in ps]
-
-    moduli = _product_levels(ps, operator.mul, 1)
-    modulus = moduli.pop()[0]
+    if np.any(q % 2 == 0):
+        # a leaf steps in pairs from one end to the next
+        raise ValueError("primes must be odd")
+    span = _Span(q, method)
+    root = span.tree(0, len(span.bounds) - 1)
     # A forward prefix starts as the constant map x -> 0 (v_1 = t_1 = 0), so
     # it stays constant and its scale costs nothing; later backward steps go
     # inside the prefix, which therefore starts as the identity.
-    state = _IDENTITY if backward else (0, 0)
-    # memoised grid blocks below the first end; a short chunk's M can be
-    # narrower than a block, and the reducer takes its `%` path there
-    reduce = _reducer(modulus)
-    k = 0
-    while k < ends[0] // _GRID:
-        seg = _FOLD_MEMO.block(method, k)
-        if seg is None:
-            break
-        state = _then(state, seg, reduce, compose)
-        k += 1
-    # the rest in blocks about as wide as M, kept 64 bits short so that
-    # every product stays in the reducer's fast range
-    width = max(64, (modulus.bit_length() - 64) // ends[0].bit_length())
-    for lo in range(max(first, k * _GRID), ends[0], width):
-        seg = _exact_map(method, compose, lo, min(lo + width, ends[0]))
-        state = _then(state, seg, reduce, compose)
-
-    gaps = [_exact_map(method, compose, e0, e1) for e0, e1 in zip(ends, ends[1:])]
-    # gap k holds the steps between the ends of primes k and k+1, so a
-    # node's gap carries a prefix from its first prime to the prime after
-    # its last; the root's gap is never needed
-    gaps = _product_levels(gaps + [_IDENTITY], compose, 2)
-    states = [state]
-    while moduli:
-        # each level is dropped once the descent has passed it
-        level_moduli, level_gaps = moduli.pop(), gaps.pop()
-        below = []
-        for n, state in enumerate(states):
-            # m.__rmod__ is x -> x % m
-            left = level_moduli[2 * n].__rmod__
-            below.append(_then(state, _IDENTITY, left, compose))
-            if 2 * n + 1 < len(level_moduli):
-                right = level_moduli[2 * n + 1].__rmod__
-                below.append(_then(state, level_gaps[2 * n], right, compose))
-        states = below
-    return np.array([head for head, _scale in states], dtype=np.int64)
+    state = _IDENTITY if span.backward else (0, 0)
+    cap = root[0].bit_length() - _SLACK_BITS
+    prefix = _blocks(method, span.compose, span.first, span.end(0), cap)
+    span.descend(root, _apply(state, prefix, root[0], span.compose), None)
+    return span.residues
 
 
 class CheckpointSink(Protocol):
@@ -301,14 +389,26 @@ class MemorySink:
         self.advances += 1
 
 
-def _kernel_task(chunk: np.ndarray, method: str) -> tuple[np.ndarray, int]:
+def _kernel_task(span: np.ndarray, method: str) -> tuple[np.ndarray, int]:
     t0 = time.perf_counter_ns()
-    residues = batch_residues(chunk, method)
+    residues = batch_residues(span, method)
     return residues, time.perf_counter_ns() - t0
 
 
+def _spans(chunks: int, worker_count: int) -> list[tuple[int, int]]:
+    """Cut chunks 0..chunks-1 into contiguous runs of near-equal length: as
+    few as keep each within SPAN_PRIMES primes, but at least one per worker
+    while there are chunks enough."""
+    per_span = SPAN_PRIMES // CHUNK_PRIMES
+    count = min(chunks, max(-(-chunks // per_span), worker_count))
+    if count == 0:
+        return []
+    cuts = [k * chunks // count for k in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _exit_with(sweep: int) -> None:
-    """Pool worker initializer: a worker waiting for its next chunk would
+    """Pool worker initializer: a worker waiting for its next span would
     outlive a killed sweep, so a watcher thread ends it once its own parent
     is gone, or the sweep's process. The parent is the sweep's process under
     fork and spawn, and under forkserver the server, which exits with it."""
@@ -337,13 +437,15 @@ def kh_sweep(
 
     Records come out in ascending prime order whatever the worker count;
     chunking is a pure function of the range, so two sweeps over the same
-    range are record-for-record identical (timing fields aside). A zero
-    residue is flagged loudly on the log and in the record, and the sweep
-    carries on; a violation is a result, not an error. The sink's frontier
-    suppresses re-emission of already-recorded primes on resume; the sink
-    is advanced after each completed chunk. Closing the stream early, or an
-    exception in it, terminates the pool's workers rather than wait for
-    their chunks.
+    range are record-for-record identical (timing fields aside). The kernel
+    runs once per span (_spans), and a span's records come out chunk by
+    chunk once it is done; each carries the span's average kernel time. A
+    zero residue is flagged loudly on the log and in the record, and the
+    sweep carries on; a violation is a result, not an error. The sink's
+    frontier suppresses re-emission of already-recorded primes on resume,
+    and the spans are cut from the chunks above it; the sink is advanced
+    after each chunk's records. Closing the stream early, or an exception
+    in it, terminates the pool's workers rather than wait for their spans.
     """
     lo, hi = prime_range
     if lo < 3:
@@ -362,14 +464,15 @@ def kh_sweep(
         return
 
     frontier = checkpoint_sink.frontier if checkpoint_sink is not None else None
-    chunks = [primes[s : s + CHUNK_PRIMES] for s in range(0, primes.size, CHUNK_PRIMES)]
+    starts = range(0, primes.size, CHUNK_PRIMES)
     if frontier is not None:
-        chunks = [c for c in chunks if int(c[-1]) > frontier]
+        # the chunks not wholly recorded yet, a suffix of them
+        starts = [s for s in starts if int(primes[s : s + CHUNK_PRIMES][-1]) > frontier]
+    spans = _spans(len(starts), worker_count)
 
     def emit(
-        chunk: np.ndarray, residues: np.ndarray, elapsed_ns: int
+        chunk: np.ndarray, residues: np.ndarray, per_prime_ns: int
     ) -> Iterator[VerificationRecord]:
-        per_prime_ns = elapsed_ns // max(int(chunk.size), 1)
         for p, r in zip(chunk.tolist(), residues.tolist()):
             if frontier is not None and p <= frontier:
                 continue
@@ -385,20 +488,24 @@ def kh_sweep(
             )
 
     pool = None
-    if worker_count > 1 and len(chunks) > 1:
+    if worker_count > 1 and len(spans) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(worker_count, initializer=_exit_with, initargs=(os.getpid(),))
     try:
-        results = (pool.map if pool is not None else map)(_kernel_task, chunks, repeat(method))
-        for chunk, (residues, elapsed) in zip(chunks, results):
-            yield from emit(chunk, residues, elapsed)
-            if checkpoint_sink is not None:
-                checkpoint_sink.advance(int(chunk[-1]))
+        arrays = [primes[starts[a] : starts[b - 1] + CHUNK_PRIMES] for a, b in spans]
+        results = (pool.map if pool is not None else map)(_kernel_task, arrays, repeat(method))
+        for span, (residues, elapsed) in zip(arrays, results):
+            per_prime_ns = elapsed // span.size
+            for s in range(0, span.size, CHUNK_PRIMES):
+                chunk = span[s : s + CHUNK_PRIMES]
+                yield from emit(chunk, residues[s : s + CHUNK_PRIMES], per_prime_ns)
+                if checkpoint_sink is not None:
+                    checkpoint_sink.advance(int(chunk[-1]))
     except BaseException:
         if pool is not None:
             # closed early or failed: end the workers rather than wait for
-            # the chunks they hold (what terminate_workers does from 3.14)
+            # the spans they hold (what terminate_workers does from 3.14)
             workers = list(pool._processes.values())
             pool.shutdown(wait=False, cancel_futures=True)
             for worker in workers:
@@ -407,9 +514,6 @@ def kh_sweep(
     finally:
         if pool is not None:
             pool.shutdown()
-        # the memo serves the chunks of one sweep; pool workers drop theirs
-        # with the pool
-        _FOLD_MEMO.clear()
 
 
 def kh2_scan(

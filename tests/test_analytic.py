@@ -258,6 +258,22 @@ def test_asymptotic_ratio_drifts_to_limits():
         asymptotic_ratio(0.0)
 
 
+@pytest.mark.parametrize("x, cause", [(108, "panel sum"), (109, "tail bound"), (171, "tail bound")])
+def test_out_of_double_range_raises_quadrature_error(x, cause):
+    # x = 108 used to return nan, and from 109 an OverflowError escaped
+    with pytest.raises(QuadratureError, match=f"out of double range.*{cause}") as info:
+        k_integral_detailed(float(x))
+    assert info.value.error_estimate == math.inf
+    with pytest.raises(QuadratureError):
+        asymptotic_ratio(float(x))
+
+
+def test_asymptotic_ratio_is_finite_up_to_100():
+    r1, r2 = asymptotic_ratio(100.0)
+    assert math.isfinite(r1) and math.isfinite(r2)
+    assert 1.0 < r1 < 1.02 and r2 == pytest.approx(r1 / 100)
+
+
 def test_congruence_bridge_exact_for_small_primes():
     for p in (3, 5, 7, 11, 13, 17, 19, 23):
         report = congruence_bridge(p)

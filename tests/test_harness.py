@@ -607,6 +607,20 @@ def test_cli_resume_may_change_workers(tmp_path):
     assert canonical_lines(led) == canonical_lines(clean)
 
 
+def test_cli_kh_ledger_is_the_same_for_any_worker_count(tmp_path):
+    # one worker takes 10^5 as one span, two and three cut it into as many
+    ledgers = []
+    for workers in ("1", "2", "3"):
+        led = tmp_path / f"w{workers}.jsonl"
+        code = run_cli(
+            "kh", "--from", "3", "--to", "100000", "--workers", workers, "--ledger", led
+        )
+        assert code == EXIT_OK
+        ledgers.append(canonical_lines(led))
+    assert len(ledgers[0]) == 9592  # 9591 records and the summary
+    assert ledgers[0] == ledgers[1] == ledgers[2]
+
+
 def _child_env():
     # run the very source this test imports, whatever the working directory
     # or an installed copy of the package
@@ -639,6 +653,9 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
 
     frontier = load_checkpoint(str(cp)).frontier
     assert frontier < 100000  # genuinely interrupted, work remained
+    # one worker sweeps [3, 10^5] as one span, and the frontier advances
+    # chunk by chunk as its records are written: the kill fell inside it
+    assert 3 < frontier < 99991
 
     resume = subprocess.run(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
@@ -767,6 +784,21 @@ def test_cli_analytic_eval_honours_tolerance(capsys):
     assert run_cli("analytic", "eval", "--z", "1+20j", "--tolerance", "1e-12") == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("leftfact: achieved error estimate"), err
+
+
+def test_cli_analytic_ratio_out_of_double_range(capsys):
+    assert run_cli("analytic", "ratio", "--x", "100") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+    assert float(out.splitlines()[0].split(": ")[1]) == pytest.approx(1.0102, abs=1e-4)
+    # at 108 the panel sum overflowed to nan and the CLI exited 0; from 109
+    # it printed a bare "(34, 'Numerical result out of range')"
+    for x, cause in (("108", "panel sum"), ("109", "tail bound"), ("171", "tail bound")):
+        assert run_cli("analytic", "ratio", "--x", x) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"leftfact: K(z) is out of double range at z = ({x}+0j)")
+        assert cause in captured.err
 
 
 def test_cli_runtime_error_paths(capsys):

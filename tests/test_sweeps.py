@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import multiprocessing
+import random
 import time
 from multiprocessing.connection import wait
 
@@ -24,7 +26,7 @@ from leftfact import (
     sweeps,
 )
 from leftfact.primes import build_sieve
-from leftfact.sweeps import _FOLD_MEMO, _GRID, _kernel_task, _reducer
+from leftfact.sweeps import SPAN_PRIMES, _kernel_task, _reciprocal, _reducer
 
 SIEVE = build_sieve(20000)
 METHODS = ("forward_v", "forward_t", "backward_s")
@@ -68,125 +70,140 @@ def test_batch_residues_matches_stepper_to_2e4(method):
         assert np.array_equal(batch_residues(chunk, method), want), chunk[0]
 
 
-def chunk_at(p, size=CHUNK_PRIMES):
-    """The size primes from p on."""
-    return primes_between(p, 20000)[:size]
+# the stepper's residues for every odd prime <= 2*10^4, per method; a
+# prime's residue does not depend on the other primes of its call, so any
+# piece's oracle is a slice of these
+ALL_PRIMES = primes_between(3, 20000)
+STEPPED = {method: stepped_residues(ALL_PRIMES, method) for method in METHODS}
 
 
-def memo_blocks(method):
-    return sorted(k for m, k in _FOLD_MEMO.maps if m == method)
+@settings(max_examples=15, deadline=None)
+@given(cuts=st.lists(st.integers(min_value=1, max_value=ALL_PRIMES.size - 1), max_size=5))
+@example(cuts=[])  # one span from 3 over all of them
+@example(cuts=[1, 2, 4])  # 1- and 2-prime spans from 3 on
+@example(cuts=[1000, 1001, 1003])  # 1- and 2-prime spans mid-range
+@example(cuts=[32, 64, 97])  # whole leaf groups, then a piece of 33
+@example(cuts=[2261])  # the last prime on its own
+def test_batch_residues_matches_stepper_on_any_cut(cuts):
+    bounds = sorted({0, *cuts, ALL_PRIMES.size})
+    for lo, hi in zip(bounds, bounds[1:]):
+        for method in METHODS:
+            got = batch_residues(ALL_PRIMES[lo:hi], method)
+            assert np.array_equal(got, STEPPED[method][lo:hi]), (method, lo, hi)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_spans_in_any_order_match_stepper(method):
+    # a pool worker may take a high span before the ones below it; no state
+    # passes from one kernel call to the next
+    for lo in (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES):
+        hi = lo + CHUNK_PRIMES
+        got = batch_residues(ALL_PRIMES[lo:hi], method)
+        assert np.array_equal(got, STEPPED[method][lo:hi]), lo
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_short_span_takes_plain_mod(method):
+    # the modulus of two primes is narrower than one block of its prefix,
+    # so every reduction of the prefix fold leaves Barrett's range
+    lo = ALL_PRIMES.size - 2
+    span = ALL_PRIMES[lo:]
+    modulus = int(span[0]) * int(span[1])
+    compose = sweeps._compose_backward if method == "backward_s" else sweeps._compose_forward
+    block = sweeps._blocks(method, compose, 2, int(span[0]), 0)[-2]
+    assert sweeps._bits(block) >= 2 * modulus.bit_length()
+    assert np.array_equal(batch_residues(span, method), STEPPED[method][lo:])
 
 
 @pytest.fixture
-def recorded_spans(monkeypatch):
+def recorded_blocks(monkeypatch):
     """The (lo, hi) of every exact map the kernel builds, in order."""
-    spans = []
+    built = []
     exact_map = sweeps._exact_map
 
     def recording(method, compose, lo, hi):
-        spans.append((lo, hi))
+        built.append((lo, hi))
         return exact_map(method, compose, lo, hi)
 
     monkeypatch.setattr(sweeps, "_exact_map", recording)
-    return spans
+    return built
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_fold_memo_cold_and_warm_agree(method, recorded_spans):
-    chunk = chunk_at(13001)
-    want = stepped_residues(chunk, method)
-    _FOLD_MEMO.clear()
-    assert np.array_equal(batch_residues(chunk, method), want)
-    whole = int(chunk[0]) // _GRID
-    assert memo_blocks(method) == list(range(whole))
-    # warm: the prefix below the last grid line comes from the memo
-    recorded_spans.clear()
-    assert np.array_equal(batch_residues(chunk, method), want)
-    assert all(lo >= whole * _GRID for lo, _hi in recorded_spans)
+def test_prefix_fold_builds_blocks_of_the_root_modulus(method, recorded_blocks):
+    # a span that does not start at 3 folds the steps below it once, in
+    # consecutive blocks each narrower than the span's modulus
+    lo = 2 * CHUNK_PRIMES
+    span = ALL_PRIMES[lo : lo + CHUNK_PRIMES]
+    assert np.array_equal(batch_residues(span, method), STEPPED[method][lo : lo + CHUNK_PRIMES])
+    first = 1 if method == "backward_s" else 2
+    end = int(span[0]) - (method == "backward_s")
+    prefix = [(a, b) for a, b in recorded_blocks if b <= end]
+    assert prefix[0][0] == first and prefix[-1][1] == end
+    assert all(b == c for (_a, b), (c, _d) in zip(prefix, prefix[1:]))
+    modulus_bits = math.prod(span.tolist()).bit_length()
+    width = prefix[0][1] - prefix[0][0]
+    assert 1 < len(prefix) and width * end.bit_length() < modulus_bits
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_fold_memo_chunks_out_of_order(method):
-    # a pool worker may take a high chunk before the ones below it
-    primes = primes_between(3, 20000)
-    starts = (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES)
-    _FOLD_MEMO.clear()
-    for s in starts:
-        chunk = primes[s : s + CHUNK_PRIMES]
-        assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
+def test_gaps_are_applied_in_blocks_narrower_than_their_modulus(method, monkeypatch):
+    # a gap about ln(p) times wider than the modulus it meets is never built
+    # whole: it arrives in blocks that keep each product in Barrett's range
+    applied = []
+    apply = sweeps._apply
+
+    def recording(state, blocks, modulus, compose):
+        applied.append((modulus.bit_length(), [sweeps._bits(b) for b in blocks]))
+        return apply(state, blocks, modulus, compose)
+
+    monkeypatch.setattr(sweeps, "_apply", recording)
+    assert np.array_equal(batch_residues(ALL_PRIMES, method), STEPPED[method])
+    wide = [(m, sizes) for m, sizes in applied if m > 1000]
+    assert wide and all(size < m - 32 for m, sizes in wide for size in sizes)
+    # the root's left gap, met by the widest modulus but the root's own
+    top, sizes = max(w for w in wide if len(w[1]) > 1)
+    assert len(sizes) > 5 and sum(sizes) > 5 * top
 
 
-def test_fold_memo_first_end_on_grid_boundary(recorded_spans):
-    # backward_s ends 7681's steps at 7680 = 15 * 512: fifteen whole blocks
-    # and no partial one
-    chunk = chunk_at(7681)
-    assert chunk[0] == 7681 and (int(chunk[0]) - 1) % _GRID == 0
-    _FOLD_MEMO.clear()
-    got = batch_residues(chunk, "backward_s")
-    assert np.array_equal(got, stepped_residues(chunk, "backward_s"))
-    assert memo_blocks("backward_s") == list(range(15))
-    prefix = [(lo, hi) for lo, hi in recorded_spans if hi <= 7680]
-    assert prefix == [(max(1, k * _GRID), (k + 1) * _GRID) for k in range(15)]
+def test_spans_cover_the_chunks_and_feed_every_worker():
+    per_span = SPAN_PRIMES // CHUNK_PRIMES
+    assert sweeps._spans(0, 4) == []
+    assert sweeps._spans(10, 1) == [(0, 10)]
+    assert sweeps._spans(10, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert sweeps._spans(2, 3) == [(0, 1), (1, 2)]
+    assert sweeps._spans(per_span + 1, 1) == [(0, per_span // 2), (per_span // 2, per_span + 1)]
+    for chunks in (1, 7, per_span, 3 * per_span + 5):
+        for workers in (1, 2, 5):
+            spans = sweeps._spans(chunks, workers)
+            assert spans[0][0] == 0 and spans[-1][1] == chunks
+            assert all(b == c for (_a, b), (c, _d) in zip(spans, spans[1:]))
+            assert all(0 < b - a <= per_span for a, b in spans)
+            assert len(spans) >= min(workers, chunks)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
-    chunk = chunk_at(19991, size=2)
-    modulus = int(chunk[0]) * int(chunk[1])
-    # a block is at least twice as wide as the modulus, so its products
-    # leave the reducer's fast range
-    block = _FOLD_MEMO.block(method, int(chunk[0]) // _GRID - 1)
-    assert max(x.bit_length() for x in block) >= 2 * modulus.bit_length()
-    assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
+def test_kh_sweep_calls_the_kernel_once_per_span(monkeypatch):
+    calls = []
+    kernel = sweeps.batch_residues
+
+    def counting(span, method):
+        calls.append(span.size)
+        return kernel(span, method)
+
+    monkeypatch.setattr(sweeps, "batch_residues", counting)
+    sink = MemorySink()
+    records = list(kh_sweep((3, 10**5), checkpoint_sink=sink))
+    assert calls == [len(records)] == [9591]
+    assert sink.advances == -(-9591 // CHUNK_PRIMES)
+    # every record of the span carries its average kernel time
+    assert len({r.elapsed_ns for r in records}) == 1
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("budget", [0, 6000])
-def test_fold_memo_full_folds_the_rest_in_fresh_blocks(method, budget, monkeypatch, recorded_spans):
-    # a memo with no room, or room for a few blocks, keeps the blocks that
-    # fit and folds the steps above them in blocks as wide as the chunk's M
-    monkeypatch.setattr(sweeps, "_MEMO_BYTES", budget)
-    primes = primes_between(3, 20000)
-    _FOLD_MEMO.clear()
-    for s in (2 * CHUNK_PRIMES, CHUNK_PRIMES):
-        chunk = primes[s : s + CHUNK_PRIMES]
-        assert np.array_equal(batch_residues(chunk, method), stepped_residues(chunk, method))
-    kept = memo_blocks(method)
-    assert kept == list(range(len(kept)))
-    top = int(primes[CHUNK_PRIMES])
-    assert len(kept) < top // _GRID
-    assert _FOLD_MEMO.nbytes < budget + 4 * _GRID  # the last block kept overshoots
-    fresh = [hi - lo for lo, hi in recorded_spans if len(kept) * _GRID <= lo and hi <= top]
-    assert fresh and max(fresh) > _GRID
-
-
-def test_fold_memo_grows_with_range_not_chunk_count_and_ends_with_the_sweep():
-    class Sizes(MemorySink):
-        def advance(self, frontier):
-            super().advance(frontier)
-            sizes.append(len(_FOLD_MEMO.maps))
-
-    sizes = []
-    _FOLD_MEMO.clear()
-    records = list(kh_sweep((3, 10**5), checkpoint_sink=Sizes()))
-    last_start = records[(len(records) - 1) // CHUNK_PRIMES * CHUNK_PRIMES].prime
-    assert sizes[-1] == last_start // _GRID <= -(-(10**5) // _GRID)
-    assert sizes == sorted(sizes)
-    assert _FOLD_MEMO.maps == {} and _FOLD_MEMO.nbytes == 0
-
-
-def test_narrow_high_window_keeps_the_memo_in_its_budget(monkeypatch):
-    # one chunk far above its range's start reuses no block: the memo stops
-    # at its budget and the residues match a sweep with no memo at all
-    monkeypatch.setattr(sweeps, "_MEMO_BYTES", 20000)
-    _FOLD_MEMO.clear()
+def test_narrow_high_window_matches_direct():
+    # one chunk far above its range's start folds its whole prefix alone
     window = (200_000, 200_400)
-    seen = []
-    for rec in kh_sweep(window):
-        seen.append((rec.prime, rec.residue))
-        assert _FOLD_MEMO.nbytes < 20000 + 6 * _GRID
-    monkeypatch.setattr(sweeps, "_MEMO_BYTES", 0)
-    assert [(r.prime, r.residue) for r in kh_sweep(window)] == seen
+    seen = [(rec.prime, rec.residue) for rec in kh_sweep(window)]
+    assert [p for p, _r in seen] == build_sieve(200_400).primes_up_to(200_400)[-len(seen):].tolist()
     assert [r for _p, r in seen[:3]] == [residue_direct(p, p).residue for p, _r in seen[:3]]
 
 
@@ -222,6 +239,16 @@ def test_reducer_is_exact_mod(modulus, x):
     assert _reducer(modulus)(x) == x % modulus
 
 
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(min_value=2, max_value=150_000), seed=st.integers(0, 2**32))
+@example(bits=sweeps._NEWTON_BITS + 1, seed=0)
+@example(bits=100_001, seed=1)
+def test_reciprocal_is_exact(bits, seed):
+    modulus = random.Random(seed).getrandbits(bits) | (1 << (bits - 1))
+    for m in (modulus, 1 << (bits - 1), (1 << bits) - 1):
+        assert _reciprocal(m) == (1 << (2 * m.bit_length())) // m
+
+
 def test_batch_residues_validation():
     with pytest.raises(ValueError):
         batch_residues(primes_between(3, 100), "sideways")
@@ -229,6 +256,8 @@ def test_batch_residues_validation():
         batch_residues(np.array([2, 3, 5], dtype=np.int64))
     with pytest.raises(ValueError):
         batch_residues(np.array([5, 3], dtype=np.int64))
+    with pytest.raises(ValueError):
+        batch_residues(np.array([3, 5, 8, 11], dtype=np.int64))
     with pytest.raises(ValueError):
         batch_residues(np.array([3, 5, MAX_SWEEP_PRIME + 2], dtype=np.int64))
     assert batch_residues(np.array([], dtype=np.int64)).size == 0
