@@ -329,7 +329,8 @@ def k_integral(z: complex | float, cfg: QuadratureConfig = QuadratureConfig()) -
     range stops at a cut T beyond which the integrand's bound leaves less
     than the tolerance and the sums' roundoff, and the error estimate
     charges that bound in full. Raises QuadratureError (value attached) if
-    the achieved error estimate misses cfg.tolerance.
+    the achieved error estimate misses cfg.tolerance, or if K(z) leaves
+    double range (from about Re z = 108).
     """
     return k_integral_detailed(z, cfg).value
 

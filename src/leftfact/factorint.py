@@ -4,7 +4,7 @@ Below PSI_13 = 3317044064679887385961981 both are done here, without
 sympy: is_probable_prime is Miller-Rabin with the first 13 prime bases,
 which no composite below that bound passes (Sorenson & Webster, "Strong
 pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so it is a
-proof there; factorize divides out the primes below 1000 and splits what
+proof there; factorize divides out the primes up to 41 and splits what
 is left with Brent's rho (Brent, "An improved Monte Carlo factorization
 algorithm", BIT 20, 1980). Such a cofactor, if composite, has a prime
 factor below 1.9*10^12, so rho needs about 1.7*10^6 steps in expectation
@@ -19,14 +19,13 @@ bound (the kh sweep above all) do not pay for importing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd
 
 __all__ = ["PSI_13", "Factorization", "factorize", "is_probable_prime"]
 
 # the least strong pseudoprime to the first 13 prime bases
 PSI_13 = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -98,14 +97,15 @@ def _factor_below_bound(v: int) -> dict[int, int]:
     """{prime: exponent} of 2 <= v < PSI_13, every prime proven by
     is_probable_prime."""
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         while v % p == 0:
             out[p] = out.get(p, 0) + 1
             v //= p
     pending = [v] if v > 1 else []
     while pending:
         n = pending.pop()
-        if n < _SMALL_PRIMES[-1] ** 2 or _strong_probable_prime(n):
+        # no factor up to 41 is left, so n below 43^2 is prime
+        if n < 43 * 43 or _strong_probable_prime(n):
             out[n] = out.get(n, 0) + 1
         else:
             d = _brent_divisor(n)
