@@ -92,8 +92,12 @@ def test_batch_residues_matches_stepper_on_any_cut(cuts):
             assert np.array_equal(got, STEPPED[method][lo:hi]), (method, lo, hi)
 
 
+# the three test_fold_memo_* names below come from the prefix-fold memo that
+# the span kernel replaced; what they check still holds without it
+
+
 @pytest.mark.parametrize("method", METHODS)
-def test_spans_in_any_order_match_stepper(method):
+def test_fold_memo_chunks_out_of_order(method):
     # a pool worker may take a high span before the ones below it; no state
     # passes from one kernel call to the next
     for lo in (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES):
@@ -103,7 +107,7 @@ def test_spans_in_any_order_match_stepper(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_short_span_takes_plain_mod(method):
+def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
     # the modulus of two primes is narrower than one block of its prefix,
     # so every reduction of the prefix fold leaves Barrett's range
     lo = ALL_PRIMES.size - 2
@@ -127,6 +131,20 @@ def recorded_blocks(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_exact_map", recording)
     return built
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_memo_cold_and_warm_agree(method, recorded_blocks):
+    # nothing is kept between calls: a second call on the same span folds
+    # its prefix afresh, in the same blocks, to the same residues
+    lo = 2 * CHUNK_PRIMES
+    span = ALL_PRIMES[lo : lo + CHUNK_PRIMES]
+    want = STEPPED[method][lo : lo + CHUNK_PRIMES]
+    assert np.array_equal(batch_residues(span, method), want)
+    cold = list(recorded_blocks)
+    recorded_blocks.clear()
+    assert np.array_equal(batch_residues(span, method), want)
+    assert recorded_blocks == cold and any(b <= int(span[0]) for _a, b in cold)
 
 
 @pytest.mark.parametrize("method", METHODS)
