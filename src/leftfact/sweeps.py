@@ -2,7 +2,8 @@
 
 The KH sweep cuts its primes into chunks of CHUNK_PRIMES, the unit of
 records, checkpoints and resume, and hands the kernel spans: runs of whole
-chunks of at most SPAN_PRIMES primes, at least one per worker. batch_residues
+chunks of at most SPAN_PRIMES primes, one per worker while there are chunks
+enough, cut to even out their estimated work (_spans). batch_residues
 computes a span's residues with one accumulating remainder tree over exact
 integers (Costa, Gerbicz & Harvey, "A search for Wilson primes", 2014;
 Andrejić & Tatarević, "Searching for a counterexample to Kurepa's
@@ -395,16 +396,44 @@ def _kernel_task(span: np.ndarray, method: str) -> tuple[np.ndarray, int]:
     return residues, time.perf_counter_ns() - t0
 
 
-def _spans(chunks: int, worker_count: int) -> list[tuple[int, int]]:
-    """Cut chunks 0..chunks-1 into contiguous runs of near-equal length: as
-    few as keep each within SPAN_PRIMES primes, but at least one per worker
-    while there are chunks enough."""
+def _work(lo: int, hi: int) -> float:
+    """Estimated kernel time of a span of the primes from lo to hi, up to a
+    constant factor. Timing batch_residues from 10^5 to 10^6, its descent
+    grows like (hi - lo)^1.7 and its prefix fold like lo * (hi - lo)^0.7,
+    a prefix step costing 1.0 (at 10^5) to 1.3 (at 10^6) times a descent
+    step."""
+    return (hi - lo) ** 0.7 * (hi - lo + 1.25 * lo)
+
+
+def _spans(edges: list[int], worker_count: int) -> list[tuple[int, int]]:
+    """Cut chunks 0..n-1, chunk k holding the primes from edges[k] to
+    edges[k + 1], into contiguous runs of at most SPAN_PRIMES primes: as
+    few as that allows, but one per worker while there are chunks enough.
+    The cuts make the most estimated work (_work) on any one run least, so
+    that a run which also folds every step below it gets fewer chunks."""
+    chunks = len(edges) - 1
     per_span = SPAN_PRIMES // CHUNK_PRIMES
     count = min(chunks, max(-(-chunks // per_span), worker_count))
-    if count == 0:
-        return []
-    cuts = [k * chunks // count for k in range(count + 1)]
-    return list(zip(cuts, cuts[1:]))
+
+    def cut(limit: float) -> list[tuple[int, int]]:
+        spans, a = [], 0
+        while a < chunks:
+            # leave a chunk for each run still to come
+            last = min(a + per_span, chunks - max(count - len(spans) - 1, 0))
+            b = a + 1
+            while b < last and _work(edges[a], edges[b + 1]) <= limit:
+                b += 1
+            spans.append((a, b))
+            a = b
+        return spans
+
+    # a cut leaves at least count runs; bisect for the least limit that
+    # leaves no more
+    low, high = 0.0, _work(edges[0], edges[-1])
+    for _ in range(50):
+        mid = (low + high) / 2
+        low, high = (low, mid) if len(cut(mid)) <= count else (mid, high)
+    return cut(high)
 
 
 def _exit_with(sweep: int) -> None:
@@ -468,7 +497,10 @@ def kh_sweep(
     if frontier is not None:
         # the chunks not wholly recorded yet, a suffix of them
         starts = [s for s in starts if int(primes[s : s + CHUNK_PRIMES][-1]) > frontier]
-    spans = _spans(len(starts), worker_count)
+    if not starts:
+        return
+    ends = [min(s + CHUNK_PRIMES, primes.size) - 1 for s in starts]
+    spans = _spans([int(primes[starts[0]])] + primes[ends].tolist(), worker_count)
 
     def emit(
         chunk: np.ndarray, residues: np.ndarray, per_prime_ns: int

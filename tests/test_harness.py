@@ -7,7 +7,6 @@ import signal
 import stat
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,8 @@ from leftfact import (
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leftfact.harness import CSV_HEADER, record_to_row
-from leftfact.sweeps import _KERNEL_METHODS
+from leftfact.primes import build_sieve
+from leftfact.sweeps import CHUNK_PRIMES, _KERNEL_METHODS
 
 
 def rec(prime, residue, ns=7, method="forward_v"):
@@ -629,34 +629,49 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": pythonpath}
 
 
+# The CLI, killed by SIGKILL as it is about to persist its fourth chunk: that
+# chunk's records are already with the writers, so the record files run
+# ahead of the checkpoint. One worker sweeps [3, 10^5] as one span, so the
+# kill falls inside it whatever the host's speed.
+_KILLED_AT_FOURTH_CHUNK = """
+import os, signal, sys
+from leftfact.cli import main
+from leftfact.harness import FileSink
+
+advance, calls = FileSink.advance, []
+
+def advance_or_die(self, frontier):
+    calls.append(frontier)
+    if len(calls) == 4:
+        os.kill(os.getpid(), signal.SIGKILL)
+    advance(self, frontier)
+
+FileSink.advance = advance_or_die
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
     # a hard kill mid-sweep must leave a resumable checkpoint + ledger + csv
     cp = tmp_path / "cp.json"
     led = tmp_path / "led.jsonl"
     csv = tmp_path / "led.csv"
-    argv = [
-        sys.executable, "-m", "leftfact", "kh", "--from", "3", "--to", "100000",
+    args = [
+        "kh", "--from", "3", "--to", "100000",
         "--checkpoint", str(cp), "--ledger", str(led), "--csv", str(csv),
     ]
     env = _child_env()
-    proc = subprocess.Popen(
-        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env
+    killed = subprocess.run(
+        [sys.executable, "-c", _KILLED_AT_FOURTH_CHUNK, *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
     )
-    deadline = time.monotonic() + 60
-    while not cp.exists() and proc.poll() is None and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if proc.poll() is None:
-        proc.send_signal(signal.SIGKILL)
-    stderr = proc.communicate(timeout=30)[1]
-    assert cp.exists(), f"no checkpoint before the kill or exit:\n{stderr}"
-    assert proc.returncode == -signal.SIGKILL, stderr  # killed mid-sweep, not exited
+    assert killed.returncode == -signal.SIGKILL, killed.stderr  # killed mid-sweep, not exited
 
-    frontier = load_checkpoint(str(cp)).frontier
-    assert frontier < 100000  # genuinely interrupted, work remained
-    # one worker sweeps [3, 10^5] as one span, and the frontier advances
-    # chunk by chunk as its records are written: the kill fell inside it
-    assert 3 < frontier < 99991
+    # the frontier is the third chunk's last prime, inside the span
+    third_chunk_end = int(build_sieve(100000).primes_up_to(100000)[3 * CHUNK_PRIMES])
+    assert load_checkpoint(str(cp)).frontier == third_chunk_end
 
+    argv = [sys.executable, "-m", "leftfact", *args]
     resume = subprocess.run(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
         env=env,

@@ -184,20 +184,42 @@ def test_gaps_are_applied_in_blocks_narrower_than_their_modulus(method, monkeypa
     assert len(sizes) > 5 and sum(sizes) > 5 * top
 
 
+def _chunk_edges(chunks, lo=3, width=10_000):
+    # chunk k holds the primes from edges[k] to edges[k + 1]
+    return [lo] + [lo + (k + 1) * width for k in range(chunks)]
+
+
 def test_spans_cover_the_chunks_and_feed_every_worker():
     per_span = SPAN_PRIMES // CHUNK_PRIMES
-    assert sweeps._spans(0, 4) == []
-    assert sweeps._spans(10, 1) == [(0, 10)]
-    assert sweeps._spans(10, 3) == [(0, 3), (3, 6), (6, 10)]
-    assert sweeps._spans(2, 3) == [(0, 1), (1, 2)]
-    assert sweeps._spans(per_span + 1, 1) == [(0, per_span // 2), (per_span // 2, per_span + 1)]
-    for chunks in (1, 7, per_span, 3 * per_span + 5):
-        for workers in (1, 2, 5):
-            spans = sweeps._spans(chunks, workers)
-            assert spans[0][0] == 0 and spans[-1][1] == chunks
-            assert all(b == c for (_a, b), (c, _d) in zip(spans, spans[1:]))
-            assert all(0 < b - a <= per_span for a, b in spans)
-            assert len(spans) >= min(workers, chunks)
+    assert sweeps._spans([3], 4) == []
+    assert sweeps._spans(_chunk_edges(10), 1) == [(0, 10)]
+    assert sweeps._spans(_chunk_edges(2), 3) == [(0, 1), (1, 2)]
+    for lo in (3, 10**8):
+        for chunks in (1, 7, per_span, 3 * per_span + 5):
+            for workers in (1, 2, 5):
+                spans = sweeps._spans(_chunk_edges(chunks, lo), workers)
+                assert spans[0][0] == 0 and spans[-1][1] == chunks
+                assert all(b == c for (_a, b), (c, _d) in zip(spans, spans[1:]))
+                assert all(0 < b - a <= per_span for a, b in spans)
+                assert len(spans) == min(chunks, max(-(-chunks // per_span), workers))
+
+
+def test_spans_give_the_upper_runs_fewer_chunks():
+    # an upper span also folds every step below it: with two workers the
+    # cut lies well above the middle, and its estimated work is even
+    sieve = build_sieve(10**6)
+    primes = sieve.primes_up_to(10**6)[1:]
+    edges = [3] + primes[CHUNK_PRIMES - 1 :: CHUNK_PRIMES].tolist() + [int(primes[-1])]
+    (a, b), (c, d) = sweeps._spans(edges, 2)
+    assert (a, d) == (0, len(edges) - 1) and b == c
+    assert b > 0.65 * d
+    lower, upper = sweeps._work(edges[a], edges[b]), sweeps._work(edges[c], edges[d])
+    assert abs(lower - upper) < sweeps._work(edges[b - 1], edges[b + 1])
+    # on the same range one worker keeps one span, and three get three,
+    # fewer chunks the higher they lie
+    assert sweeps._spans(edges, 1) == [(0, d)]
+    sizes = [b - a for a, b in sweeps._spans(edges, 3)]
+    assert len(sizes) == 3 and sizes == sorted(sizes, reverse=True)
 
 
 def test_kh_sweep_calls_the_kernel_once_per_span(monkeypatch):
