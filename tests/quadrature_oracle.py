@@ -2,9 +2,9 @@
 
 This is the rule `leftfact.analytic._k_integral_cached` evaluated before
 its panels were vectorized: the same cuts, the same 48/24-point
-Gauss-Legendre pair, the same series patch and the same tail cut, but one
-`cmath` integrand call per node inside Python sums. Its only use is as an
-independent oracle for the numpy evaluation in the tests.
+Gauss-Legendre pair (taken from mpmath), the same series patch and the same
+tail cut, but one `cmath` integrand call per node inside Python sums. Its
+only use is as an independent oracle for the numpy evaluation in the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
+import mpmath
+from mpmath.calculus.quadrature import GaussLegendre
 
 from leftfact.analytic import (
     _DELTA,
@@ -24,13 +25,16 @@ from leftfact.analytic import (
 )
 
 
-def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
+def leggauss(degree: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """mpmath's 3 * 2^(degree - 1)-point Gauss-Legendre nodes and weights on
+    [-1, 1], computed at 40 digits and rounded to doubles."""
+    with mpmath.workdps(40):
+        rule = sorted(GaussLegendre(mpmath.mp).calc_nodes(degree, mpmath.mp.prec))
+    return tuple(float(x) for x, _w in rule), tuple(float(w) for _x, w in rule)
 
 
-_GL48 = _leggauss(48)
-_GL24 = _leggauss(24)
+_GL48 = leggauss(5)
+_GL24 = leggauss(4)
 
 
 def _integrand(t: float, z: complex) -> complex:

@@ -4,9 +4,18 @@ This is the loop `leftfact.sweeps.batch_residues` ran before it became a
 remainder tree: one vectorized step per index i for every live prime, so it
 costs O(x^2 / log x) for all odd primes up to x. Its only use is as an
 independent oracle for the tree in the tests.
+
+Run as a script, it prints the digest (residue_digest) of every odd prime up
+to X under each recurrence, with its time:
+
+    PYTHONPATH=src python tests/stepper.py X
 """
 
 from __future__ import annotations
+
+import hashlib
+import sys
+import time
 
 import numpy as np
 
@@ -62,3 +71,23 @@ def stepped_residues(primes: np.ndarray, method: str = "forward_v") -> np.ndarra
             np.add(vv, 1 if i % 2 == 0 else -1, out=vv)
         np.remainder(vv, q[lo:], out=vv)
     return out
+
+
+def residue_digest(primes, residues) -> str:
+    """sha256 of the lines "p r" for each prime p and its residue r."""
+    h = hashlib.sha256()
+    for p, r in zip(np.asarray(primes).tolist(), np.asarray(residues).tolist()):
+        h.update(f"{p} {r}\n".encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    from leftfact.primes import build_sieve
+
+    x = int(sys.argv[1])
+    primes = build_sieve(x).primes_up_to(x)[1:]
+    for method in _KERNEL_METHODS:
+        t0 = time.perf_counter()
+        digest = residue_digest(primes, stepped_residues(primes, method))
+        dt = time.perf_counter() - t0
+        print(f"{method} {primes.size} primes <= {x}: {digest} ({dt:.0f} s)", flush=True)

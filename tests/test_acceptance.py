@@ -8,14 +8,20 @@ budgets are asserted along with the substance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import random
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+from stepper import residue_digest
 
+import leftfact
 from leftfact import (
     a_set_scan,
     batch_residues,
@@ -39,8 +45,11 @@ from leftfact import (
     p_set,
     partial_sum_gcd,
     pole_residue,
+    residue_backward_s,
     residue_direct,
+    residue_forward_t,
     sum_inequality_scan,
+    sweeps,
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, main
 
@@ -91,10 +100,12 @@ def test_criterion_02_recurrence_oracle_equivalence():
     sieve = build_sieve(10**4)
     primes = sieve.primes_up_to(10**4)
     primes = primes[primes >= 3]
-    v = batch_residues(primes, "forward_v")
-    t = batch_residues(primes, "forward_t")
-    s = batch_residues(primes, "backward_s")
-    methods_ok = bool(np.array_equal(v, t) and np.array_equal(v, s))
+    # forward_v by the kernel's remainder tree; forward_t and backward_s
+    # stepped one prime at a time by their own scalar code
+    v = batch_residues(primes)
+    t = [residue_forward_t(p).residue for p in primes.tolist()]
+    s = [residue_backward_s(p).residue for p in primes.tolist()]
+    methods_ok = v.tolist() == t == s
     # direct big-integer remainder: one exact incremental pass over K(n)
     prime_set = set(primes.tolist())
     direct = {}
@@ -128,21 +139,91 @@ def test_criterion_03_kh_desk_scale():
     )
 
 
+# residue_digest of every odd prime <= 10^6 and its residue, from the numpy
+# stepper, which gave this digest for each of its three recurrences:
+#     PYTHONPATH=src python tests/stepper.py 1000000
+# (210 to 226 s per recurrence on a 2-core x86-64 host, CPython 3.11)
+STEPPED_DIGEST_1E6 = "d07c196245ed2977f8b585d8f03fcb755109e406b7b092dd38caa22fd4418066"
+
+
+def _direct_sample(primes: np.ndarray, count: int, seed: int) -> list[int]:
+    """The indices of count primes for residue_direct: the first and last
+    prime of every span that kh_sweep cuts for 1, 2 and 3 workers, and the
+    rest drawn with the seed."""
+    chunk = sweeps.CHUNK_PRIMES
+    ends = [min(s + chunk, primes.size) - 1 for s in range(0, primes.size, chunk)]
+    edges = [int(primes[0])] + primes[ends].tolist()
+    picked = set()
+    for workers in (1, 2, 3):
+        for a, b in sweeps._spans(edges, workers):
+            picked.update((a * chunk, min(b * chunk, primes.size) - 1))
+    rest = sorted(set(range(primes.size)) - picked)
+    return sorted(picked | set(random.Random(seed).sample(rest, count - len(picked))))
+
+
 @pytest.mark.skipif(
     os.environ.get("LEFTFACT_TIER_FULL") != "1",
     reason="full-scale tier, run manually: LEFTFACT_TIER_FULL=1",
 )
 def test_criterion_03_tier_kh_full_scale(capsys):
     t0 = time.monotonic()
-    records = violations = 0
-    for rec in kh_sweep((3, 10**6)):
-        records += 1
-        violations += rec.violates_kh
+    records = list(kh_sweep((3, 10**6)))
     dt = time.monotonic() - t0
     with capsys.disabled():
-        print(f"\nfull-scale tier: {records} primes <= 10^6, 1 worker, {dt:.1f}s")
-    assert violations == 0
-    assert records == 78497
+        print(f"\nfull-scale tier: {len(records)} primes <= 10^6, 1 worker, {dt:.1f}s")
+    assert not any(rec.violates_kh for rec in records)
+    assert len(records) == 78497
+    primes = np.array([rec.prime for rec in records])
+    residues = [rec.residue for rec in records]
+    assert residue_digest(primes, residues) == STEPPED_DIGEST_1E6
+    for k in _direct_sample(primes, 32, seed=11):
+        p = int(primes[k])
+        assert residues[k] == residue_direct(p, p).residue, p
+
+
+def _ledger_digest(path) -> str:
+    """sha256 of the canonical ledger, as the benchmark's checks compute it."""
+    h = hashlib.sha256()
+    for line in canonical_lines(str(path)):
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(
+    os.environ.get("LEFTFACT_TIER_1E7") != "1",
+    reason="10^7 tier, about 10 min, run manually: LEFTFACT_TIER_1E7=1",
+)
+def test_criterion_03_tier_kh_1e7(tmp_path, capsys):
+    # the checkpointed CLI sweep in a child process, whose peak RSS wait4
+    # reports on its own
+    led = tmp_path / "led.jsonl"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    cmd = [
+        sys.executable, "-m", "leftfact", "kh", "--from", "3", "--to", str(10**7),
+        "--workers", "1", "--checkpoint", str(tmp_path / "cp.json"), "--ledger", str(led),
+    ]
+    t0 = time.monotonic()
+    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _pid, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    dt = time.monotonic() - t0
+    with capsys.disabled():
+        print(f"\n10^7 tier: 1 worker, {dt:.0f}s, peak RSS {usage.ru_maxrss // 1024} MB")
+    assert child.returncode == EXIT_OK
+    residues = {}
+    with open(led, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            if rec["type"] == "record":
+                assert not rec["violates_kh"], rec
+                residues[rec["prime"]] = rec["residue"]
+    assert len(residues) == 664578
+    assert _ledger_digest(led) == "a11d677e20ed1a9ba8f411e08b62d37475782b1047d5e92c40a2254b6380f6a9"
+    near = [p for p in residues if p > 10**7 - 10**5]
+    for p in random.Random(7).sample(near, 8):
+        assert residues[p] == residue_direct(p, p).residue, p
 
 
 def test_criterion_04_a3_membership():

@@ -24,8 +24,8 @@ from leftfact import (
     pole_residue,
     slavic_constant_block,
 )
-from leftfact.analytic import _k_integral_cached
-from quadrature_oracle import scalar_k_integral
+from leftfact.analytic import _k_integral_cached, _leggauss
+from quadrature_oracle import leggauss, scalar_k_integral
 
 # independent quadrature oracle: mpmath.quad at 40 digits over the defining
 # integral, split [0, 1, inf] with the removable point patched by its limit
@@ -35,6 +35,11 @@ ORACLE = {
     3.25: 4.8994407282969713579,
     complex(2.5, 1.5): complex(1.3988389012218134054, 1.8398014184464678013),
     complex(0.75, -2.0): complex(0.79161390050332185108, -1.0871236041152474745),
+    # numpy's Gauss-Legendre weights put the 1e-12 estimate here below the
+    # actual error
+    complex(6.742, 7.608): complex(
+        -7.961639770314763484943979130202506629197, 5.771239270106449732020757159791099917465
+    ),
 }
 
 # mpmath at 50 digits near the removable point z = -2, where Gamma(z+1) and
@@ -93,6 +98,15 @@ def test_k_integral_matches_independent_oracle():
     for z, want in ORACLE.items():
         got = k_integral(z)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), z
+
+
+def test_leggauss_matches_mpmath():
+    # numpy's own weights are off by up to 1.3e-12 relative at 48 points
+    for n, degree in ((48, 5), (24, 4)):
+        x, w = _leggauss(n)
+        want_x, want_w = leggauss(degree)
+        assert np.max(np.abs(x - want_x)) <= 2.3e-16, n
+        assert np.max(np.abs(w / want_w - 1)) <= 1e-13, n
 
 
 @pytest.mark.parametrize("tolerance", [1e-10, 1e-12])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -29,7 +30,7 @@ from leftfact import (
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leftfact.harness import CSV_HEADER, record_to_row
 from leftfact.primes import build_sieve
-from leftfact.sweeps import CHUNK_PRIMES, _KERNEL_METHODS
+from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD
 
 
 def rec(prime, residue, ns=7, method="forward_v"):
@@ -194,7 +195,7 @@ def test_ledger_resume_rejects_malformed_line_and_leaves_no_temp_file(tmp_path, 
 @st.composite
 def ascending_records(draw):
     """VerificationRecords on ascending primes: violations (residue 0),
-    primes far past int64, every kernel method and arbitrary method text."""
+    primes far past int64, the kernel's method and arbitrary method text."""
     primes = draw(
         st.lists(st.integers(min_value=2, max_value=2**80), min_size=1, max_size=6, unique=True)
     )
@@ -206,7 +207,7 @@ def ascending_records(draw):
                 p,
                 residue,
                 ns=draw(st.integers(min_value=0, max_value=2**64)),
-                method=draw(st.one_of(st.sampled_from(_KERNEL_METHODS), st.text(max_size=8))),
+                method=draw(st.one_of(st.just(KERNEL_METHOD), st.text(max_size=8))),
             )
         )
     return out
@@ -759,6 +760,39 @@ def test_cli_report_topics_smoke(capsys):
     assert run_cli("report", "identities") == EXIT_OK
     out = capsys.readouterr().out
     assert "all agree" in out
+
+
+# commands no other test runs, with a line each must print
+SMOKE = [
+    # the two reports that drive kh_sweep
+    (
+        ("report", "kh-status"),
+        re.escape("divisibility sweep p <= 10000: 1228 primes, 0 violations"),
+    ),
+    (("report", "cost-model"), r"  4 worker\(s\): \d+\.\d\ds for 9591 primes"),
+    (("report", "analytic"), re.escape("K(-2) = 1 (removable, exactly 1)")),
+    (("report", "primes"), re.escape("P(13): none (exhaustive)")),
+    (
+        ("primeseq", "s", "--n-max", "50"),
+        re.escape("s_n for 2 <= n <= 50: min 2, first values [2, 15, 33, 101, 141, 257]"),
+    ),
+    (
+        ("primeseq", "pi", "--n-max", "50"),
+        re.escape("  signs: 26 positive, 23 negative, 37 runs, longest +run 3, longest -run 2"),
+    ),
+    (
+        ("primeseq", "good", "--n-max", "7"),
+        re.escape("good primes with index <= 7 (* = vacuous): p_1=2* p_3=5 p_5=11 p_7=17"),
+    ),
+    (("analytic", "slavic"), re.escape("K(0.5) closed form  = 0.562186545899")),
+]
+
+
+@pytest.mark.parametrize(("argv", "line"), SMOKE, ids=["-".join(a[:2]) for a, _line in SMOKE])
+def test_cli_command_smoke(capsys, argv, line):
+    assert run_cli(*argv) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert any(re.fullmatch(line, got) for got in out), out
 
 
 def test_cli_misc_commands_smoke(capsys, tmp_path):

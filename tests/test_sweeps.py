@@ -26,9 +26,10 @@ from leftfact import (
     sweeps,
 )
 from leftfact.primes import build_sieve
-from leftfact.sweeps import SPAN_PRIMES, _kernel_task, _reciprocal, _reducer
+from leftfact.sweeps import KERNEL_METHOD, SPAN_PRIMES, _kernel_task, _reciprocal, _reducer
 
 SIEVE = build_sieve(20000)
+# the stepper's recurrences, each an oracle for the kernel's one
 METHODS = ("forward_v", "forward_t", "backward_s")
 
 
@@ -39,17 +40,24 @@ def primes_between(lo, hi):
 
 def test_batch_residues_matches_direct():
     primes = primes_between(3, 2000)
-    for method in ("forward_v", "forward_t", "backward_s"):
-        residues = batch_residues(primes, method)
-        for p, r in zip(primes.tolist(), residues.tolist()):
-            assert r == residue_direct(p, p).residue, (method, p)
+    residues = batch_residues(primes)
+    for p, r in zip(primes.tolist(), residues.tolist()):
+        assert r == residue_direct(p, p).residue, p
+
+
+# the stepper's residues for every odd prime <= 2*10^4, per recurrence; a
+# prime's residue does not depend on the other primes of its call, so any
+# piece's oracle is a slice of these
+ALL_PRIMES = primes_between(3, 20000)
+STEPPED = {method: stepped_residues(ALL_PRIMES, method) for method in METHODS}
 
 
 def test_batch_residues_methods_agree_on_larger_block():
-    primes = primes_between(3, 20000)
-    base = batch_residues(primes, "forward_v")
-    assert np.array_equal(base, batch_residues(primes, "forward_t"))
-    assert np.array_equal(base, batch_residues(primes, "backward_s"))
+    # the kernel, one span over every odd prime <= 2*10^4, against the
+    # stepper's three recurrences
+    got = batch_residues(ALL_PRIMES)
+    for method in METHODS:
+        assert np.array_equal(got, STEPPED[method]), method
 
 
 def test_batch_residues_matches_stepper_to_1e5_in_chunks():
@@ -63,18 +71,11 @@ def test_batch_residues_matches_stepper_to_1e5_in_chunks():
 
 @pytest.mark.parametrize("method", ["forward_t", "backward_s"])
 def test_batch_residues_matches_stepper_to_2e4(method):
-    primes = primes_between(3, 20000)
-    for s in range(0, primes.size, CHUNK_PRIMES):
-        chunk = primes[s : s + CHUNK_PRIMES]
-        want = stepped_residues(chunk, method)
-        assert np.array_equal(batch_residues(chunk, method), want), chunk[0]
-
-
-# the stepper's residues for every odd prime <= 2*10^4, per method; a
-# prime's residue does not depend on the other primes of its call, so any
-# piece's oracle is a slice of these
-ALL_PRIMES = primes_between(3, 20000)
-STEPPED = {method: stepped_residues(ALL_PRIMES, method) for method in METHODS}
+    # chunk by chunk, each folding its own prefix, against the stepper's
+    # other two recurrences
+    for s in range(0, ALL_PRIMES.size, CHUNK_PRIMES):
+        chunk = ALL_PRIMES[s : s + CHUNK_PRIMES]
+        assert np.array_equal(batch_residues(chunk), STEPPED[method][s : s + CHUNK_PRIMES]), s
 
 
 @settings(max_examples=15, deadline=None)
@@ -87,36 +88,39 @@ STEPPED = {method: stepped_residues(ALL_PRIMES, method) for method in METHODS}
 def test_batch_residues_matches_stepper_on_any_cut(cuts):
     bounds = sorted({0, *cuts, ALL_PRIMES.size})
     for lo, hi in zip(bounds, bounds[1:]):
-        for method in METHODS:
-            got = batch_residues(ALL_PRIMES[lo:hi], method)
-            assert np.array_equal(got, STEPPED[method][lo:hi]), (method, lo, hi)
+        # against the backward recurrence, the stepper's code furthest from
+        # the kernel's
+        got = batch_residues(ALL_PRIMES[lo:hi])
+        assert np.array_equal(got, STEPPED["backward_s"][lo:hi]), (lo, hi)
 
 
-# the three test_fold_memo_* names below come from the prefix-fold memo that
-# the span kernel replaced; what they check still holds without it
+# The three test_fold_memo_* names below come from the prefix-fold memo that
+# the span kernel replaced; what they check still holds without it. These
+# five tests take the kernel's recurrence as a parameter, which names their
+# ids and picks the stepper's residues they are checked against.
+KERNEL = pytest.mark.parametrize("method", [KERNEL_METHOD])
 
 
-@pytest.mark.parametrize("method", METHODS)
+@KERNEL
 def test_fold_memo_chunks_out_of_order(method):
     # a pool worker may take a high span before the ones below it; no state
     # passes from one kernel call to the next
     for lo in (2 * CHUNK_PRIMES, 0, CHUNK_PRIMES):
         hi = lo + CHUNK_PRIMES
-        got = batch_residues(ALL_PRIMES[lo:hi], method)
+        got = batch_residues(ALL_PRIMES[lo:hi])
         assert np.array_equal(got, STEPPED[method][lo:hi]), lo
 
 
-@pytest.mark.parametrize("method", METHODS)
+@KERNEL
 def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
     # the modulus of two primes is narrower than one block of its prefix,
     # so every reduction of the prefix fold leaves Barrett's range
     lo = ALL_PRIMES.size - 2
     span = ALL_PRIMES[lo:]
     modulus = int(span[0]) * int(span[1])
-    compose = sweeps._compose_backward if method == "backward_s" else sweeps._compose_forward
-    block = sweeps._blocks(method, compose, 2, int(span[0]), 0)[-2]
+    block = sweeps._blocks(2, int(span[0]), 0)[-2]
     assert sweeps._bits(block) >= 2 * modulus.bit_length()
-    assert np.array_equal(batch_residues(span, method), STEPPED[method][lo:])
+    assert np.array_equal(batch_residues(span), STEPPED[method][lo:])
 
 
 @pytest.fixture
@@ -125,58 +129,57 @@ def recorded_blocks(monkeypatch):
     built = []
     exact_map = sweeps._exact_map
 
-    def recording(method, compose, lo, hi):
+    def recording(lo, hi):
         built.append((lo, hi))
-        return exact_map(method, compose, lo, hi)
+        return exact_map(lo, hi)
 
     monkeypatch.setattr(sweeps, "_exact_map", recording)
     return built
 
 
-@pytest.mark.parametrize("method", METHODS)
+@KERNEL
 def test_fold_memo_cold_and_warm_agree(method, recorded_blocks):
     # nothing is kept between calls: a second call on the same span folds
     # its prefix afresh, in the same blocks, to the same residues
     lo = 2 * CHUNK_PRIMES
     span = ALL_PRIMES[lo : lo + CHUNK_PRIMES]
     want = STEPPED[method][lo : lo + CHUNK_PRIMES]
-    assert np.array_equal(batch_residues(span, method), want)
+    assert np.array_equal(batch_residues(span), want)
     cold = list(recorded_blocks)
     recorded_blocks.clear()
-    assert np.array_equal(batch_residues(span, method), want)
+    assert np.array_equal(batch_residues(span), want)
     assert recorded_blocks == cold and any(b <= int(span[0]) for _a, b in cold)
 
 
-@pytest.mark.parametrize("method", METHODS)
+@KERNEL
 def test_prefix_fold_builds_blocks_of_the_root_modulus(method, recorded_blocks):
     # a span that does not start at 3 folds the steps below it once, in
     # consecutive blocks each narrower than the span's modulus
     lo = 2 * CHUNK_PRIMES
     span = ALL_PRIMES[lo : lo + CHUNK_PRIMES]
-    assert np.array_equal(batch_residues(span, method), STEPPED[method][lo : lo + CHUNK_PRIMES])
-    first = 1 if method == "backward_s" else 2
-    end = int(span[0]) - (method == "backward_s")
+    assert np.array_equal(batch_residues(span), STEPPED[method][lo : lo + CHUNK_PRIMES])
+    end = int(span[0])
     prefix = [(a, b) for a, b in recorded_blocks if b <= end]
-    assert prefix[0][0] == first and prefix[-1][1] == end
+    assert prefix[0][0] == 2 and prefix[-1][1] == end
     assert all(b == c for (_a, b), (c, _d) in zip(prefix, prefix[1:]))
     modulus_bits = math.prod(span.tolist()).bit_length()
     width = prefix[0][1] - prefix[0][0]
     assert 1 < len(prefix) and width * end.bit_length() < modulus_bits
 
 
-@pytest.mark.parametrize("method", METHODS)
+@KERNEL
 def test_gaps_are_applied_in_blocks_narrower_than_their_modulus(method, monkeypatch):
     # a gap about ln(p) times wider than the modulus it meets is never built
     # whole: it arrives in blocks that keep each product in Barrett's range
     applied = []
     apply = sweeps._apply
 
-    def recording(state, blocks, modulus, compose):
+    def recording(state, blocks, modulus):
         applied.append((modulus.bit_length(), [sweeps._bits(b) for b in blocks]))
-        return apply(state, blocks, modulus, compose)
+        return apply(state, blocks, modulus)
 
     monkeypatch.setattr(sweeps, "_apply", recording)
-    assert np.array_equal(batch_residues(ALL_PRIMES, method), STEPPED[method])
+    assert np.array_equal(batch_residues(ALL_PRIMES), STEPPED[method])
     wide = [(m, sizes) for m, sizes in applied if m > 1000]
     assert wide and all(size < m - 32 for m, sizes in wide for size in sizes)
     # the root's left gap, met by the widest modulus but the root's own
@@ -226,9 +229,9 @@ def test_kh_sweep_calls_the_kernel_once_per_span(monkeypatch):
     calls = []
     kernel = sweeps.batch_residues
 
-    def counting(span, method):
+    def counting(span):
         calls.append(span.size)
-        return kernel(span, method)
+        return kernel(span)
 
     monkeypatch.setattr(sweeps, "batch_residues", counting)
     sink = MemorySink()
@@ -260,11 +263,9 @@ prime_sets = st.lists(st.sampled_from(ODD_PRIMES), min_size=1, max_size=8, uniqu
 @example(primes=[3, 5, 7, 11, 13])
 @example(primes=[3, 101, 7919])
 def test_batch_residues_matches_direct_on_any_prime_set(primes):
-    want = [residue_direct(p, p).residue for p in primes]
-    for method in METHODS:
-        got = batch_residues(np.array(primes, dtype=np.int64), method)
-        assert got.dtype == np.int64
-        assert got.tolist() == want, method
+    got = batch_residues(np.array(primes, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [residue_direct(p, p).residue for p in primes]
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,8 +291,6 @@ def test_reciprocal_is_exact(bits, seed):
 
 
 def test_batch_residues_validation():
-    with pytest.raises(ValueError):
-        batch_residues(primes_between(3, 100), "sideways")
     with pytest.raises(ValueError):
         batch_residues(np.array([2, 3, 5], dtype=np.int64))
     with pytest.raises(ValueError):
@@ -330,11 +329,11 @@ def test_kh_sweep_worker_count_does_not_change_records():
     assert serial == pooled
 
 
-def _slow_past_the_first_chunk(chunk, method):
+def _slow_past_the_first_chunk(chunk):
     # the kernel on a window whose chunks each take minutes, bar the first
     if int(chunk[0]) > 3:
         time.sleep(120)
-    return _kernel_task(chunk, method)
+    return _kernel_task(chunk)
 
 
 def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
@@ -377,6 +376,16 @@ def test_kh_sweep_resumes_from_frontier():
     # the ten unacknowledged chunk-2 records are re-emitted, none skipped
     assert resumed[0] == full[CHUNK_PRIMES]
     assert seen[:CHUNK_PRIMES] + resumed == full
+
+
+def test_kh_sweep_resumes_from_a_frontier_inside_a_chunk():
+    # a hand-set frontier need not end a chunk: the sweep starts at the next
+    # prime, and chunks are cut from there
+    full = [(r.prime, r.residue) for r in kh_sweep((3, 20000), sieve=SIEVE)]
+    sink = MemorySink(frontier=full[CHUNK_PRIMES + 9][0])
+    resumed = [(r.prime, r.residue) for r in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE)]
+    assert resumed == full[CHUNK_PRIMES + 10 :]
+    assert sink.advances == -(-len(resumed) // CHUNK_PRIMES)
 
 
 def test_kh_sweep_finished_range_yields_nothing():
