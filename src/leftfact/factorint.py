@@ -10,10 +10,13 @@ algorithm", BIT 20, 1980). Such a cofactor, if composite, has a prime
 factor below 1.9*10^12, so rho needs about 1.7*10^6 steps in expectation
 at worst.
 
-From PSI_13 up, and for every factorize call with a limit, the work is
-delegated to sympy.factorint and sympy.isprime (BPSW). sympy is imported
-inside the functions, not here, so that commands which never go past the
-bound (the kh sweep above all) do not pay for importing it.
+A cofactor from PSI_13 up that fails the same test is composite, and rho
+gets _RHO_BUDGET steps to split it; what rho leaves unsplit there, and a
+cofactor that passes the test, go to sympy.factorint. is_probable_prime
+from PSI_13 up, and every factorize call with a limit, go to sympy.isprime
+(BPSW) and sympy.factorint as they are. sympy is imported inside the
+functions, not here, so that commands which never go past the bound (the
+kh sweep above all) do not pay for importing it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ __all__ = ["PSI_13", "Factorization", "factorize", "is_probable_prime"]
 # the least strong pseudoprime to the first 13 prime bases
 PSI_13 = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# rho steps spent on a composite from PSI_13 up before sympy takes it over;
+# enough for a prime factor up to about 10^6 (49297 in K(26))
+_RHO_BUDGET = 1 << 12
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -62,15 +68,20 @@ def is_probable_prime(n: int) -> bool:
     return sympy.isprime(n)
 
 
-def _brent_divisor(n: int) -> int:
+def _brent_divisor(n: int, budget: int | None = None) -> int | None:
     """A proper divisor of the odd composite n, by Brent's variant of
     Pollard's rho: x -> x^2 + c, with the differences multiplied together
     and one gcd taken per 128 of them. A batch that overshoots to n is
     replayed step by step, and a c whose cycles mod every factor coincide
-    is replaced by the next."""
+    is replaced by the next. With a budget, None once a round would take
+    the steps past it."""
+    steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if budget is not None and steps > budget:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -93,9 +104,11 @@ def _brent_divisor(n: int) -> int:
     raise AssertionError(f"rho found no divisor of {n}")  # unreachable for composite n
 
 
-def _factor_below_bound(v: int) -> dict[int, int]:
-    """{prime: exponent} of 2 <= v < PSI_13, every prime proven by
-    is_probable_prime."""
+def _factor_complete(v: int) -> dict[int, int]:
+    """{prime: exponent} of v >= 2. Cofactors below PSI_13 are split here,
+    every prime proven by is_probable_prime; sympy.factorint gets only the
+    cofactors from PSI_13 up that pass the 13-base test or that rho does
+    not split within _RHO_BUDGET steps."""
     out: dict[int, int] = {}
     for p in _MR_BASES:
         while v % p == 0:
@@ -105,11 +118,21 @@ def _factor_below_bound(v: int) -> dict[int, int]:
     while pending:
         n = pending.pop()
         # no factor up to 41 is left, so n below 43^2 is prime
-        if n < 43 * 43 or _strong_probable_prime(n):
+        if n < 43 * 43 or (n < PSI_13 and _strong_probable_prime(n)):
             out[n] = out.get(n, 0) + 1
-        else:
+            continue
+        d = None
+        if n < PSI_13:
             d = _brent_divisor(n)
+        elif not _strong_probable_prime(n):
+            d = _brent_divisor(n, _RHO_BUDGET)
+        if d is not None:
             pending += [d, n // d]
+            continue
+        import sympy
+
+        for p, e in sympy.factorint(n).items():
+            out[int(p)] = out.get(int(p), 0) + int(e)
     return out
 
 
@@ -149,12 +172,12 @@ class Factorization:
 def factorize(v: int, limit: int | None = None) -> Factorization:
     """Factor v >= 2.
 
-    With limit=None (the default) the factorization is complete: below
-    PSI_13 by trial division and Brent's rho, from there by
-    sympy.factorint. A limit >= 1 always goes to sympy.factorint, which then
-    bounds its trial division and its rho and p-1 steps; whatever sympy
-    leaves unsplit (the keys that fail sympy.isprime) is multiplied into
-    composite_remainder.
+    With limit=None (the default) the factorization is complete: by trial
+    division and Brent's rho, with sympy.factorint for what they leave from
+    PSI_13 up (_factor_complete). A limit >= 1 always goes to
+    sympy.factorint, which then bounds its trial division and its rho and
+    p-1 steps; whatever sympy leaves unsplit (the keys that fail
+    sympy.isprime) is multiplied into composite_remainder.
     """
     if v < 2:
         raise ValueError(f"factorize requires v >= 2, got {v}")
@@ -163,8 +186,8 @@ def factorize(v: int, limit: int | None = None) -> Factorization:
         raise ValueError(f"limit must be >= 1 or None, got {limit}")
     factors: list[tuple[int, int]] = []
     remainder: int | None = None
-    if limit is None and v < PSI_13:
-        factors = sorted(_factor_below_bound(v).items())
+    if limit is None:
+        factors = sorted(_factor_complete(v).items())
     else:
         import sympy
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .factorint import is_probable_prime
+
 __all__ = [
     "PrimeSieve",
     "build_sieve",
@@ -30,16 +32,15 @@ _SEGMENT = 1 << 20
 
 
 class PrimeSieve:
-    """Exact, immutable sieve: membership bitmap plus the ordered prime list.
+    """Exact, immutable sieve over [0, limit]: the ascending array of its
+    primes, 8 bytes per prime, which membership queries search by bisection.
 
     Construction is segmented, so the working set stays one segment plus
-    the output arrays; a limit around 10^9 is feasible in memory (the
-    bitmap is limit/8 bytes, the prime list 8 bytes per prime).
+    the prime array; a limit around 10^9 takes about 400 MB.
     """
 
-    def __init__(self, limit: int, bits: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
-        self._bits = bits
         self._primes = primes
 
     @property
@@ -53,7 +54,7 @@ class PrimeSieve:
     def is_prime(self, v: int) -> bool:
         if v < 0 or v > self.limit:
             raise ValueError(f"{v} outside sieve range [0, {self.limit}]")
-        return bool(self._bits[v >> 3] & (1 << (v & 7)))
+        return bool(self.membership(v))
 
     def prime_at(self, n: int) -> int:
         """p_n with p_1 = 2."""
@@ -71,7 +72,9 @@ class PrimeSieve:
         v = np.asarray(values)
         if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
             raise ValueError("values outside sieve range")
-        return (self._bits[v >> 3] & (1 << (v & 7)).astype(np.uint8)) != 0
+        # a value above the largest prime searches to the end and is
+        # compared with that prime, which it exceeds
+        return self._primes.take(np.searchsorted(self._primes, v), mode="clip") == v
 
 
 def build_sieve(limit: int) -> PrimeSieve:
@@ -86,7 +89,6 @@ def build_sieve(limit: int) -> PrimeSieve:
             base[p * p :: p] = False
     base_primes = np.flatnonzero(base)
 
-    bits = np.zeros((limit >> 3) + 1, dtype=np.uint8)
     chunks: list[np.ndarray] = []
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
@@ -99,10 +101,8 @@ def build_sieve(limit: int) -> PrimeSieve:
             if start >= hi:
                 continue
             seg[start - lo :: p] = False
-        idx = np.flatnonzero(seg) + lo
-        chunks.append(idx.astype(np.int64))
-        np.bitwise_or.at(bits, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
-    return PrimeSieve(limit=limit, bits=bits, primes=np.concatenate(chunks))
+        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
+    return PrimeSieve(limit=limit, primes=np.concatenate(chunks))
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +127,7 @@ class TripletReport:
             assert self.exhaustive and set(self.members) <= {2 * self.n + 3}
 
 
-def p_set(n: int, x_bound: int = 100_000, sieve: PrimeSieve | None = None) -> TripletReport:
+def p_set(n: int, x_bound: int = 100_000) -> TripletReport:
     """Members of P(n): centers x of prime 3-progressions with gap 2n.
 
     n ≢ 0 (mod 3): checks the forced candidate 2n+3 only (exhaustive).
@@ -140,12 +140,7 @@ def p_set(n: int, x_bound: int = 100_000, sieve: PrimeSieve | None = None) -> Tr
     case = n % 3
     if case != 0:
         x = 2 * n + 3
-        if sieve is not None and sieve.limit >= x + 2 * n:
-            good = sieve.is_prime(x) and sieve.is_prime(x + 2 * n)
-        else:
-            from .factorint import is_probable_prime
-
-            good = is_probable_prime(x) and is_probable_prime(x + 2 * n)
+        good = is_probable_prime(x) and is_probable_prime(x + 2 * n)
         return TripletReport(
             n=n,
             members=(x,) if good else (),
@@ -154,8 +149,7 @@ def p_set(n: int, x_bound: int = 100_000, sieve: PrimeSieve | None = None) -> Tr
             exhaustive=True,
             x_bound=None,
         )
-    if sieve is None or sieve.limit < x_bound + 2 * n:
-        sieve = build_sieve(x_bound + 2 * n)
+    sieve = build_sieve(x_bound + 2 * n)
     xs = sieve.primes_up_to(x_bound)
     xs = xs[xs > 2 * n]
     hits = xs[sieve.membership(xs - 2 * n) & sieve.membership(xs + 2 * n)]
@@ -169,9 +163,7 @@ def p_set(n: int, x_bound: int = 100_000, sieve: PrimeSieve | None = None) -> Tr
     )
 
 
-def count_pair_progressions(
-    m_bound: int, sieve: PrimeSieve | None = None
-) -> tuple[int, float]:
+def count_pair_progressions(m_bound: int) -> tuple[int, float]:
     """Count k in [0, m_bound] with 6k+5 and 12k+7 both prime, plus the
     ratio of that count to integral_2^m dx/(ln x)^2 (m = m_bound).
 
@@ -180,11 +172,7 @@ def count_pair_progressions(
     """
     if m_bound < 1:
         raise ValueError(f"count_pair_progressions requires m_bound >= 1, got {m_bound}")
-    need = 12 * m_bound + 7
-    if sieve is None:
-        sieve = build_sieve(need)
-    elif sieve.limit < need:
-        raise ValueError(f"sieve limit {sieve.limit} below required {need}")
+    sieve = build_sieve(12 * m_bound + 7)
     ks = np.arange(m_bound + 1, dtype=np.int64)
     count = int(np.count_nonzero(sieve.membership(6 * ks + 5) & sieve.membership(12 * ks + 7)))
     m = float(max(m_bound, 3))

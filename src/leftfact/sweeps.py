@@ -36,7 +36,7 @@ import numpy as np
 
 from .exact import gcd_pair, iter_left_factorials
 from .modular import VerificationRecord, residue_direct
-from .primes import PrimeSieve, build_sieve
+from .primes import build_sieve
 
 __all__ = [
     "MAX_SWEEP_PRIME",
@@ -432,8 +432,6 @@ def kh_sweep(
     prime_range: tuple[int, int],
     worker_count: int = 1,
     checkpoint_sink: CheckpointSink | None = None,
-    *,
-    sieve: PrimeSieve | None = None,
 ) -> Iterator[VerificationRecord]:
     """Verify p ∤ !p for every odd prime in [lo, hi], streaming records.
 
@@ -458,10 +456,8 @@ def kh_sweep(
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     if hi < lo:
         return
-    if sieve is None:
-        sieve = build_sieve(hi)
     frontier = checkpoint_sink.frontier if checkpoint_sink is not None else None
-    primes = sieve.primes_up_to(hi)
+    primes = build_sieve(hi).primes
     # the primes not recorded yet; a checkpoint's frontier is the last prime
     # of a chunk, so the chunks cut from here are the whole range's
     start = lo if frontier is None else max(lo, frontier + 1)
@@ -515,9 +511,7 @@ def kh_sweep(
             pool.shutdown()
 
 
-def kh2_scan(
-    p_range: tuple[int, int], n_bound: int, sieve: PrimeSieve | None = None
-) -> list[tuple[int, int]]:
+def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
     """All (p, n) with p in the range, n <= n_bound, and p^2 | !n.
 
     Odd primes run the mod-p^2 accumulation over every n up to n_bound
@@ -536,9 +530,7 @@ def kh2_scan(
             if residue_direct(n, 4).residue == 0:
                 hits.append((2, n))
     if hi >= 3:
-        if sieve is None:
-            sieve = build_sieve(hi)
-        for p in sieve.primes_up_to(hi).tolist():
+        for p in build_sieve(hi).primes.tolist():
             if p < max(lo, 3):
                 continue
             m = p * p
@@ -558,22 +550,20 @@ def a_set_scan(r: int, n_bound: int, primes_only: bool = False) -> list[int]:
 
     primes_only restricts to odd primes (n > 2), the conjectural domain,
     where r = 0 membership would be a divisibility violation. The full scan
-    keeps the whole interval, including the trivial 2 ∈ A(0).
+    keeps the whole interval, including the trivial 2 ∈ A(0). The odd
+    primes take rest(!p, p) from kh_sweep, the other n from residue_direct.
     """
     if r < 0:
         raise ValueError(f"a_set_scan requires r >= 0, got {r}")
     if n_bound < r + 1:
         raise ValueError(f"n_bound must be at least r+1 = {r + 1}, got {n_bound}")
-    members = []
-    if primes_only:
-        sieve = build_sieve(max(n_bound, 3))
-        candidates = [int(p) for p in sieve.primes_up_to(n_bound) if p > max(r, 2)]
-    else:
-        candidates = list(range(max(r + 1, 2), n_bound + 1))
-    for n in candidates:
-        if residue_direct(n, n).residue == r % n:
-            members.append(n)
-    return members
+    residues = {rec.prime: rec.residue for rec in kh_sweep((max(r + 1, 3), n_bound))}
+    candidates = residues if primes_only else range(max(r + 1, 2), n_bound + 1)
+    return [
+        n
+        for n in candidates
+        if (residues[n] if n in residues else residue_direct(n, n).residue) == r % n
+    ]
 
 
 def h4_witness_search(n_bound: int, s_bound: int) -> list[tuple[int, int, int]]:
@@ -595,7 +585,7 @@ def h4_witness_search(n_bound: int, s_bound: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def residue_summatory(x: int, sieve: PrimeSieve | None = None) -> tuple[int, float]:
+def residue_summatory(x: int) -> tuple[int, float]:
     """(sum of rest(!p, p) over odd primes p <= x, that sum / (x^2/ln x)).
 
     The ratio is published as an empirical observation; whether it tends to
@@ -603,5 +593,5 @@ def residue_summatory(x: int, sieve: PrimeSieve | None = None) -> tuple[int, flo
     """
     if x < 3:
         raise ValueError(f"residue_summatory requires x >= 3, got {x}")
-    total = sum(record.residue for record in kh_sweep((3, x), sieve=sieve))
+    total = sum(record.residue for record in kh_sweep((3, x)))
     return total, total / (x * x / math.log(x))

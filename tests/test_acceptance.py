@@ -359,8 +359,8 @@ def test_criterion_09_prime_problem_suite():
     t0 = time.monotonic()
     sieve = build_sieve(1_400_000)
 
-    p1 = p_set(1, sieve=sieve)
-    p13 = p_set(13, sieve=sieve)
+    p1 = p_set(1)
+    p13 = p_set(13)
     psets_ok = p1.members == (5,) and p1.exhaustive and p13.members == () and p13.exhaustive
 
     p = sieve.primes
@@ -398,11 +398,10 @@ def test_criterion_10_cost_model_and_scaling():
     ratio = cost_model(10**5, k=2).ratio_a
     ratio_off = abs(ratio / 4.0 - 1.0)
 
-    sieve = build_sieve(10**5)
     walls = {}
     for workers in (1, 4):
         w0 = time.monotonic()
-        for _ in kh_sweep((3, 10**5), worker_count=workers, sieve=sieve):
+        for _ in kh_sweep((3, 10**5), worker_count=workers):
             pass
         walls[workers] = time.monotonic() - w0
     speedup = walls[1] / walls[4]

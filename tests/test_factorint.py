@@ -203,6 +203,25 @@ def test_psi_13_goes_to_sympy(monkeypatch):
     assert calls == []
 
 
+def test_above_psi_13_rho_splits_before_sympy(monkeypatch):
+    import sympy
+
+    seen = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda n, **k: seen.append(n) or factorint(n, **k))
+    # K(26): rho splits off 49297 and leaves a cofactor below PSI_13
+    assert factorize(left_factorial(26)).factors == (
+        (2, 1), (49297, 1), (1348619023, 1), (121525196147, 1)
+    )
+    assert seen == []
+    # rho splits off 10007 within its budget but not the two primes near
+    # 2^42, so sympy gets their product and nothing else
+    p, q = int(sympy.prevprime(2**42)), int(sympy.nextprime(2**42))
+    assert p * q >= PSI_13
+    assert factorize(10007 * p * q).factors == ((10007, 1), (p, 1), (q, 1))
+    assert seen == [p * q]
+
+
 def test_residue_direct_never_imports_sympy():
     code = (
         "import sys\n"

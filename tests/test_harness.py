@@ -756,6 +756,26 @@ def test_cli_kh_never_imports_sympy():
     assert proc.stderr.splitlines()[-1] == f"exit {EXIT_OK} sympy False", proc.stderr
 
 
+def test_cli_factor_26_never_imports_sympy():
+    # K(26)'s cofactor after 2 is above PSI_13; one short rho step splits off
+    # 49297 and leaves the rest below it
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['leftfact', 'factor', '26']\n"
+        "try:\n"
+        "    runpy.run_module('leftfact', run_name='__main__')\n"
+        "finally:\n"
+        "    print('sympy', 'sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "!26 = 2 * 49297 * 1348619023 * 121525196147" in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "sympy False", proc.stderr
+
+
 def test_cli_report_topics_smoke(capsys):
     assert run_cli("report", "identities") == EXIT_OK
     out = capsys.readouterr().out

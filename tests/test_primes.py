@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftfact import (
     build_sieve,
@@ -55,23 +60,90 @@ def test_sieve_membership_vectorized():
     assert got.tolist() == [False, False, True, True, False, True, False, True]
 
 
+# a sieve over three whole 2^20 segments and a few values of a fourth
+SEGMENT = 1 << 20
+WIDE = build_sieve(3 * SEGMENT + 5)
+
+
+def prime_by_trial(v: int) -> bool:
+    return v >= 2 and all(v % d for d in range(2, math.isqrt(v) + 1))
+
+
+def check_against_trial(values: list[int]) -> None:
+    want = [prime_by_trial(v) for v in values]
+    assert WIDE.membership(np.array(values, dtype=np.int64)).tolist() == want
+    assert [WIDE.is_prime(v) for v in values] == want
+    for x in values:
+        below = WIDE.primes_up_to(x)
+        if x < 2:
+            assert below.size == 0
+        else:
+            # the largest prime <= x ends the prefix
+            assert int(below[-1]) == next(v for v in range(x, 1, -1) if prime_by_trial(v))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(min_value=0, max_value=3 * SEGMENT + 5), min_size=1, max_size=40))
+def test_array_sieve_matches_trial_division(values):
+    check_against_trial(values)
+
+
+def test_array_sieve_at_segment_edges():
+    edges = [k * SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    check_against_trial(edges + [0, 1, 2, 3, WIDE.limit])
+    for edge in edges:
+        window = range(edge - 300, edge + 5)
+        inside = [v for v in window if prime_by_trial(v)]
+        got = WIDE.primes_up_to(edge + 4)
+        assert got[-len(inside) :].tolist() == inside
+        assert int(got[-len(inside) - 1]) < edge - 300
+
+
+def test_array_sieve_range_errors():
+    for v in (-1, WIDE.limit + 1):
+        with pytest.raises(ValueError):
+            WIDE.is_prime(v)
+        with pytest.raises(ValueError):
+            WIDE.membership(np.array([5, v]))
+    with pytest.raises(ValueError):
+        WIDE.primes_up_to(WIDE.limit + 1)
+    assert WIDE.membership(np.array([], dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "limit, count, digest",
+    [
+        (2, 1, "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4"),
+        (3, 2, "fe6d3d3bb5dd778af1128cc7b2b33668d51b9a52dfc8f2342be37ddc06a0072d"),
+        (1 << 20, 82025, "7f38ca3bca3d3b8448b19b977e1b4f7985d5446991c6bcf4648ed85eb9723f3b"),
+        ((1 << 20) + 1, 82025, "7f38ca3bca3d3b8448b19b977e1b4f7985d5446991c6bcf4648ed85eb9723f3b"),
+        (10**6, 78498, "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40"),
+    ],
+)
+def test_sieve_primes_match_pinned_arrays(limit, count, digest):
+    # sha256 of the little-endian int64 prime arrays the bitmap sieve built
+    primes = build_sieve(limit).primes
+    assert primes.dtype == np.int64 and primes.size == count
+    assert hashlib.sha256(primes.astype("<i8").tobytes()).hexdigest() == digest
+
+
 def test_p_set_forced_candidate_cases():
     # n not divisible by 3: the only possible member is 2n+3
-    r1 = p_set(1, sieve=SIEVE)
+    r1 = p_set(1)
     assert r1.members == (5,)
     assert r1.exhaustive
     assert r1.forced_candidate == 5
-    r13 = p_set(13, sieve=SIEVE)
+    r13 = p_set(13)
     assert r13.members == ()
     assert r13.exhaustive
-    r4 = p_set(4, sieve=SIEVE)
+    r4 = p_set(4)
     assert r4.members == (11,)
     # 2n+3 = 41 prime and 41+38=79 prime: P(19) = {41}
-    assert p_set(19, sieve=SIEVE).members == (41,)
+    assert p_set(19).members == (41,)
 
 
 def test_p_set_searched_case_multiple_of_three():
-    r = p_set(3, x_bound=1000, sieve=SIEVE)
+    r = p_set(3, x_bound=1000)
     assert not r.exhaustive
     assert r.x_bound == 1000
     assert 11 in r.members and 13 in r.members
@@ -103,7 +175,7 @@ def test_p_set_union_grows_with_search_bound():
     for bound in (25_000, 50_000, 100_000):
         nonempty = 0
         for n in range(1, 301):
-            if p_set(n, x_bound=bound, sieve=SIEVE).members:
+            if p_set(n, x_bound=bound).members:
                 nonempty += 1
         counts.append(nonempty)
     assert counts[0] <= counts[1] <= counts[2]
@@ -117,13 +189,11 @@ def test_count_pair_progressions_base():
     assert ratio > 0
     with pytest.raises(ValueError):
         count_pair_progressions(0)
-    with pytest.raises(ValueError):
-        count_pair_progressions(100, sieve=build_sieve(100))
 
 
 def test_count_pair_progressions_monotone():
-    c1, _ = count_pair_progressions(100, sieve=SIEVE)
-    c2, _ = count_pair_progressions(1000, sieve=SIEVE)
+    c1, _ = count_pair_progressions(100)
+    c2, _ = count_pair_progressions(1000)
     assert c1 <= c2
     k = np.arange(1001)
     expected = int(

@@ -303,7 +303,7 @@ def test_batch_residues_validation():
 
 
 def test_kh_sweep_streams_every_prime_once():
-    records = list(kh_sweep((3, 10000), sieve=SIEVE))
+    records = list(kh_sweep((3, 10000)))
     primes = primes_between(3, 10000)
     assert [r.prime for r in records] == primes.tolist()
     assert all(not r.violates_kh for r in records)
@@ -311,7 +311,7 @@ def test_kh_sweep_streams_every_prime_once():
 
 
 def test_kh_sweep_empty_and_invalid_ranges():
-    assert list(kh_sweep((5000, 4999), sieve=SIEVE)) == []
+    assert list(kh_sweep((5000, 4999))) == []
     with pytest.raises(ValueError):
         list(kh_sweep((2, 100)))
     with pytest.raises(ValueError):
@@ -321,10 +321,10 @@ def test_kh_sweep_empty_and_invalid_ranges():
 
 
 def test_kh_sweep_worker_count_does_not_change_records():
-    serial = [(r.prime, r.residue, r.method) for r in kh_sweep((3, 9000), sieve=SIEVE)]
+    serial = [(r.prime, r.residue, r.method) for r in kh_sweep((3, 9000))]
     pooled = [
         (r.prime, r.residue, r.method)
-        for r in kh_sweep((3, 9000), worker_count=3, sieve=SIEVE)
+        for r in kh_sweep((3, 9000), worker_count=3)
     ]
     assert serial == pooled
 
@@ -338,7 +338,7 @@ def _slow_past_the_first_chunk(chunk):
 
 def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
     monkeypatch.setattr(sweeps, "_kernel_task", _slow_past_the_first_chunk)
-    stream = kh_sweep((3, 20000), worker_count=2, sieve=SIEVE)
+    stream = kh_sweep((3, 20000), worker_count=2)
     assert next(stream).prime == 3
     workers = multiprocessing.active_children()
     assert len(workers) == 2
@@ -353,7 +353,7 @@ def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
 
 def test_kh_sweep_advances_sink_per_chunk():
     sink = MemorySink()
-    records = list(kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE))
+    records = list(kh_sweep((3, 20000), checkpoint_sink=sink))
     n_primes = len(records)
     expected_chunks = -(-n_primes // CHUNK_PRIMES)
     assert sink.advances == expected_chunks
@@ -361,18 +361,18 @@ def test_kh_sweep_advances_sink_per_chunk():
 
 
 def test_kh_sweep_resumes_from_frontier():
-    full = [r.prime for r in kh_sweep((3, 20000), sieve=SIEVE)]
+    full = [r.prime for r in kh_sweep((3, 20000))]
     sink = MemorySink()
     seen = []
     # stop a little into chunk 2; the chunk-1 advance has already fired by
     # then (it runs when the record after the chunk boundary is pulled)
-    for record in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE):
+    for record in kh_sweep((3, 20000), checkpoint_sink=sink):
         seen.append(record.prime)
         if len(seen) == CHUNK_PRIMES + 10:
             break
     assert sink.advances == 1
     assert sink.frontier == full[CHUNK_PRIMES - 1]
-    resumed = [r.prime for r in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE)]
+    resumed = [r.prime for r in kh_sweep((3, 20000), checkpoint_sink=sink)]
     # the ten unacknowledged chunk-2 records are re-emitted, none skipped
     assert resumed[0] == full[CHUNK_PRIMES]
     assert seen[:CHUNK_PRIMES] + resumed == full
@@ -381,18 +381,18 @@ def test_kh_sweep_resumes_from_frontier():
 def test_kh_sweep_resumes_from_a_frontier_inside_a_chunk():
     # a hand-set frontier need not end a chunk: the sweep starts at the next
     # prime, and chunks are cut from there
-    full = [(r.prime, r.residue) for r in kh_sweep((3, 20000), sieve=SIEVE)]
+    full = [(r.prime, r.residue) for r in kh_sweep((3, 20000))]
     sink = MemorySink(frontier=full[CHUNK_PRIMES + 9][0])
-    resumed = [(r.prime, r.residue) for r in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE)]
+    resumed = [(r.prime, r.residue) for r in kh_sweep((3, 20000), checkpoint_sink=sink)]
     assert resumed == full[CHUNK_PRIMES + 10 :]
     assert sink.advances == -(-len(resumed) // CHUNK_PRIMES)
 
 
 def test_kh_sweep_finished_range_yields_nothing():
     sink = MemorySink()
-    for _ in kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE):
+    for _ in kh_sweep((3, 20000), checkpoint_sink=sink):
         pass
-    done = list(kh_sweep((3, 20000), checkpoint_sink=sink, sieve=SIEVE))
+    done = list(kh_sweep((3, 20000), checkpoint_sink=sink))
     assert done == []
 
 
@@ -425,6 +425,17 @@ def test_a_set_scan_membership():
 
 def test_a_set_scan_hit_467():
     assert a_set_scan(3, 500) == [467]
+
+
+def test_a_set_scan_matches_per_n_residues():
+    # the odd primes' residues come from kh_sweep; the reference takes every
+    # n's from residue_direct
+    rest = {n: residue_direct(n, n).residue for n in range(2, 3001)}
+    odd_primes = set(build_sieve(3000).primes.tolist()) - {2}
+    for r in (0, 1, 2, 3, 5):
+        want = [n for n in range(max(r + 1, 2), 3001) if rest[n] == r % n]
+        assert a_set_scan(r, 3000) == want, r
+        assert a_set_scan(r, 3000, primes_only=True) == [n for n in want if n in odd_primes], r
 
 
 def test_a_set_scan_validation():
