@@ -9,13 +9,11 @@ is a direct computation printed to stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import math
 import os
 import sys
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analytic import (
     PoleError,
@@ -43,6 +41,8 @@ from .harness import (
     CsvWriter,
     FileSink,
     LedgerWriter,
+    # kh writes whole chunks and calls no record_to_row; the name stays
+    # bound here because perfbench/tracer.py rebinds cli.record_to_row
     record_to_row,
 )
 from .modular import VARIANTS, cost_model, kh_equivalent_residue, residue_direct
@@ -56,7 +56,15 @@ from .primes import (
     sign_statistics,
     sum_inequality_scan,
 )
-from .sweeps import KERNEL_METHOD, a_set_scan, h4_witness_search, kh2_scan, kh_sweep
+from .sweeps import (
+    KERNEL_METHOD,
+    KhChunk,
+    a_set_scan,
+    h4_witness_search,
+    kh2_scan,
+    kh_chunks,
+    kh_sweep,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -151,6 +159,28 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     return EXIT_ANOMALY if bad else EXIT_OK
 
 
+def _inject_violation(chunk: KhChunk, prime: int) -> KhChunk:
+    """The chunk with prime's residue set to 0, if it holds prime."""
+    if prime not in chunk.primes:
+        return chunk
+    residues = list(chunk.residues)
+    residues[chunk.primes.index(prime)] = 0
+    return chunk._replace(residues=residues)
+
+
+def _first_records(chunks: Iterator[KhChunk], count: int) -> Iterator[KhChunk]:
+    """The chunks holding the first count records, the last one cut short
+    if it overruns. The chunk after them is never asked for, so the sweep
+    advances its checkpoint over the chunks before the last one taken and
+    no further, even when that one is whole."""
+    for chunk in chunks:
+        if len(chunk.primes) >= count:
+            yield chunk._replace(primes=chunk.primes[:count], residues=chunk.residues[:count])
+            return
+        count -= len(chunk.primes)
+        yield chunk
+
+
 def _cmd_kh(args: argparse.Namespace) -> int:
     if args.lo < 3 or args.hi < args.lo:
         print(f"kh: need 3 <= --from <= --to, got {args.lo}..{args.hi}", file=sys.stderr)
@@ -167,7 +197,9 @@ def _cmd_kh(args: argparse.Namespace) -> int:
         print(f"kh: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, CheckpointMismatch) else EXIT_RUNTIME
     frontier = sink.frontier if sink is not None else None
-    ledger = LedgerWriter(args.ledger, resume_frontier=frontier) if args.ledger else None
+    ledger = (
+        LedgerWriter(args.ledger, resume_frontier=frontier, complete=True) if args.ledger else None
+    )
     csv = CsvWriter(args.csv, resume_frontier=frontier) if args.csv else None
     if csv is not None and frontier is not None and not csv.last_kept.startswith(f"{frontier},"):
         # the sink keeps the csv on disk at or ahead of the frontier; a file
@@ -178,36 +210,33 @@ def _cmd_kh(args: argparse.Namespace) -> int:
             "the resumed table will be incomplete (the ledger is authoritative)",
             file=sys.stderr,
         )
+    writers = tuple(w for w in (ledger, csv) if w is not None)
     if sink is not None:
-        sink.writers = tuple(w for w in (ledger, csv) if w is not None)
+        sink.writers = writers
 
-    stream = kh_sweep((args.lo, args.hi), worker_count=args.workers, checkpoint_sink=sink)
-    # the testing aids are filters on the record stream
-    records = stream
+    sweep = kh_chunks((args.lo, args.hi), worker_count=args.workers, checkpoint_sink=sink)
+    # the testing aids are filters on the chunk stream
+    chunks: Iterator[KhChunk] = sweep
     if args.inject_violation is not None:
-        records = (
-            dataclasses.replace(rec, residue=0, violates_kh=True)
-            if rec.prime == args.inject_violation
-            else rec
-            for rec in records
-        )
+        chunks = (_inject_violation(chunk, args.inject_violation) for chunk in chunks)
     if args.halt_after is not None:
-        records = itertools.islice(records, args.halt_after)
+        chunks = _first_records(chunks, args.halt_after)
     emitted = 0
     t0 = time.monotonic()
     try:
-        for rec in records:
-            emitted += 1
-            counters["records"] += 1
-            counters["violations"] += int(rec.violates_kh)
-            if rec.violates_kh:
-                print(f"VIOLATION: {rec.prime} divides !{rec.prime}", file=sys.stderr)
-            if ledger is not None:
-                ledger.write_record(rec)
-            if csv is not None:
-                csv.write(record_to_row(rec))
+        for primes, residues, elapsed_ns in chunks:
+            emitted += len(primes)
+            violations = residues.count(0)
+            counters["records"] += len(primes)
+            counters["violations"] += violations
+            if violations:
+                for p, r in zip(primes, residues):
+                    if r == 0:
+                        print(f"VIOLATION: {p} divides !{p}", file=sys.stderr)
+            for writer in writers:
+                writer.write_chunk(primes, residues, elapsed_ns, KERNEL_METHOD)
     finally:
-        stream.close()
+        sweep.close()
         if csv is not None:
             csv.close()
     wall = time.monotonic() - t0

@@ -13,11 +13,12 @@ for every format; a format adds only its rule for which lines to keep.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterator, Sequence
 
 from .modular import VerificationRecord
 
@@ -150,16 +151,45 @@ def ensure_compatible(
         )
 
 
-def record_to_row(record: VerificationRecord) -> str:
-    return (
-        f"{record.prime},{record.residue},"
-        f"{str(record.violates_kh).lower()},{record.elapsed_ns},{record.method}"
+def _csv_rows(
+    primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
+) -> str:
+    """The CSV rows of records sharing elapsed_ns and method, each ending in
+    a newline; violates_kh is what VerificationRecord requires of it."""
+    tail = f",{elapsed_ns},{method}\n"
+    return "".join(
+        [f"{p},{r},{'false' if r or p < 3 else 'true'}{tail}" for p, r in zip(primes, residues)]
     )
+
+
+def _ledger_lines(
+    primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
+) -> str:
+    """The ledger lines of records sharing elapsed_ns and method: each is the
+    line json.dumps({"type": "record", **asdict(record)}, sort_keys=True)
+    gives, without building the dict, and a newline. The method is escaped
+    by the function json.dumps uses for a str."""
+    head = (
+        f'{{"elapsed_ns": {elapsed_ns}, '
+        f'"method": {json.encoder.encode_basestring_ascii(method)}, "prime": '
+    )
+    return "".join(
+        [
+            f'{head}{p}, "residue": {r}, "type": "record", '
+            f'"violates_kh": {"false" if r or p < 3 else "true"}}}\n'
+            for p, r in zip(primes, residues)
+        ]
+    )
+
+
+def record_to_row(record: VerificationRecord) -> str:
+    return _csv_rows((record.prime,), (record.residue,), record.elapsed_ns, record.method)[:-1]
 
 
 class RecordWriter:
     """A record file: opened fresh with its header, or cut back to a resume
-    frontier by its format's kept_lines rule; then appended to."""
+    frontier by its format's kept_lines rule; then appended to a chunk of
+    records at a time, formatted by its format's lines function."""
 
     header = ""
 
@@ -178,16 +208,16 @@ class RecordWriter:
         """Cut the file back to the lines kept_lines(file, frontier) yields
         from it (a missing file reads as empty), each ending in a newline,
         and make the cut durable: temp file, fsync, rename over, directory
-        fsync. When reading raises, the file stays as it was and the temp
-        file goes. last_kept is the last line kept."""
+        fsync. When reading raises, the file stays as it was (or absent) and
+        the temp file goes. last_kept is the last line kept."""
         tmp = f"{self.path}.tmp.{os.getpid()}"
         last = None
-        # "a+" creates a missing file, which the rename then replaces
-        with open(self.path, "a+", encoding="utf-8") as src, open(
-            tmp, "w", encoding="utf-8", newline="\n"
-        ) as fh:
+        try:
+            src: IO[str] = open(self.path, "r", encoding="utf-8")
+        except FileNotFoundError:
+            src = io.StringIO()
+        with src, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             try:
-                src.seek(0)
                 for last in self.kept_lines(src, frontier):
                     fh.write(last if last.endswith("\n") else last + "\n")
                 fh.flush()
@@ -199,8 +229,11 @@ class RecordWriter:
         _fsync_dir(self.path)
         self.last_kept = last
 
-    def write(self, line: str) -> None:
-        self._fh.write(line + "\n")
+    def write_chunk(
+        self, primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
+    ) -> None:
+        """Append the records of one sweep chunk (sweeps.KhChunk) with one write."""
+        self._fh.write(self.lines(primes, residues, elapsed_ns, method))
 
     def flush_fsync(self) -> None:
         self._fh.flush()
@@ -218,44 +251,62 @@ class LedgerWriter(RecordWriter):
     reader tells a partial ledger from a complete one.
     """
 
-    @staticmethod
-    def kept_lines(src: IO[str], frontier: int) -> Iterator[str]:
+    lines = staticmethod(_ledger_lines)
+
+    def __init__(
+        self, path: str, resume_frontier: int | None = None, *, complete: bool = False
+    ) -> None:
+        """complete: resume_frontier is a checkpoint's, the last prime of a
+        chunk whose records all reached the ledger before the checkpoint
+        did, so a ledger whose records stop short of it has lost some, and
+        resuming raises ValueError rather than cut it back."""
+        self.complete = complete
+        super().__init__(path, resume_frontier)
+
+    def kept_lines(self, src: IO[str], frontier: int) -> Iterator[str]:
         # every line is parsed, to find a torn tail or a stale summary, but a
         # kept line is copied as it was read; a line that parses but is no
-        # record object raises
-        for line in src:
+        # record object raises, and so does one that does not parse but has
+        # lines after it: a torn write is only ever the last line
+        last = None  # the prime of the last record kept
+        for number, line in enumerate(src, 1):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                return  # partial tail from an interrupted write
+                if next(src, None) is None:
+                    break  # partial tail from an interrupted write
+                raise ValueError(
+                    f"ledger {self.path}: line {number} is damaged and lines follow it, "
+                    f"so it is no torn tail; refusing to resume from frontier {frontier}"
+                ) from None
             if not isinstance(obj, dict):
                 raise ValueError(f"ledger line is not a JSON object: {line.rstrip()!r}")
             if obj.get("type") != "record":
                 continue  # stale summary from an older completed run
-            if int(obj.get("prime", -1)) > frontier:
-                return
+            prime = int(obj.get("prime", -1))
+            if prime > frontier:
+                break
+            last = prime
             yield line
+        if self.complete and (last is None or last < frontier):
+            held = "no record" if last is None else f"records only up to {last}"
+            raise ValueError(
+                f"ledger {self.path} has {held}, short of the checkpoint frontier "
+                f"{frontier}; refusing to resume"
+            )
 
     def write_record(self, record: VerificationRecord) -> None:
-        # the line json.dumps({"type": "record", **asdict(record)},
-        # sort_keys=True) gives, without building the dict; the method is
-        # escaped by the function json.dumps uses for a str
-        self._fh.write(
-            f'{{"elapsed_ns": {record.elapsed_ns:d}, '
-            f'"method": {json.encoder.encode_basestring_ascii(record.method)}, '
-            f'"prime": {record.prime:d}, "residue": {record.residue:d}, '
-            f'"type": "record", '
-            f'"violates_kh": {"true" if record.violates_kh else "false"}}}\n'
-        )
+        self.write_chunk((record.prime,), (record.residue,), record.elapsed_ns, record.method)
 
     def write_summary(self, **fields: Any) -> None:
         self._fh.write(json.dumps({"type": "summary", **fields}, sort_keys=True) + "\n")
 
 
 class CsvWriter(RecordWriter):
-    """The records as CSV rows (record_to_row) under CSV_HEADER."""
+    """The records as CSV rows (record_to_row's) under CSV_HEADER."""
 
     header = CSV_HEADER + "\n"
+    lines = staticmethod(_csv_rows)
 
     @staticmethod
     def kept_lines(src: IO[str], frontier: int) -> Iterator[str]:

@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "batch_residues",
     "CheckpointSink",
     "MemorySink",
+    "KhChunk",
+    "kh_chunks",
     "kh_sweep",
     "kh2_scan",
     "a_set_scan",
@@ -428,28 +430,39 @@ def _exit_with(sweep: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def kh_sweep(
+class KhChunk(NamedTuple):
+    """One chunk of a KH sweep: its primes in ascending order, rest(!p, p)
+    for each, and the kernel time per prime of the span it came from (the
+    span's kernel time floor-divided by its prime count)."""
+
+    primes: list[int]
+    residues: list[int]
+    elapsed_ns: int
+
+
+def kh_chunks(
     prime_range: tuple[int, int],
     worker_count: int = 1,
     checkpoint_sink: CheckpointSink | None = None,
-) -> Iterator[VerificationRecord]:
-    """Verify p ∤ !p for every odd prime in [lo, hi], streaming records.
+) -> Iterator[KhChunk]:
+    """Verify p ∤ !p for every odd prime in [lo, hi], streaming chunks.
 
-    Records come out in ascending prime order whatever the worker count;
+    Chunks come out in ascending prime order whatever the worker count;
     chunking is a pure function of the range, so two sweeps over the same
-    range are record-for-record identical (timing fields aside). The kernel
-    runs once per span (_spans), and a span's records come out chunk by
-    chunk once it is done; each carries the span's average kernel time. A
-    zero residue is flagged loudly on the log and in the record, and the
-    sweep carries on; a violation is a result, not an error. On resume the
-    sweep starts at the first prime above the sink's frontier, and the
-    spans are cut from the chunks above it; the sink is advanced after each
-    chunk's records. Closing the stream early, or an exception
-    in it, terminates the pool's workers rather than wait for their spans.
+    range are chunk-for-chunk identical (timing fields aside). The kernel
+    runs once per span (_spans), and a span's chunks come out once it is
+    done. A zero residue is flagged loudly on the log, and the sweep carries
+    on; a violation is a result, not an error. On resume the sweep starts at
+    the first prime above the sink's frontier, and the spans are cut from
+    the chunks above it; the sink is advanced to a chunk's last prime when
+    the chunk after it is asked for, so a consumer that stops inside a
+    chunk leaves the frontier before it. Closing the stream early, or an
+    exception in it, terminates the pool's workers rather than wait for
+    their spans.
     """
     lo, hi = prime_range
     if lo < 3:
-        raise ValueError(f"kh_sweep requires lo >= 3, got {lo}")
+        raise ValueError(f"a KH sweep requires lo >= 3, got {lo}")
     if hi > MAX_SWEEP_PRIME:
         raise ValueError(f"hi {hi} exceeds sweep bound {MAX_SWEEP_PRIME}")
     if worker_count < 1:
@@ -467,21 +480,6 @@ def kh_sweep(
     ends = [min(s + CHUNK_PRIMES, primes.size) - 1 for s in range(0, primes.size, CHUNK_PRIMES)]
     spans = _spans([int(primes[0])] + primes[ends].tolist(), worker_count)
 
-    def emit(
-        chunk: np.ndarray, residues: np.ndarray, per_prime_ns: int
-    ) -> Iterator[VerificationRecord]:
-        for p, r in zip(chunk.tolist(), residues.tolist()):
-            violation = r == 0
-            if violation:
-                log.warning("violation: prime %d divides its left factorial", p)
-            yield VerificationRecord(
-                prime=p,
-                residue=r,
-                violates_kh=violation,
-                elapsed_ns=per_prime_ns,
-                method=KERNEL_METHOD,
-            )
-
     pool = None
     if worker_count > 1 and len(spans) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -493,10 +491,18 @@ def kh_sweep(
         for span, (residues, elapsed) in zip(arrays, results):
             per_prime_ns = elapsed // span.size
             for s in range(0, span.size, CHUNK_PRIMES):
-                chunk = span[s : s + CHUNK_PRIMES]
-                yield from emit(chunk, residues[s : s + CHUNK_PRIMES], per_prime_ns)
+                chunk = KhChunk(
+                    span[s : s + CHUNK_PRIMES].tolist(),
+                    residues[s : s + CHUNK_PRIMES].tolist(),
+                    per_prime_ns,
+                )
+                if 0 in chunk.residues:
+                    for p, r in zip(chunk.primes, chunk.residues):
+                        if r == 0:
+                            log.warning("violation: prime %d divides its left factorial", p)
+                yield chunk
                 if checkpoint_sink is not None:
-                    checkpoint_sink.advance(int(chunk[-1]))
+                    checkpoint_sink.advance(chunk.primes[-1])
     except BaseException:
         if pool is not None:
             # closed early or failed: end the workers rather than wait for
@@ -509,6 +515,29 @@ def kh_sweep(
     finally:
         if pool is not None:
             pool.shutdown()
+
+
+def kh_sweep(
+    prime_range: tuple[int, int],
+    worker_count: int = 1,
+    checkpoint_sink: CheckpointSink | None = None,
+) -> Iterator[VerificationRecord]:
+    """kh_chunks as one VerificationRecord per prime, method KERNEL_METHOD
+    and the chunk's elapsed_ns; the sink advances and the stream closes as
+    kh_chunks's do."""
+    chunks = kh_chunks(prime_range, worker_count, checkpoint_sink)
+    try:
+        for primes, residues, elapsed_ns in chunks:
+            for p, r in zip(primes, residues):
+                yield VerificationRecord(
+                    prime=p,
+                    residue=r,
+                    violates_kh=r == 0,
+                    elapsed_ns=elapsed_ns,
+                    method=KERNEL_METHOD,
+                )
+    finally:
+        chunks.close()
 
 
 def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
@@ -551,13 +580,15 @@ def a_set_scan(r: int, n_bound: int, primes_only: bool = False) -> list[int]:
     primes_only restricts to odd primes (n > 2), the conjectural domain,
     where r = 0 membership would be a divisibility violation. The full scan
     keeps the whole interval, including the trivial 2 ∈ A(0). The odd
-    primes take rest(!p, p) from kh_sweep, the other n from residue_direct.
+    primes take rest(!p, p) from kh_chunks, the other n from residue_direct.
     """
     if r < 0:
         raise ValueError(f"a_set_scan requires r >= 0, got {r}")
     if n_bound < r + 1:
         raise ValueError(f"n_bound must be at least r+1 = {r + 1}, got {n_bound}")
-    residues = {rec.prime: rec.residue for rec in kh_sweep((max(r + 1, 3), n_bound))}
+    residues = {}
+    for chunk in kh_chunks((max(r + 1, 3), n_bound)):
+        residues.update(zip(chunk.primes, chunk.residues))
     candidates = residues if primes_only else range(max(r + 1, 2), n_bound + 1)
     return [
         n
@@ -593,5 +624,5 @@ def residue_summatory(x: int) -> tuple[int, float]:
     """
     if x < 3:
         raise ValueError(f"residue_summatory requires x >= 3, got {x}")
-    total = sum(record.residue for record in kh_sweep((3, x)))
+    total = sum(sum(chunk.residues) for chunk in kh_chunks((3, x)))
     return total, total / (x * x / math.log(x))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -248,6 +249,45 @@ def test_ledger_resume_restores_missing_final_newline(tmp_path):
     path.write_bytes(whole.rstrip(b"\n"))  # a valid last line, cut before its newline
     LedgerWriter(str(path), resume_frontier=1000).close()
     assert path.read_bytes() == whole
+
+
+def test_ledger_resume_rejects_a_damaged_line_that_is_not_the_last(tmp_path):
+    # a torn write is only ever the last line; one with lines after it is
+    # damage, and cutting the file back to it would drop intact records
+    path = tmp_path / "run.jsonl"
+    writer = LedgerWriter(str(path))
+    for p, r in ((3, 1), (5, 4), (7, 6)):
+        writer.write_record(rec(p, r))
+    writer.close()
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + lines[1][:20] + "\n" + lines[2])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"line 2 is damaged.*frontier 1000"):
+        LedgerWriter(str(path), resume_frontier=1000)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["run.jsonl"]
+
+
+def test_ledger_resume_complete_refuses_a_ledger_short_of_the_frontier(tmp_path):
+    path = tmp_path / "run.jsonl"
+    writer = LedgerWriter(str(path))
+    for p, r in ((3, 1), (5, 4), (7, 6)):
+        writer.write_record(rec(p, r))
+    writer.write_summary(records=3)
+    writer.close()
+    before = path.read_bytes()
+    # the record at the frontier is there: the summary goes, the records stay
+    LedgerWriter(str(path), resume_frontier=7, complete=True).close()
+    assert path.read_bytes() == b"".join(before.splitlines(keepends=True)[:3])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"run.jsonl has records only up to 7, short of the checkpoint frontier 11"):
+        LedgerWriter(str(path), resume_frontier=11, complete=True)
+    assert path.read_bytes() == before
+    # a missing ledger holds no record at all, and is not created
+    path.unlink()
+    with pytest.raises(ValueError, match=r"run.jsonl has no record, short of the checkpoint frontier 7"):
+        LedgerWriter(str(path), resume_frontier=7, complete=True)
+    assert os.listdir(tmp_path) == []
 
 
 def test_canonical_lines_strip_timing(tmp_path):
@@ -591,6 +631,57 @@ def test_cli_resume_leaves_no_temporary_files(tmp_path, capsys):
         assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
 
 
+def _halted_ledger_run(tmp_path):
+    """A checkpointed [3, 20000] run with ledger and CSV, halted at record
+    1500, inside chunk 2; returns the three paths and the frontier."""
+    cp, led, out = tmp_path / "cp.json", tmp_path / "led.jsonl", tmp_path / "out.csv"
+    code = run_cli(
+        "kh", "--from", "3", "--to", "20000", "--workers", "1",
+        "--checkpoint", cp, "--ledger", led, "--csv", out, "--halt-after", "1500",
+    )
+    assert code == EXIT_OK
+    frontier = load_checkpoint(str(cp)).frontier
+    assert frontier == 8167  # the last prime of chunk 1
+    return cp, led, out, frontier
+
+
+def _files(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def _refused_resume(tmp_path, capsys, led, frontier):
+    """Resume the halted run over a damaged or missing ledger: it must exit 1
+    naming the ledger and the frontier, and change no file."""
+    before = _files(tmp_path)
+    capsys.readouterr()
+    code = run_cli(
+        "kh", "--from", "3", "--to", "20000", "--workers", "1",
+        "--checkpoint", tmp_path / "cp.json", "--ledger", led, "--csv", tmp_path / "out.csv",
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_RUNTIME
+    assert captured.out == ""
+    assert captured.err.startswith("leftfact: "), captured.err
+    assert str(led) in captured.err and f"frontier {frontier}" in captured.err, captured.err
+    assert _files(tmp_path) == before
+
+
+def test_cli_resume_refuses_a_ledger_damaged_below_the_frontier(tmp_path, capsys):
+    cp, led, out, frontier = _halted_ledger_run(tmp_path)
+    lines = led.read_text().splitlines(keepends=True)
+    assert len(lines) == 1500
+    lines[500] = lines[500][:20] + "\n"  # line 501
+    led.write_text("".join(lines))
+    _refused_resume(tmp_path, capsys, led, frontier)
+
+
+def test_cli_resume_refuses_a_missing_ledger_under_a_checkpoint(tmp_path, capsys):
+    cp, led, out, frontier = _halted_ledger_run(tmp_path)
+    led.unlink()
+    _refused_resume(tmp_path, capsys, led, frontier)
+    assert not led.exists()
+
+
 def test_cli_resume_may_change_workers(tmp_path):
     cp = tmp_path / "cp.json"
     led = tmp_path / "led.jsonl"
@@ -620,6 +711,115 @@ def test_cli_kh_ledger_is_the_same_for_any_worker_count(tmp_path):
         ledgers.append(canonical_lines(led))
     assert len(ledgers[0]) == 9592  # 9591 records and the summary
     assert ledgers[0] == ledgers[1] == ledgers[2]
+
+
+def _masked(text):
+    """Ledger, CSV, checkpoint or stdout text with its timing fields zeroed."""
+    text = re.sub(r'"(elapsed_ns|wall_seconds)": [0-9.e+-]+', r'"\1": 0', text)
+    text = re.sub(r"^(\d+,\d+,(?:true|false)),\d+,", r"\1,0,", text, flags=re.M)
+    return re.sub(r"\d+\.\d\ds \(", "0.00s (", text)
+
+
+class _Synced:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def flush_fsync(self):
+        self.fh.flush()
+
+
+def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
+    """The kh command's files and output, formatted one record at a time:
+    kh_sweep's records through write_record and record_to_row, with the
+    testing aids as filters on the record stream. Returns the exit code,
+    stdout and stderr."""
+    counters = {"records": 0, "violations": 0}
+    sink = FileSink(str(d / "cp.json"), "kh", {"lo": lo, "hi": hi, "method": KERNEL_METHOD})
+    sink.counters = counters
+    ledger = LedgerWriter(str(d / "led.jsonl"))
+    with open(d / "out.csv", "w", encoding="utf-8", newline="\n") as csv:
+        csv.write(CSV_HEADER + "\n")
+        sink.writers = (ledger, _Synced(csv))
+        stream = records = kh_sweep((lo, hi), worker_count=workers, checkpoint_sink=sink)
+        if inject_violation is not None:
+            records = (
+                dataclasses.replace(r, residue=0, violates_kh=True) if r.prime == inject_violation else r
+                for r in records
+            )
+        if halt_after is not None:
+            records = itertools.islice(records, halt_after)
+        err, emitted = "", 0
+        for r in records:
+            emitted += 1
+            counters["records"] += 1
+            counters["violations"] += r.violates_kh
+            if r.violates_kh:
+                err += f"VIOLATION: {r.prime} divides !{r.prime}\n"
+            ledger.write_record(r)
+            csv.write(record_to_row(r) + "\n")
+        stream.close()
+    if emitted == halt_after:
+        out = ""
+        err += f"kh: halted after {emitted} records, no summary written\n"
+    else:
+        ledger.write_summary(
+            command="kh", lo=lo, hi=hi, method=KERNEL_METHOD,
+            records=counters["records"], violations=counters["violations"], wall_seconds=0.0,
+        )
+        out = (
+            f"kh [{lo}, {hi}]: {counters['records']} primes, {counters['violations']} violations, "
+            f"0.00s ({workers} worker{'s' if workers != 1 else ''})\n"
+        )
+    ledger.close()
+    return (EXIT_ANOMALY if counters["violations"] else EXIT_OK), out, err
+
+
+# an odd prime inside the second chunk of [3, 20000]
+_SECOND_CHUNK_PRIME = int(build_sieve(20000).primes[1 + CHUNK_PRIMES + 100])
+
+
+@pytest.mark.parametrize(
+    "hi,workers,halt_after,inject_violation",
+    [
+        (100_000, 1, None, None),
+        (20_000, 1, 1024, None),
+        (20_000, 1, 1500, None),
+        (20_000, 1, None, _SECOND_CHUNK_PRIME),
+        (20_000, 2, None, None),
+        (20_000, 3, None, None),
+    ],
+    ids=["full-1e5", "halt-1024", "halt-1500", "inject", "workers-2", "workers-3"],
+)
+def test_cli_kh_chunk_writes_match_per_record_writes(
+    tmp_path, capsys, hi, workers, halt_after, inject_violation
+):
+    ref, got = tmp_path / "ref", tmp_path / "got"
+    ref.mkdir()
+    got.mkdir()
+    want_code, want_out, want_err = _per_record_kh(ref, 3, hi, workers, halt_after, inject_violation)
+    argv = [
+        "kh", "--from", "3", "--to", hi, "--workers", workers,
+        "--checkpoint", got / "cp.json", "--ledger", got / "led.jsonl", "--csv", got / "out.csv",
+    ]
+    if halt_after is not None:
+        argv += ["--halt-after", halt_after]
+    if inject_violation is not None:
+        argv += ["--inject-violation", inject_violation]
+    capsys.readouterr()
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert (code, _masked(captured.out), captured.err) == (want_code, want_out, want_err)
+    # a halt at a chunk's end asks for no next chunk: no checkpoint yet
+    assert sorted(os.listdir(got)) == sorted(os.listdir(ref))
+    for name in os.listdir(ref):
+        assert _masked((got / name).read_text()) == _masked((ref / name).read_text()), name
+    if inject_violation is not None:
+        assert code == EXIT_ANOMALY
+        assert captured.err.count("VIOLATION") == 1
+        assert f"{inject_violation},0,true," in (got / "out.csv").read_text()
+        led = [json.loads(l) for l in open(got / "led.jsonl")]
+        flagged = [l for l in led if l.get("prime") == inject_violation]
+        assert [(l["residue"], l["violates_kh"]) for l in flagged] == [(0, True)]
 
 
 def _child_env():
