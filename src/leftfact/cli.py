@@ -15,18 +15,6 @@ import sys
 import time
 from typing import Iterable, Iterator, Sequence
 
-from .analytic import (
-    PoleError,
-    QuadratureConfig,
-    asymptotic_ratio,
-    congruence_bridge,
-    gamma,
-    k_continued,
-    k_integral_detailed,
-    k_slavic,
-    pole_residue,
-    slavic_constant_block,
-)
 from .exact import (
     IDENTITIES_WITH_M,
     IDENTITY_IDS,
@@ -198,7 +186,9 @@ def _cmd_kh(args: argparse.Namespace) -> int:
         return EXIT_USAGE if isinstance(exc, CheckpointMismatch) else EXIT_RUNTIME
     frontier = sink.frontier if sink is not None else None
     ledger = (
-        LedgerWriter(args.ledger, resume_frontier=frontier, complete=True) if args.ledger else None
+        LedgerWriter(args.ledger, resume_frontier=frontier, records=counters["records"])
+        if args.ledger
+        else None
     )
     csv = CsvWriter(args.csv, resume_frontier=frontier) if args.csv else None
     if csv is not None and frontier is not None and not csv.last_kept.startswith(f"{frontier},"):
@@ -363,7 +353,17 @@ def _cmd_primeseq(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    cfg = QuadratureConfig(tolerance=args.tolerance)
+    from .analytic import (
+        QuadratureConfig,
+        asymptotic_ratio,
+        k_continued,
+        k_integral_detailed,
+        k_slavic,
+        pole_residue,
+        slavic_constant_block,
+    )
+
+    cfg = QuadratureConfig() if args.tolerance is None else QuadratureConfig(args.tolerance)
     which = args.which
     if which == "eval":
         value = k_continued(args.z, cfg)
@@ -406,6 +406,8 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _report_kh_status() -> int:
+    from .analytic import congruence_bridge
+
     bad = 0
     records = list(kh_sweep((3, 10_000)))
     violations = [r for r in records if r.violates_kh]
@@ -462,6 +464,17 @@ def _report_identities() -> int:
 
 
 def _report_analytic() -> int:
+    from .analytic import (
+        QuadratureConfig,
+        asymptotic_ratio,
+        congruence_bridge,
+        gamma,
+        k_continued,
+        k_integral_detailed,
+        k_slavic,
+        pole_residue,
+    )
+
     cfg = QuadratureConfig()
     worst = 0.0
     for n in range(1, 13):
@@ -596,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=30.0)
     p.add_argument("--n-max", type=_positive, default=5)
     p.add_argument("--terms", type=_positive, default=40)
-    p.add_argument("--tolerance", type=float, default=QuadratureConfig().tolerance)
+    p.add_argument("--tolerance", type=float)  # default: QuadratureConfig's
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("pairs", help="count k with 6k+5 and 12k+7 both prime")
@@ -618,9 +631,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PoleError as exc:
-        print(f"leftfact: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"leftfact: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

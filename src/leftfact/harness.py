@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterator, Sequence
@@ -182,6 +183,20 @@ def _ledger_lines(
     )
 
 
+# A JSON integer _ledger_lines writes, capped below the fewest digits
+# sys.set_int_max_str_digits allows (640), so json.loads parses every one
+_LEDGER_INT = r"(?:0|[1-9][0-9]{0,599})"
+# The exact record line _ledger_lines writes, newline optional: any method
+# string json.loads accepts, and the prime as group 1. A line that does not
+# match may still be a record, in another JSON layout.
+_RECORD_LINE = re.compile(
+    rf'\{{"elapsed_ns": {_LEDGER_INT}, '
+    r'"method": "(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*", '
+    rf'"prime": ({_LEDGER_INT}), "residue": {_LEDGER_INT}, "type": "record", '
+    r'"violates_kh": (?:true|false)\}\n?'
+)
+
+
 def record_to_row(record: VerificationRecord) -> str:
     return _csv_rows((record.prime,), (record.residue,), record.elapsed_ns, record.method)[:-1]
 
@@ -254,45 +269,63 @@ class LedgerWriter(RecordWriter):
     lines = staticmethod(_ledger_lines)
 
     def __init__(
-        self, path: str, resume_frontier: int | None = None, *, complete: bool = False
+        self, path: str, resume_frontier: int | None = None, *, records: int | None = None
     ) -> None:
-        """complete: resume_frontier is a checkpoint's, the last prime of a
+        """records: resume_frontier is a checkpoint's, the last prime of a
         chunk whose records all reached the ledger before the checkpoint
-        did, so a ledger whose records stop short of it has lost some, and
-        resuming raises ValueError rather than cut it back."""
-        self.complete = complete
+        did, and records is the checkpoint's count of them; a ledger that
+        holds another number of records up to it, or whose records stop
+        short of it, has lost or gained some, and resuming raises
+        ValueError rather than cut it back."""
+        self.records = records
         super().__init__(path, resume_frontier)
 
     def kept_lines(self, src: IO[str], frontier: int) -> Iterator[str]:
-        # every line is parsed, to find a torn tail or a stale summary, but a
-        # kept line is copied as it was read; a line that parses but is no
-        # record object raises, and so does one that does not parse but has
-        # lines after it: a torn write is only ever the last line
+        # a line _ledger_lines wrote matches _RECORD_LINE and gives its prime
+        # without a parse; every other line is parsed, to find a torn tail
+        # or a stale summary. A kept line is copied as it was read; a line
+        # that parses but is no record object raises, and so does one that
+        # does not parse but has lines after it: a torn write is only ever
+        # the last line
         last = None  # the prime of the last record kept
+        kept = 0
+        match = _RECORD_LINE.fullmatch
         for number, line in enumerate(src, 1):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                if next(src, None) is None:
-                    break  # partial tail from an interrupted write
-                raise ValueError(
-                    f"ledger {self.path}: line {number} is damaged and lines follow it, "
-                    f"so it is no torn tail; refusing to resume from frontier {frontier}"
-                ) from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"ledger line is not a JSON object: {line.rstrip()!r}")
-            if obj.get("type") != "record":
-                continue  # stale summary from an older completed run
-            prime = int(obj.get("prime", -1))
+            hit = match(line)
+            if hit is not None:
+                prime = int(hit[1])
+            else:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    if next(src, None) is None:
+                        break  # partial tail from an interrupted write
+                    raise ValueError(
+                        f"ledger {self.path}: line {number} is damaged and lines follow it, "
+                        f"so it is no torn tail; refusing to resume from frontier {frontier}"
+                    ) from None
+                if not isinstance(obj, dict):
+                    raise ValueError(f"ledger line is not a JSON object: {line.rstrip()!r}")
+                if obj.get("type") != "record":
+                    continue  # stale summary from an older completed run
+                prime = int(obj.get("prime", -1))
             if prime > frontier:
                 break
             last = prime
+            kept += 1
             yield line
-        if self.complete and (last is None or last < frontier):
+        if self.records is None:
+            return
+        if last is None or last < frontier:
             held = "no record" if last is None else f"records only up to {last}"
             raise ValueError(
                 f"ledger {self.path} has {held}, short of the checkpoint frontier "
                 f"{frontier}; refusing to resume"
+            )
+        if kept != self.records:
+            raise ValueError(
+                f"ledger {self.path} has {kept} records up to the checkpoint frontier "
+                f"{frontier}, where the checkpoint counts {self.records}; refusing to resume"
             )
 
     def write_record(self, record: VerificationRecord) -> None:

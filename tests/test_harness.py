@@ -29,7 +29,7 @@ from leftfact import (
     write_checkpoint,
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from leftfact.harness import CSV_HEADER, record_to_row
+from leftfact.harness import _RECORD_LINE, CSV_HEADER, _ledger_lines, record_to_row
 from leftfact.primes import build_sieve
 from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD
 
@@ -239,6 +239,46 @@ def test_ledger_record_lines_are_json_dumps_and_resume_keeps_them(tmp_path_facto
         assert fh.read() == b"".join(lines[: len(kept)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(records=ascending_records(), data=st.data())
+def test_ledger_record_line_pattern_agrees_with_json_loads(tmp_path_factory, records, data):
+    lines = [_ledger_lines((r.prime,), (r.residue,), r.elapsed_ns, r.method) for r in records]
+    for line in lines:
+        hit = _RECORD_LINE.fullmatch(line)
+        assert hit is not None, line  # resume reads every written line without a parse
+        assert int(hit[1]) == json.loads(line)["prime"]
+        # a line the pattern still matches after losing or changing a
+        # character is one json.loads reads the same prime from
+        at = data.draw(st.integers(min_value=0, max_value=len(line) - 1))
+        head, tail = line[:at], line[at + 1:]
+        for bent in (head + tail, head + data.draw(st.characters()) + tail):
+            hit = _RECORD_LINE.fullmatch(bent)
+            if hit is not None:
+                assert int(hit[1]) == json.loads(bent)["prime"], bent
+    # the same ledger in another JSON layout (compact, keys reversed) resumes
+    # through json.loads to the same records and count
+    d = tmp_path_factory.mktemp("ledger")
+    other = [
+        json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"
+        for line in lines
+    ]
+    assert not any(_RECORD_LINE.fullmatch(line) for line in other)
+    kept = data.draw(st.integers(min_value=1, max_value=len(records)))
+    frontier = records[kept - 1].prime
+    resumed = []
+    for name, text in (("ours.jsonl", lines), ("other.jsonl", other)):
+        path = d / name
+        path.write_text("".join(text) + '{"type": "summary"}\n')
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=rf"has {kept} records up to .* counts {kept + 1}"):
+            LedgerWriter(str(path), resume_frontier=frontier, records=kept + 1)
+        assert path.read_bytes() == before
+        LedgerWriter(str(path), resume_frontier=frontier, records=kept).close()
+        assert path.read_text() == "".join(text[:kept])
+        resumed.append([json.loads(line) for line in text[:kept]])
+    assert resumed[0] == resumed[1]
+
+
 def test_ledger_resume_restores_missing_final_newline(tmp_path):
     path = tmp_path / "run.jsonl"
     writer = LedgerWriter(str(path))
@@ -277,16 +317,16 @@ def test_ledger_resume_complete_refuses_a_ledger_short_of_the_frontier(tmp_path)
     writer.close()
     before = path.read_bytes()
     # the record at the frontier is there: the summary goes, the records stay
-    LedgerWriter(str(path), resume_frontier=7, complete=True).close()
+    LedgerWriter(str(path), resume_frontier=7, records=3).close()
     assert path.read_bytes() == b"".join(before.splitlines(keepends=True)[:3])
     before = path.read_bytes()
     with pytest.raises(ValueError, match=r"run.jsonl has records only up to 7, short of the checkpoint frontier 11"):
-        LedgerWriter(str(path), resume_frontier=11, complete=True)
+        LedgerWriter(str(path), resume_frontier=11, records=3)
     assert path.read_bytes() == before
     # a missing ledger holds no record at all, and is not created
     path.unlink()
     with pytest.raises(ValueError, match=r"run.jsonl has no record, short of the checkpoint frontier 7"):
-        LedgerWriter(str(path), resume_frontier=7, complete=True)
+        LedgerWriter(str(path), resume_frontier=7, records=3)
     assert os.listdir(tmp_path) == []
 
 
@@ -651,7 +691,7 @@ def _files(directory):
 
 def _refused_resume(tmp_path, capsys, led, frontier):
     """Resume the halted run over a damaged or missing ledger: it must exit 1
-    naming the ledger and the frontier, and change no file."""
+    naming the ledger and the frontier, and change no file. Returns stderr."""
     before = _files(tmp_path)
     capsys.readouterr()
     code = run_cli(
@@ -664,6 +704,7 @@ def _refused_resume(tmp_path, capsys, led, frontier):
     assert captured.err.startswith("leftfact: "), captured.err
     assert str(led) in captured.err and f"frontier {frontier}" in captured.err, captured.err
     assert _files(tmp_path) == before
+    return captured.err
 
 
 def test_cli_resume_refuses_a_ledger_damaged_below_the_frontier(tmp_path, capsys):
@@ -673,6 +714,15 @@ def test_cli_resume_refuses_a_ledger_damaged_below_the_frontier(tmp_path, capsys
     lines[500] = lines[500][:20] + "\n"  # line 501
     led.write_text("".join(lines))
     _refused_resume(tmp_path, capsys, led, frontier)
+
+
+def test_cli_resume_refuses_a_ledger_that_lost_a_record_below_the_frontier(tmp_path, capsys):
+    cp, led, out, frontier = _halted_ledger_run(tmp_path)
+    lines = led.read_text().splitlines(keepends=True)
+    del lines[500]  # line 501, a whole record
+    led.write_text("".join(lines))
+    err = _refused_resume(tmp_path, capsys, led, frontier)
+    assert "has 1023 records up to the checkpoint frontier 8167, where the checkpoint counts 1024" in err
 
 
 def test_cli_resume_refuses_a_missing_ledger_under_a_checkpoint(tmp_path, capsys):
@@ -946,6 +996,7 @@ def test_cli_kh_never_imports_sympy():
         "import sys\n"
         "from leftfact.cli import main\n"
         "rc = main(['kh', '--from', '3', '--to', '2000', '--workers', '1'])\n"
+        "print('analytic', 'leftfact.analytic' in sys.modules, file=sys.stderr)\n"
         "print('exit', rc, 'sympy', 'sympy' in sys.modules, file=sys.stderr)\n"
     )
     proc = subprocess.run(
@@ -954,6 +1005,34 @@ def test_cli_kh_never_imports_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"exit {EXIT_OK} sympy False", proc.stderr
+    assert proc.stderr.splitlines()[-2] == "analytic False", proc.stderr
+
+
+def test_package_names_all_resolve_in_their_order():
+    # the names load on first use, so a name mapped to the wrong submodule
+    # would fail only when someone asked for it
+    assert leftfact.__all__ == (
+        "BridgeReport PoleError PoleInfo QuadratureConfig QuadratureError "
+        "QuadratureResult asymptotic_ratio congruence_bridge euler_constant gamma "
+        "k_continued k_integral k_integral_detailed k_slavic pole_residue "
+        "slavic_constant_block IDENTITY_IDS StirlingTable alternating_divisor_hits "
+        "alternating_factorial evaluate_identity gcd_pair iter_left_factorials "
+        "left_factorial partial_sum_gcd pole_residue_fraction stirling_table "
+        "weighted_sum Factorization factorize is_probable_prime Checkpoint "
+        "CheckpointCorrupt CheckpointError CheckpointMismatch FileSink LedgerWriter "
+        "canonical_lines ensure_compatible load_checkpoint write_checkpoint "
+        "MAX_MODULUS VARIANTS CostModel ResidueResult VerificationRecord cost_model "
+        "derangement_number floor_factorial_over_e kh_equivalent_residue "
+        "residue_backward_s residue_direct residue_forward_t residue_forward_v "
+        "residue_mod_p_squared GoodPrimeResult PrimeSieve SignStatistics "
+        "TripletReport build_sieve count_pair_progressions good_prime_check p_set "
+        "pi_sequence s_sequence sign_statistics sum_inequality_scan CHUNK_PRIMES "
+        "SPAN_PRIMES MAX_SWEEP_PRIME KhChunk MemorySink a_set_scan batch_residues "
+        "h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
+    ).split()
+    for name in leftfact.__all__:
+        getattr(leftfact, name)
+    assert set(leftfact.__all__) <= set(dir(leftfact))
 
 
 def test_cli_factor_26_never_imports_sympy():
