@@ -50,7 +50,7 @@ _NAMES = {
             "pi_sequence s_sequence sign_statistics sum_inequality_scan"
         )),
         ("sweeps", (
-            "CHUNK_PRIMES SPAN_PRIMES MAX_SWEEP_PRIME KhChunk MemorySink "
+            "CHUNK_PRIMES SPAN_PRIMES MAX_SWEEP_PRIME KhChunk "
             "a_set_scan batch_residues h4_witness_search kh2_scan kh_chunks "
             "kh_sweep residue_summatory"
         )),

@@ -158,9 +158,7 @@ def _inject_violation(chunk: KhChunk, prime: int) -> KhChunk:
 
 def _first_records(chunks: Iterator[KhChunk], count: int) -> Iterator[KhChunk]:
     """The chunks holding the first count records, the last one cut short
-    if it overruns. The chunk after them is never asked for, so the sweep
-    advances its checkpoint over the chunks before the last one taken and
-    no further, even when that one is whole."""
+    if it overruns; the chunk after them is never asked for."""
     for chunk in chunks:
         if len(chunk.primes) >= count:
             yield chunk._replace(primes=chunk.primes[:count], residues=chunk.residues[:count])
@@ -204,7 +202,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
     if sink is not None:
         sink.writers = writers
 
-    sweep = kh_chunks((args.lo, args.hi), worker_count=args.workers, checkpoint_sink=sink)
+    sweep = kh_chunks((args.lo, args.hi), worker_count=args.workers, after=frontier)
     # the testing aids are filters on the chunk stream
     chunks: Iterator[KhChunk] = sweep
     if args.inject_violation is not None:
@@ -225,6 +223,10 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                         print(f"VIOLATION: {p} divides !{p}", file=sys.stderr)
             for writer in writers:
                 writer.write_chunk(primes, residues, elapsed_ns, KERNEL_METHOD)
+            # a halted run stands in for an interrupted one: it checkpoints
+            # nothing of its last chunk, even when that chunk is whole
+            if sink is not None and emitted != args.halt_after:
+                sink.advance(primes[-1])
     finally:
         sweep.close()
         if csv is not None:

@@ -17,20 +17,21 @@ For a sweep to x its work grows like M(x log x) log x, with M(n) the cost
 of an n-bit product, where per-chunk trees that each refold every step
 below their chunk grow like x^2.
 Each span is a pure function of its primes, so work may be partitioned
-across processes; chunk boundaries depend only on the range, so the emitted
-record stream is identical for every worker count.
+across processes; chunk boundaries depend only on the range and the prime
+the sweep starts above, so the emitted record stream is identical for every
+worker count. The sweep is a pure stream of chunks and keeps no checkpoint:
+a resumed sweep starts above the checkpoint's frontier, and its consumer
+(the `kh` command) writes, counts and checkpoints each chunk.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import threading
 import time
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, NamedTuple, Protocol
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,6 @@ __all__ = [
     "SPAN_PRIMES",
     "KERNEL_METHOD",
     "batch_residues",
-    "CheckpointSink",
-    "MemorySink",
     "KhChunk",
     "kh_chunks",
     "kh_sweep",
@@ -54,8 +53,6 @@ __all__ = [
     "h4_witness_search",
     "residue_summatory",
 ]
-
-log = logging.getLogger(__name__)
 
 # Largest prime whose square fits below 2^63. The kernel computes in exact
 # integers; this bound only keeps the span's prime and residue arrays int64.
@@ -197,15 +194,14 @@ def _reducer(modulus: int):
     return reduce
 
 
-def _apply(state: _Map, blocks: list[_Map], modulus: int) -> _Map:
-    """state followed by the blocks in turn, reduced modulo modulus after
-    each, so that no product grows past two moduli."""
+def _apply(v: int, blocks: list[_Map], modulus: int) -> int:
+    """v through the blocks in turn, reduced modulo modulus after each, so
+    that no product grows past two moduli."""
     reduce = _reducer(modulus)
-    a, b = reduce(state[0]), reduce(state[1])
-    for seg in blocks:
-        a, b = _compose((a, b), seg)
-        a, b = reduce(a), reduce(b)
-    return a, b
+    v = reduce(v)
+    for c, d in blocks:
+        v = reduce(c + d * v)
+    return v
 
 
 class _Span:
@@ -228,11 +224,12 @@ class _Span:
         left, right = self.tree(g0, mid), self.tree(mid, g1)
         return [left[0] * right[0], g0, g1, left, right]
 
-    def leaf(self, g: int, modulus: int, state: _Map, cap: int | None) -> list[_Map] | None:
+    def leaf(self, g: int, modulus: int, v: int, cap: int | None) -> list[_Map] | None:
         """Step the group's recurrence from its first prime to its last,
-        modulo the group's product, and read each prime's residue off the
-        prefix's constant term at it: prime p takes steps 2..p-1. The primes
-        are all odd, so the step pairs line up with them.
+        modulo the group's product, starting from v, the prefix through the
+        first prime, and read each prime's residue off the recurrence at it:
+        prime p takes steps 2..p-1. The primes are all odd, so the step pairs
+        line up with them.
 
         Unless cap is None, the same step pairs, on to the next group's
         first prime, are then composed exactly, one after another, into the
@@ -243,12 +240,11 @@ class _Span:
         ps = self.q[lo:hi].tolist()
         maps = _step_maps(ps[0], ps[-1] if cap is None else int(self.q[hi]))
         steps = iter(maps)
-        a = state[0]  # the prefix is a constant map
-        out = [a % ps[0]]
+        out = [v % ps[0]]
         for k in range(1, len(ps)):
             for c, d in islice(steps, (ps[k] - ps[k - 1]) // 2):
-                a = (c + d * a) % modulus
-            out.append(a % ps[k])
+                v = (c + d * v) % modulus
+            out.append(v % ps[k])
         self.residues[lo:hi] = out
         if cap is None:
             return None
@@ -263,8 +259,8 @@ class _Span:
         blocks.append((a, b))
         return blocks
 
-    def descend(self, node: list, state: _Map, cap: int | None) -> list[_Map] | None:
-        """Residues for the node's primes, given the prefix through its
+    def descend(self, node: list, v: int, cap: int | None) -> list[_Map] | None:
+        """Residues for the node's primes, given v, the prefix through its
         first prime reduced modulo its modulus. Returns the node's gap (the
         steps from its first prime to the first prime after it) as blocks of
         at most cap bits, or None when cap is None: the nodes on the right
@@ -276,19 +272,16 @@ class _Span:
         modulus, g0, g1, left, right = node
         node.clear()
         if left is None:
-            return self.leaf(g0, modulus, state, cap)
+            return self.leaf(g0, modulus, v, cap)
         del modulus
         # a left gap is applied to the right sibling's modulus, a right gap
         # joins its parent's
-        reduce = _reducer(left[0])
-        left_state = reduce(state[0]), reduce(state[1])
-        del reduce
-        left_gap = self.descend(left, left_state, right[0].bit_length() - _SLACK_BITS)
-        state = _apply(state, left_gap, right[0])
+        left_gap = self.descend(left, _reducer(left[0])(v), right[0].bit_length() - _SLACK_BITS)
+        v = _apply(v, left_gap, right[0])
         if cap is None:
             del left_gap
-            return self.descend(right, state, None)
-        return _merge(left_gap + self.descend(right, state, cap), cap)
+            return self.descend(right, v, None)
+        return _merge(left_gap + self.descend(right, v, cap), cap)
 
 
 def batch_residues(primes: np.ndarray) -> np.ndarray:
@@ -329,41 +322,10 @@ def batch_residues(primes: np.ndarray) -> np.ndarray:
         raise ValueError("primes must be odd")
     span = _Span(q)
     root = span.tree(0, len(span.bounds) - 1)
-    # the prefix starts as the constant map x -> 0 (v_1 = 0), so it stays
-    # constant and its scale costs nothing
     cap = root[0].bit_length() - _SLACK_BITS
     prefix = _blocks(2, int(q[0]), cap)
-    span.descend(root, _apply((0, 0), prefix, root[0]), None)
+    span.descend(root, _apply(0, prefix, root[0]), None)  # v_1 = 0
     return span.residues
-
-
-class CheckpointSink(Protocol):
-    """Receives completed-prefix notifications from a sweep.
-
-    frontier is the largest prime through which all work is already
-    recorded (None for a fresh sweep). advance takes only the new frontier;
-    it is called after every completed chunk, in ascending order, and must
-    persist before returning if the sink is durable.
-    """
-
-    @property
-    def frontier(self) -> int | None: ...
-
-    def advance(self, frontier: int) -> None: ...
-
-
-@dataclass
-class MemorySink:
-    """In-memory checkpoint sink; handy default and test double."""
-
-    frontier: int | None = None
-    advances: int = 0
-
-    def advance(self, frontier: int) -> None:
-        if self.frontier is not None and frontier < self.frontier:
-            raise ValueError(f"frontier regressed: {frontier} < {self.frontier}")
-        self.frontier = frontier
-        self.advances += 1
 
 
 def _kernel_task(span: np.ndarray) -> tuple[np.ndarray, int]:
@@ -441,24 +403,19 @@ class KhChunk(NamedTuple):
 
 
 def kh_chunks(
-    prime_range: tuple[int, int],
-    worker_count: int = 1,
-    checkpoint_sink: CheckpointSink | None = None,
+    prime_range: tuple[int, int], worker_count: int = 1, after: int | None = None
 ) -> Iterator[KhChunk]:
-    """Verify p ∤ !p for every odd prime in [lo, hi], streaming chunks.
+    """rest(!p, p) for every odd prime p in [lo, hi] above after, in chunks.
 
-    Chunks come out in ascending prime order whatever the worker count;
-    chunking is a pure function of the range, so two sweeps over the same
-    range are chunk-for-chunk identical (timing fields aside). The kernel
-    runs once per span (_spans), and a span's chunks come out once it is
-    done. A zero residue is flagged loudly on the log, and the sweep carries
-    on; a violation is a result, not an error. On resume the sweep starts at
-    the first prime above the sink's frontier, and the spans are cut from
-    the chunks above it; the sink is advanced to a chunk's last prime when
-    the chunk after it is asked for, so a consumer that stops inside a
-    chunk leaves the frontier before it. Closing the stream early, or an
-    exception in it, terminates the pool's workers rather than wait for
-    their spans.
+    Chunks come out in ascending prime order whatever the worker count, and
+    are cut from the first prime above after (the first of the range when
+    after is None), so two sweeps from the same start are chunk-for-chunk
+    identical (timing fields aside). A resumed sweep passes its checkpoint's
+    frontier, the last prime of a chunk, and gets the whole range's chunks
+    above it. The kernel runs once per span (_spans), and a span's chunks
+    come out once it is done. A zero residue is a result, not an error: it
+    is the consumer's to report. Closing the stream early, or an exception
+    in it, terminates the pool's workers rather than wait for their spans.
     """
     lo, hi = prime_range
     if lo < 3:
@@ -469,11 +426,8 @@ def kh_chunks(
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     if hi < lo:
         return
-    frontier = checkpoint_sink.frontier if checkpoint_sink is not None else None
     primes = build_sieve(hi).primes
-    # the primes not recorded yet; a checkpoint's frontier is the last prime
-    # of a chunk, so the chunks cut from here are the whole range's
-    start = lo if frontier is None else max(lo, frontier + 1)
+    start = lo if after is None else max(lo, after + 1)
     primes = primes[np.searchsorted(primes, start) :]
     if primes.size == 0:
         return
@@ -491,18 +445,11 @@ def kh_chunks(
         for span, (residues, elapsed) in zip(arrays, results):
             per_prime_ns = elapsed // span.size
             for s in range(0, span.size, CHUNK_PRIMES):
-                chunk = KhChunk(
+                yield KhChunk(
                     span[s : s + CHUNK_PRIMES].tolist(),
                     residues[s : s + CHUNK_PRIMES].tolist(),
                     per_prime_ns,
                 )
-                if 0 in chunk.residues:
-                    for p, r in zip(chunk.primes, chunk.residues):
-                        if r == 0:
-                            log.warning("violation: prime %d divides its left factorial", p)
-                yield chunk
-                if checkpoint_sink is not None:
-                    checkpoint_sink.advance(chunk.primes[-1])
     except BaseException:
         if pool is not None:
             # closed early or failed: end the workers rather than wait for
@@ -518,14 +465,12 @@ def kh_chunks(
 
 
 def kh_sweep(
-    prime_range: tuple[int, int],
-    worker_count: int = 1,
-    checkpoint_sink: CheckpointSink | None = None,
+    prime_range: tuple[int, int], worker_count: int = 1, after: int | None = None
 ) -> Iterator[VerificationRecord]:
     """kh_chunks as one VerificationRecord per prime, method KERNEL_METHOD
-    and the chunk's elapsed_ns; the sink advances and the stream closes as
-    kh_chunks's do."""
-    chunks = kh_chunks(prime_range, worker_count, checkpoint_sink)
+    and the chunk's elapsed_ns; the stream starts and closes as kh_chunks's
+    does."""
+    chunks = kh_chunks(prime_range, worker_count, after)
     try:
         for primes, residues, elapsed_ns in chunks:
             for p, r in zip(primes, residues):

@@ -24,6 +24,7 @@ from leftfact import (
     VerificationRecord,
     canonical_lines,
     ensure_compatible,
+    kh_chunks,
     kh_sweep,
     load_checkpoint,
     write_checkpoint,
@@ -357,12 +358,13 @@ def test_file_sink_persists_advances(tmp_path):
     sink = FileSink(path, "kh", params)
     sink.counters = {"records": 0}
     consumed = []
-    for r in kh_sweep((3, 9999), checkpoint_sink=sink):
-        consumed.append(r)
-        sink.counters["records"] += 1
+    for chunk in kh_chunks((3, 9999), after=sink.frontier):
+        consumed += chunk.primes
+        sink.counters["records"] += len(chunk.primes)
+        sink.advance(chunk.primes[-1])
     saved = load_checkpoint(path)
     assert saved is not None
-    assert saved.frontier == consumed[-1].prime
+    assert saved.frontier == consumed[-1]
     # the caller's counts, as they stood at the last frontier
     assert saved.counters == {"records": len(consumed)}
     assert saved.command == "kh"
@@ -371,14 +373,14 @@ def test_file_sink_persists_advances(tmp_path):
     again = FileSink(path, "kh", params)
     assert again.frontier == saved.frontier
     assert again.counters == saved.counters
-    assert list(kh_sweep((3, 9999), checkpoint_sink=again)) == []
+    assert list(kh_chunks((3, 9999), after=again.frontier)) == []
 
 
 def test_file_sink_rejects_incompatible_resume(tmp_path):
     path = str(tmp_path / "cp.json")
     sink = FileSink(path, "kh", {"lo": 3, "hi": 9999, "method": "forward_v"})
-    for _ in kh_sweep((3, 9999), checkpoint_sink=sink):
-        pass
+    for chunk in kh_chunks((3, 9999), after=sink.frontier):
+        sink.advance(chunk.primes[-1])
     with pytest.raises(CheckpointMismatch):
         FileSink(path, "kh", {"lo": 3, "hi": 12000, "method": "forward_v"})
 
@@ -781,7 +783,9 @@ class _Synced:
 def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
     """The kh command's files and output, formatted one record at a time:
     kh_sweep's records through write_record and record_to_row, with the
-    testing aids as filters on the record stream. Returns the exit code,
+    testing aids as filters on the record stream. The checkpoint advances
+    at the end of each chunk, every CHUNK_PRIMES-th record and the last,
+    but not at the record a halted run stops at. Returns the exit code,
     stdout and stderr."""
     counters = {"records": 0, "violations": 0}
     sink = FileSink(str(d / "cp.json"), "kh", {"lo": lo, "hi": hi, "method": KERNEL_METHOD})
@@ -790,7 +794,7 @@ def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
     with open(d / "out.csv", "w", encoding="utf-8", newline="\n") as csv:
         csv.write(CSV_HEADER + "\n")
         sink.writers = (ledger, _Synced(csv))
-        stream = records = kh_sweep((lo, hi), worker_count=workers, checkpoint_sink=sink)
+        stream = records = kh_sweep((lo, hi), worker_count=workers)
         if inject_violation is not None:
             records = (
                 dataclasses.replace(r, residue=0, violates_kh=True) if r.prime == inject_violation else r
@@ -807,7 +811,11 @@ def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
                 err += f"VIOLATION: {r.prime} divides !{r.prime}\n"
             ledger.write_record(r)
             csv.write(record_to_row(r) + "\n")
+            if emitted % CHUNK_PRIMES == 0 and emitted != halt_after:
+                sink.advance(r.prime)
         stream.close()
+        if emitted % CHUNK_PRIMES and emitted != halt_after:
+            sink.advance(r.prime)  # the range's last chunk, cut short
     if emitted == halt_after:
         out = ""
         err += f"kh: halted after {emitted} records, no summary written\n"
@@ -859,7 +867,7 @@ def test_cli_kh_chunk_writes_match_per_record_writes(
     code = run_cli(*argv)
     captured = capsys.readouterr()
     assert (code, _masked(captured.out), captured.err) == (want_code, want_out, want_err)
-    # a halt at a chunk's end asks for no next chunk: no checkpoint yet
+    # a halt at a chunk's end checkpoints no chunk: no cp.json yet
     assert sorted(os.listdir(got)) == sorted(os.listdir(ref))
     for name in os.listdir(ref):
         assert _masked((got / name).read_text()) == _masked((ref / name).read_text()), name
@@ -938,6 +946,38 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
     assert code == EXIT_OK
     assert canonical_lines(led) == canonical_lines(clean)
     assert _csv_rows_no_timing(csv) == _csv_rows_no_timing(clean_csv)
+
+
+# The CLI over a kernel that gives prime 101 a zero residue, as a real
+# violation would: the sweep itself reports nothing
+_KERNEL_ZERO_AT_101 = """
+import sys
+from leftfact import sweeps
+from leftfact.cli import main
+
+kernel = sweeps.batch_residues
+
+def zero_at_101(primes):
+    residues = kernel(primes)
+    residues[primes == 101] = 0
+    return residues
+
+sweeps.batch_residues = zero_at_101
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_reports_a_kernel_violation_once(tmp_path):
+    led = tmp_path / "led.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_ZERO_AT_101,
+         "kh", "--from", "3", "--to", "500", "--workers", "1", "--ledger", str(led)],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == EXIT_ANOMALY, proc.stderr
+    assert proc.stderr == "VIOLATION: 101 divides !101\n"
+    flagged = [r for r in map(json.loads, open(led)) if r.get("prime") == 101]
+    assert [(r["residue"], r["violates_kh"]) for r in flagged] == [(0, True)]
 
 
 def _processes_naming(text):
@@ -1027,7 +1067,7 @@ def test_package_names_all_resolve_in_their_order():
         "residue_mod_p_squared GoodPrimeResult PrimeSieve SignStatistics "
         "TripletReport build_sieve count_pair_progressions good_prime_check p_set "
         "pi_sequence s_sequence sign_statistics sum_inequality_scan CHUNK_PRIMES "
-        "SPAN_PRIMES MAX_SWEEP_PRIME KhChunk MemorySink a_set_scan batch_residues "
+        "SPAN_PRIMES MAX_SWEEP_PRIME KhChunk a_set_scan batch_residues "
         "h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
     ).split()
     for name in leftfact.__all__:

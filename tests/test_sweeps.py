@@ -15,11 +15,11 @@ from stepper import stepped_residues
 from leftfact import (
     CHUNK_PRIMES,
     MAX_SWEEP_PRIME,
-    MemorySink,
     a_set_scan,
     batch_residues,
     h4_witness_search,
     kh2_scan,
+    kh_chunks,
     kh_sweep,
     residue_direct,
     residue_summatory,
@@ -174,9 +174,9 @@ def test_gaps_are_applied_in_blocks_narrower_than_their_modulus(method, monkeypa
     applied = []
     apply = sweeps._apply
 
-    def recording(state, blocks, modulus):
+    def recording(v, blocks, modulus):
         applied.append((modulus.bit_length(), [sweeps._bits(b) for b in blocks]))
-        return apply(state, blocks, modulus)
+        return apply(v, blocks, modulus)
 
     monkeypatch.setattr(sweeps, "_apply", recording)
     assert np.array_equal(batch_residues(ALL_PRIMES), STEPPED[method])
@@ -234,10 +234,8 @@ def test_kh_sweep_calls_the_kernel_once_per_span(monkeypatch):
         return kernel(span)
 
     monkeypatch.setattr(sweeps, "batch_residues", counting)
-    sink = MemorySink()
-    records = list(kh_sweep((3, 10**5), checkpoint_sink=sink))
+    records = list(kh_sweep((3, 10**5)))
     assert calls == [len(records)] == [9591]
-    assert sink.advances == -(-9591 // CHUNK_PRIMES)
     # every record of the span carries its average kernel time
     assert len({r.elapsed_ns for r in records}) == 1
 
@@ -351,49 +349,17 @@ def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
     assert pending == [], "a worker outlived the closed stream by 10 s"
 
 
-def test_kh_sweep_advances_sink_per_chunk():
-    sink = MemorySink()
-    records = list(kh_sweep((3, 20000), checkpoint_sink=sink))
-    n_primes = len(records)
-    expected_chunks = -(-n_primes // CHUNK_PRIMES)
-    assert sink.advances == expected_chunks
-    assert sink.frontier == records[-1].prime
-
-
-def test_kh_sweep_resumes_from_frontier():
-    full = [r.prime for r in kh_sweep((3, 20000))]
-    sink = MemorySink()
-    seen = []
-    # stop a little into chunk 2; the chunk-1 advance has already fired by
-    # then (it runs when the record after the chunk boundary is pulled)
-    for record in kh_sweep((3, 20000), checkpoint_sink=sink):
-        seen.append(record.prime)
-        if len(seen) == CHUNK_PRIMES + 10:
-            break
-    assert sink.advances == 1
-    assert sink.frontier == full[CHUNK_PRIMES - 1]
-    resumed = [r.prime for r in kh_sweep((3, 20000), checkpoint_sink=sink)]
-    # the ten unacknowledged chunk-2 records are re-emitted, none skipped
-    assert resumed[0] == full[CHUNK_PRIMES]
-    assert seen[:CHUNK_PRIMES] + resumed == full
-
-
-def test_kh_sweep_resumes_from_a_frontier_inside_a_chunk():
-    # a hand-set frontier need not end a chunk: the sweep starts at the next
-    # prime, and chunks are cut from there
+def test_kh_sweep_starts_above_after():
+    # a resumed sweep passes its checkpoint's frontier: the stream starts at
+    # the next prime and cuts its chunks from there, whether the frontier
+    # ends a chunk or lies inside one; above the range's last prime it is
+    # empty
     full = [(r.prime, r.residue) for r in kh_sweep((3, 20000))]
-    sink = MemorySink(frontier=full[CHUNK_PRIMES + 9][0])
-    resumed = [(r.prime, r.residue) for r in kh_sweep((3, 20000), checkpoint_sink=sink)]
-    assert resumed == full[CHUNK_PRIMES + 10 :]
-    assert sink.advances == -(-len(resumed) // CHUNK_PRIMES)
-
-
-def test_kh_sweep_finished_range_yields_nothing():
-    sink = MemorySink()
-    for _ in kh_sweep((3, 20000), checkpoint_sink=sink):
-        pass
-    done = list(kh_sweep((3, 20000), checkpoint_sink=sink))
-    assert done == []
+    for k in (CHUNK_PRIMES - 1, CHUNK_PRIMES + 9):
+        chunks = list(kh_chunks((3, 20000), after=full[k][0]))
+        assert [len(c.primes) for c in chunks[:-1]] == [CHUNK_PRIMES] * (len(chunks) - 1)
+        assert [(p, r) for c in chunks for p, r in zip(c.primes, c.residues)] == full[k + 1 :]
+    assert list(kh_sweep((3, 20000), after=full[-1][0])) == []
 
 
 def test_kh2_scan_finds_only_the_known_square():
