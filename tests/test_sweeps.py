@@ -349,17 +349,30 @@ def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
     assert pending == [], "a worker outlived the closed stream by 10 s"
 
 
-def test_kh_sweep_starts_above_after():
-    # a resumed sweep passes its checkpoint's frontier: the stream starts at
-    # the next prime and cuts its chunks from there, whether the frontier
-    # ends a chunk or lies inside one; above the range's last prime it is
-    # empty
+def test_kh_sweep_resumes_from_frontier():
+    # a resumed sweep passes its checkpoint's frontier, here the last prime
+    # of the first chunk: the stream starts at the next prime, none skipped
+    full = [r.prime for r in kh_sweep((3, 20000))]
+    resumed = [r.prime for r in kh_sweep((3, 20000), after=full[CHUNK_PRIMES - 1])]
+    assert resumed[0] == full[CHUNK_PRIMES]
+    assert full[:CHUNK_PRIMES] + resumed == full
+
+
+def test_kh_sweep_resumes_from_a_frontier_inside_a_chunk():
+    # a hand-set frontier need not end a chunk: the sweep starts at the next
+    # prime, and chunks are cut from there
     full = [(r.prime, r.residue) for r in kh_sweep((3, 20000))]
-    for k in (CHUNK_PRIMES - 1, CHUNK_PRIMES + 9):
-        chunks = list(kh_chunks((3, 20000), after=full[k][0]))
-        assert [len(c.primes) for c in chunks[:-1]] == [CHUNK_PRIMES] * (len(chunks) - 1)
-        assert [(p, r) for c in chunks for p, r in zip(c.primes, c.residues)] == full[k + 1 :]
-    assert list(kh_sweep((3, 20000), after=full[-1][0])) == []
+    chunks = list(kh_chunks((3, 20000), after=full[CHUNK_PRIMES + 9][0]))
+    resumed = [(p, r) for c in chunks for p, r in zip(c.primes, c.residues)]
+    assert resumed == full[CHUNK_PRIMES + 10 :]
+    assert len(chunks) == -(-len(resumed) // CHUNK_PRIMES)
+    assert [len(c.primes) for c in chunks[:-1]] == [CHUNK_PRIMES] * (len(chunks) - 1)
+
+
+def test_kh_sweep_finished_range_yields_nothing():
+    last = [r.prime for r in kh_sweep((3, 20000))][-1]
+    assert list(kh_sweep((3, 20000), after=last)) == []
+    assert list(kh_chunks((3, 20000), after=20000)) == []
 
 
 def test_kh2_scan_finds_only_the_known_square():
