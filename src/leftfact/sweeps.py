@@ -30,14 +30,17 @@ import math
 import os
 import threading
 import time
+from bisect import bisect_left
 from itertools import islice
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .exact import gcd_pair, iter_left_factorials
+from .factorint import is_probable_prime
 from .modular import VerificationRecord, residue_direct
 from .primes import build_sieve
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_SWEEP_PRIME",
@@ -208,18 +211,18 @@ class _Span:
     """One batch_residues call: its primes, their leaf groups, and the
     residues, which the descent fills in leaf by leaf."""
 
-    def __init__(self, q: np.ndarray) -> None:
+    def __init__(self, q: list[int]) -> None:
         self.q = q
-        groups = -(-q.size // _LEAF_PRIMES)
-        self.bounds = [g * q.size // groups for g in range(groups + 1)]
-        self.residues = np.zeros(q.size, dtype=np.int64)
+        groups = -(-len(q) // _LEAF_PRIMES)
+        self.bounds = [g * len(q) // groups for g in range(groups + 1)]
+        self.residues = [0] * len(q)
 
     def tree(self, g0: int, g1: int) -> list:
         """[modulus, g0, g1, left, right] over leaf groups g0..g1-1; a leaf
         has no children."""
         if g1 - g0 == 1:
             lo, hi = self.bounds[g0], self.bounds[g1]
-            return [math.prod(self.q[lo:hi].tolist()), g0, g1, None, None]
+            return [math.prod(self.q[lo:hi]), g0, g1, None, None]
         mid = (g0 + g1) // 2
         left, right = self.tree(g0, mid), self.tree(mid, g1)
         return [left[0] * right[0], g0, g1, left, right]
@@ -237,8 +240,8 @@ class _Span:
         so that composing one pair at a time stays cheap.
         """
         lo, hi = self.bounds[g], self.bounds[g + 1]
-        ps = self.q[lo:hi].tolist()
-        maps = _step_maps(ps[0], ps[-1] if cap is None else int(self.q[hi]))
+        ps = self.q[lo:hi]
+        maps = _step_maps(ps[0], ps[-1] if cap is None else self.q[hi])
         steps = iter(maps)
         out = [v % ps[0]]
         for k in range(1, len(ps)):
@@ -310,6 +313,8 @@ def batch_residues(primes: np.ndarray) -> np.ndarray:
     modulo the group's product, and composes the same steps exactly into
     the first blocks of the gaps. No float is involved.
     """
+    import numpy as np
+
     q = np.ascontiguousarray(primes, dtype=np.int64)
     if q.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -320,12 +325,12 @@ def batch_residues(primes: np.ndarray) -> np.ndarray:
     if np.any(q % 2 == 0):
         # a leaf steps in pairs from one end to the next
         raise ValueError("primes must be odd")
-    span = _Span(q)
+    span = _Span(q.tolist())
     root = span.tree(0, len(span.bounds) - 1)
     cap = root[0].bit_length() - _SLACK_BITS
-    prefix = _blocks(2, int(q[0]), cap)
+    prefix = _blocks(2, span.q[0], cap)
     span.descend(root, _apply(0, prefix, root[0]), None)  # v_1 = 0
-    return span.residues
+    return np.array(span.residues, dtype=np.int64)
 
 
 def _kernel_task(span: np.ndarray) -> tuple[np.ndarray, int]:
@@ -424,15 +429,19 @@ def kh_chunks(
         raise ValueError(f"hi {hi} exceeds sweep bound {MAX_SWEEP_PRIME}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    if hi < lo:
-        return
-    primes = build_sieve(hi).primes
     start = lo if after is None else max(lo, after + 1)
-    primes = primes[np.searchsorted(primes, start) :]
-    if primes.size == 0:
+    # a rerun over a finished sweep, or an empty range, has no prime left:
+    # finding that out costs at most one prime gap of tests, where the sieve
+    # covers all of [0, hi]
+    if not any(map(is_probable_prime, range(start, hi + 1))):
         return
-    ends = [min(s + CHUNK_PRIMES, primes.size) - 1 for s in range(0, primes.size, CHUNK_PRIMES)]
-    spans = _spans([int(primes[0])] + primes[ends].tolist(), worker_count)
+    sieve = build_sieve(hi)
+    first = bisect_left(sieve.ints, start)
+    ints = sieve.ints[first:]
+    ends = [ints[min(s + CHUNK_PRIMES, len(ints)) - 1] for s in range(0, len(ints), CHUNK_PRIMES)]
+    spans = _spans([ints[0]] + ends, worker_count)
+    # numpy loads only here, for the kernel's int64 arrays
+    primes = sieve.primes[first:]
 
     pool = None
     if worker_count > 1 and len(spans) > 1:
@@ -504,9 +513,8 @@ def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
             if residue_direct(n, 4).residue == 0:
                 hits.append((2, n))
     if hi >= 3:
-        for p in build_sieve(hi).primes.tolist():
-            if p < max(lo, 3):
-                continue
+        ints = build_sieve(hi).ints
+        for p in ints[bisect_left(ints, max(lo, 3)) :]:
             m = p * p
             if m > (1 << 63) - 1:
                 raise ValueError(f"p^2 overflows machine width at p = {p}")

@@ -1048,6 +1048,34 @@ def test_cli_kh_never_imports_sympy():
     assert proc.stderr.splitlines()[-2] == "analytic False", proc.stderr
 
 
+def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
+    # numpy costs about as much to import as the rest of a kh rerun; only the
+    # kernel and the vector prime problems need it
+    c, led, out = tmp_path / "c.json", tmp_path / "l.jsonl", tmp_path / "t.csv"
+    kh = ["kh", "--from", "3", "--to", "10000", "--workers", "1",
+          "--checkpoint", str(c), "--ledger", str(led), "--csv", str(out)]
+    assert main(kh) == EXIT_OK
+    finished = canonical_lines(led)
+    code = (
+        "import sys\n"
+        "import leftfact.cli\n"
+        "print('import', 'numpy' in sys.modules, file=sys.stderr)\n"
+        f"rc = leftfact.cli.main({kh!r})\n"
+        "print('kh', rc, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "rc = leftfact.cli.main(['kh2', '--p-max', '200', '--n-max', '300'])\n"
+        "print('kh2', rc, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-3:] == [
+        "import False", f"kh {EXIT_OK} False", f"kh2 {EXIT_OK} False"
+    ], proc.stderr
+    assert canonical_lines(led) == finished
+
+
 def test_package_names_all_resolve_in_their_order():
     # the names load on first use, so a name mapped to the wrong submodule
     # would fail only when someone asked for it

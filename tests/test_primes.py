@@ -18,6 +18,7 @@ from leftfact import (
     sign_statistics,
     sum_inequality_scan,
 )
+from leftfact.primes import _SEGMENT as ODD_SEGMENT
 
 SIEVE = build_sieve(2_000_000)
 
@@ -108,6 +109,46 @@ def test_array_sieve_range_errors():
     with pytest.raises(ValueError):
         WIDE.primes_up_to(WIDE.limit + 1)
     assert WIDE.membership(np.array([], dtype=np.int64)).tolist() == []
+
+
+def test_sieve_small_limits_match_trial_division():
+    # odd and even limits; the first odd-only segment starts at 1, no prime
+    for limit in range(2, 401):
+        sieve = build_sieve(limit)
+        want = [v for v in range(limit + 1) if prime_by_trial(v)]
+        assert sieve.primes_up_to(limit).tolist() == want, limit
+        assert [v for v in range(limit + 1) if sieve.is_prime(v)] == want, limit
+        assert len(sieve) == len(want), limit
+
+
+def test_odd_only_sieve_at_segment_edges():
+    # segment k holds the odd numbers from 1 + 2k * _SEGMENT on
+    edges = [1 + 2 * k * ODD_SEGMENT for k in (1, 2)]
+    sieve = build_sieve(edges[-1] + 2)
+    values = [e + d for e in edges for d in (-2, -1, 0, 1, 2)]
+    want = [prime_by_trial(v) for v in values]
+    assert [sieve.is_prime(v) for v in values] == want
+    assert sieve.membership(np.array(values, dtype=np.int64)).tolist() == want
+    for edge in edges:
+        inside = [v for v in range(edge - 300, edge + 3) if prime_by_trial(v)]
+        got = sieve.primes_up_to(edge + 2)
+        assert got[-len(inside) :].tolist() == inside
+        assert int(got[-len(inside) - 1]) < edge - 300
+    # a limit at an edge leaves a last segment of one number
+    for limit in (edges[0] + d for d in (-2, -1, 0, 1, 2)):
+        assert build_sieve(limit).primes.tolist() == sieve.primes_up_to(limit).tolist()
+
+
+def test_sieve_primes_are_read_only():
+    # they are the sieve's own memory, which is_prime and every sweep read
+    sieve = build_sieve(100)
+    with pytest.raises(ValueError):
+        sieve.primes[0] = 4
+    with pytest.raises(ValueError):
+        sieve.primes_up_to(50)[-1] = 49
+    with pytest.raises(ValueError):
+        sieve.primes.flags.writeable = True
+    assert sieve.is_prime(2) and not sieve.is_prime(4)
 
 
 @pytest.mark.parametrize(

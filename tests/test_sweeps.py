@@ -375,6 +375,20 @@ def test_kh_sweep_finished_range_yields_nothing():
     assert list(kh_chunks((3, 20000), after=20000)) == []
 
 
+def test_kh_sweep_finished_range_builds_no_sieve(monkeypatch):
+    # a rerun over a finished sweep tests the numbers above its frontier up
+    # to the first prime, not sieve the whole range again
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(sweeps, "build_sieve", no_sieve)
+    assert list(kh_chunks((3, 10_000_000), after=9_999_991)) == []
+    assert list(kh_chunks((3, 10_000_000), after=10_000_000)) == []
+    assert list(kh_chunks((9_999_992, 10_000_000))) == []
+    with pytest.raises(AssertionError, match="sieved to 10000000"):
+        list(kh_chunks((3, 10_000_000), after=9_999_990))
+
+
 def test_kh2_scan_finds_only_the_known_square():
     hits = kh2_scan((2, 50), 100)
     assert hits == [(2, 3)]
