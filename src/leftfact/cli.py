@@ -29,6 +29,7 @@ from .harness import (
     CsvWriter,
     FileSink,
     LedgerWriter,
+    RecordWriter,
     # kh writes whole chunks and calls no record_to_row; the name stays
     # bound here because perfbench/tracer.py rebinds cli.record_to_row
     record_to_row,
@@ -172,35 +173,15 @@ def _cmd_kh(args: argparse.Namespace) -> int:
         print(f"kh: need 3 <= --from <= --to, got {args.lo}..{args.hi}", file=sys.stderr)
         return EXIT_USAGE
     params = {"lo": args.lo, "hi": args.hi, "method": KERNEL_METHOD}
-    counters = {"records": 0, "violations": 0}
-    sink = None
     try:
-        if args.checkpoint:
-            sink = FileSink(args.checkpoint, "kh", params)
-            counters.update(sink.counters)
-            sink.counters = counters  # persisted with each frontier
+        sink = FileSink(args.checkpoint, "kh", params) if args.checkpoint else None
     except CheckpointError as exc:
         print(f"kh: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, CheckpointMismatch) else EXIT_RUNTIME
     frontier = sink.frontier if sink is not None else None
-    ledger = (
-        LedgerWriter(args.ledger, resume_frontier=frontier, records=counters["records"])
-        if args.ledger
-        else None
-    )
-    csv = CsvWriter(args.csv, resume_frontier=frontier) if args.csv else None
-    if csv is not None and frontier is not None and not csv.last_kept.startswith(f"{frontier},"):
-        # the sink keeps the csv on disk at or ahead of the frontier; a file
-        # that still falls short (started mid-run, or damaged out of band) is
-        # warned about, not repaired
-        print(
-            f"kh: csv {args.csv} is missing rows below the checkpoint frontier; "
-            "the resumed table will be incomplete (the ledger is authoritative)",
-            file=sys.stderr,
-        )
-    writers = tuple(w for w in (ledger, csv) if w is not None)
+    counters = {"records": 0, "violations": 0}
     if sink is not None:
-        sink.writers = writers
+        counters.update(sink.counters)
 
     sweep = kh_chunks((args.lo, args.hi), worker_count=args.workers, after=frontier)
     # the testing aids are filters on the chunk stream
@@ -209,9 +190,26 @@ def _cmd_kh(args: argparse.Namespace) -> int:
         chunks = (_inject_violation(chunk, args.inject_violation) for chunk in chunks)
     if args.halt_after is not None:
         chunks = _first_records(chunks, args.halt_after)
-    emitted = 0
-    t0 = time.monotonic()
+    writers: list[RecordWriter] = []
+    ledger = None
     try:
+        if args.ledger:
+            ledger = LedgerWriter(args.ledger, resume_frontier=frontier, records=counters["records"])
+            writers.append(ledger)
+        if args.csv:
+            csv = CsvWriter(args.csv, resume_frontier=frontier)
+            writers.append(csv)
+            if csv.short:
+                # checkpoints keep the csv on disk at or ahead of the
+                # frontier; a file that still falls short (started mid-run,
+                # or damaged out of band) is warned about, not repaired
+                print(
+                    f"kh: csv {args.csv} is missing rows below the checkpoint frontier; "
+                    "the resumed table will be incomplete (the ledger is authoritative)",
+                    file=sys.stderr,
+                )
+        emitted = 0
+        t0 = time.monotonic()
         for primes, residues, elapsed_ns in chunks:
             emitted += len(primes)
             violations = residues.count(0)
@@ -226,34 +224,32 @@ def _cmd_kh(args: argparse.Namespace) -> int:
             # a halted run stands in for an interrupted one: it checkpoints
             # nothing of its last chunk, even when that chunk is whole
             if sink is not None and emitted != args.halt_after:
-                sink.advance(primes[-1])
+                sink.advance(primes[-1], counters, writers)
+        wall = time.monotonic() - t0
+
+        if emitted == args.halt_after:
+            # mimics an interruption: the ledger keeps its records, gets no summary
+            print(f"kh: halted after {emitted} records, no summary written", file=sys.stderr)
+        else:
+            if ledger is not None:
+                ledger.write_summary(
+                    command="kh",
+                    lo=args.lo,
+                    hi=args.hi,
+                    method=KERNEL_METHOD,
+                    records=counters["records"],
+                    violations=counters["violations"],
+                    wall_seconds=wall,
+                )
+            print(
+                f"kh [{args.lo}, {args.hi}]: {counters['records']} primes, "
+                f"{counters['violations']} violations, {wall:.2f}s "
+                f"({args.workers} worker{'s' if args.workers != 1 else ''})"
+            )
     finally:
         sweep.close()
-        if csv is not None:
-            csv.close()
-    wall = time.monotonic() - t0
-
-    if emitted == args.halt_after:
-        # mimics an interruption: the ledger keeps its records, gets no summary
-        print(f"kh: halted after {emitted} records, no summary written", file=sys.stderr)
-    else:
-        if ledger is not None:
-            ledger.write_summary(
-                command="kh",
-                lo=args.lo,
-                hi=args.hi,
-                method=KERNEL_METHOD,
-                records=counters["records"],
-                violations=counters["violations"],
-                wall_seconds=wall,
-            )
-        print(
-            f"kh [{args.lo}, {args.hi}]: {counters['records']} primes, "
-            f"{counters['violations']} violations, {wall:.2f}s "
-            f"({args.workers} worker{'s' if args.workers != 1 else ''})"
-        )
-    if ledger is not None:
-        ledger.close()
+        for writer in writers:
+            writer.close()
     return EXIT_ANOMALY if counters["violations"] else EXIT_OK
 
 

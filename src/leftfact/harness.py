@@ -17,7 +17,6 @@ import io
 import json
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterator, Sequence
 
@@ -68,14 +67,11 @@ class Checkpoint:
     params: dict[str, Any]
     frontier: int
     counters: dict[str, int]
-    wall_seconds: float
     version: int = CHECKPOINT_VERSION
 
     def __post_init__(self) -> None:
         if self.frontier < 0:
             raise ValueError(f"frontier must be nonnegative, got {self.frontier}")
-        if self.wall_seconds < 0:
-            raise ValueError("wall_seconds must be nonnegative")
 
 
 def _fsync_dir(path: str) -> None:
@@ -99,7 +95,9 @@ def write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint | None:
-    """Read a checkpoint; None when absent, CheckpointCorrupt when unusable."""
+    """Read a checkpoint; None when absent, CheckpointCorrupt when unusable.
+    Fields a Checkpoint does not hold are ignored, such as the wall_seconds
+    that earlier version-1 files carry."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -121,7 +119,6 @@ def load_checkpoint(path: str) -> Checkpoint | None:
             params=dict(obj["params"]),
             frontier=int(obj["frontier"]),
             counters={k: int(v) for k, v in obj["counters"].items()},
-            wall_seconds=float(obj["wall_seconds"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"{path}: malformed field ({exc})") from exc
@@ -204,13 +201,13 @@ def record_to_row(record: VerificationRecord) -> str:
 class RecordWriter:
     """A record file: opened fresh with its header, or cut back to a resume
     frontier by its format's kept_lines rule; then appended to a chunk of
-    records at a time, formatted by its format's lines function."""
+    records at a time, formatted by its format's lines function. The owner
+    fsyncs it through flush_fsync before each checkpoint, and closes it."""
 
     header = ""
 
     def __init__(self, path: str, resume_frontier: int | None = None) -> None:
         self.path = path
-        self.last_kept: str | None = None
         if resume_frontier is None:
             # treat any stale file as a fresh start
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -224,17 +221,16 @@ class RecordWriter:
         from it (a missing file reads as empty), each ending in a newline,
         and make the cut durable: temp file, fsync, rename over, directory
         fsync. When reading raises, the file stays as it was (or absent) and
-        the temp file goes. last_kept is the last line kept."""
+        the temp file goes."""
         tmp = f"{self.path}.tmp.{os.getpid()}"
-        last = None
         try:
             src: IO[str] = open(self.path, "r", encoding="utf-8")
         except FileNotFoundError:
             src = io.StringIO()
         with src, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             try:
-                for last in self.kept_lines(src, frontier):
-                    fh.write(last if last.endswith("\n") else last + "\n")
+                for line in self.kept_lines(src, frontier):
+                    fh.write(line if line.endswith("\n") else line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             except BaseException:
@@ -242,7 +238,6 @@ class RecordWriter:
                 raise
         os.replace(tmp, self.path)
         _fsync_dir(self.path)
-        self.last_kept = last
 
     def write_chunk(
         self, primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
@@ -336,24 +331,36 @@ class LedgerWriter(RecordWriter):
 
 
 class CsvWriter(RecordWriter):
-    """The records as CSV rows (record_to_row's) under CSV_HEADER."""
+    """The records as CSV rows (record_to_row's) under CSV_HEADER.
+
+    The CSV is not authoritative: a resume keeps what it can of a file that
+    falls short of the frontier, and short says so. short is true when no
+    kept row is the frontier's: the file was missing or stale (another
+    header), or its rows stop below the frontier; a fresh writer is never
+    short.
+    """
 
     header = CSV_HEADER + "\n"
     lines = staticmethod(_csv_rows)
+    short = False
 
-    @staticmethod
-    def kept_lines(src: IO[str], frontier: int) -> Iterator[str]:
+    def kept_lines(self, src: IO[str], frontier: int) -> Iterator[str]:
+        self.short = True
         yield CSV_HEADER
         if next(src, "").rstrip("\n") != CSV_HEADER:
             return  # stale file from something else: start over
         for line in src:
             head, comma, _rest = line.partition(",")
-            if not comma or not head.isdigit() or int(head) > frontier:
-                return  # torn tail, or a row the resumed sweep re-emits
+            if not comma or not head.isdigit():
+                return  # torn tail
+            prime = int(head)
+            if prime > frontier:
+                return  # a row the resumed sweep re-emits
+            self.short = prime < frontier
             yield line
 
 
-def canonical_lines(path: str, volatile: tuple[str, ...] = VOLATILE_FIELDS) -> list[str]:
+def canonical_lines(path: str) -> list[str]:
     """Ledger lines with volatile fields stripped, for determinism diffs."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -361,7 +368,7 @@ def canonical_lines(path: str, volatile: tuple[str, ...] = VOLATILE_FIELDS) -> l
             if not line.strip():
                 continue
             obj = json.loads(line)
-            for key in volatile:
+            for key in VOLATILE_FIELDS:
                 obj.pop(key, None)
             out.append(json.dumps(obj, sort_keys=True))
     return out
@@ -369,48 +376,37 @@ def canonical_lines(path: str, volatile: tuple[str, ...] = VOLATILE_FIELDS) -> l
 
 @dataclass
 class FileSink:
-    """Checkpoint sink bound to a file, fronting the sweep's record files.
+    """The sweep's checkpoint file, and only that.
 
-    counters are the caller's running totals: restored from the checkpoint
-    and persisted with each frontier. advance() flushes and fsyncs every
-    record writer in writers first and only then replaces the checkpoint, so
-    a crash between the two leaves record files that are ahead of the
-    checkpoint, which is the recoverable direction.
+    frontier and counters are the file's: as read when the sink opened it
+    (None and {} when there was none), then as each advance() wrote them.
+    The caller owns the running counters and the record writers and hands
+    both to advance(), which flushes and fsyncs every writer first and only
+    then replaces the checkpoint, so a crash between the two leaves record
+    files that are ahead of the checkpoint, which is the recoverable
+    direction.
     """
 
     path: str
     command: str
     params: dict[str, Any]
-    writers: tuple[RecordWriter, ...] = ()
     frontier: int | None = field(init=False, default=None)
     counters: dict[str, int] = field(init=False, default_factory=dict)
-    base_wall: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         existing = load_checkpoint(self.path)
         if existing is not None:
             ensure_compatible(existing, self.command, self.params)
             self.frontier = existing.frontier
-            self.counters = dict(existing.counters)
-            self.base_wall = existing.wall_seconds
-        self._t0 = time.monotonic()
+            self.counters = existing.counters
 
-    def wall_seconds(self) -> float:
-        return self.base_wall + (time.monotonic() - self._t0)
-
-    def advance(self, frontier: int) -> None:
+    def advance(
+        self, frontier: int, counters: dict[str, int], writers: Sequence[RecordWriter] = ()
+    ) -> None:
         if self.frontier is not None and frontier < self.frontier:
             raise ValueError(f"frontier regressed: {frontier} < {self.frontier}")
-        self.frontier = frontier
-        for writer in self.writers:
+        for writer in writers:
             writer.flush_fsync()
-        write_checkpoint(
-            self.path,
-            Checkpoint(
-                command=self.command,
-                params=self.params,
-                frontier=frontier,
-                counters=dict(self.counters),
-                wall_seconds=self.wall_seconds(),
-            ),
-        )
+        checkpoint = Checkpoint(self.command, self.params, frontier, dict(counters))
+        write_checkpoint(self.path, checkpoint)
+        self.frontier, self.counters = frontier, checkpoint.counters

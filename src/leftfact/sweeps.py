@@ -497,10 +497,9 @@ def kh_sweep(
 def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
     """All (p, n) with p in the range, n <= n_bound, and p^2 | !n.
 
-    Odd primes run the mod-p^2 accumulation over every n up to n_bound
-    (exhaustively, below p as well, where a hit would contradict nothing).
-    p = 2 is handled through residue_direct mod 4 and surfaces the one
-    known hit, !3 = 2^2.
+    Every prime runs the same mod-p^2 accumulation over every n up to
+    n_bound (exhaustively, below p as well, where a hit would contradict
+    nothing); p = 2 surfaces the one known hit, !3 = 2^2.
     """
     lo, hi = p_range
     if n_bound < 2:
@@ -508,13 +507,9 @@ def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
     if lo < 2:
         raise ValueError(f"kh2_scan requires lo >= 2, got {lo}")
     hits: list[tuple[int, int]] = []
-    if lo <= 2 <= hi:
-        for n in range(2, n_bound + 1):
-            if residue_direct(n, 4).residue == 0:
-                hits.append((2, n))
-    if hi >= 3:
+    if hi >= 2:
         ints = build_sieve(hi).ints
-        for p in ints[bisect_left(ints, max(lo, 3)) :]:
+        for p in ints[bisect_left(ints, lo) :]:
             m = p * p
             if m > (1 << 63) - 1:
                 raise ValueError(f"p^2 overflows machine width at p = {p}")

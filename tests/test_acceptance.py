@@ -435,9 +435,8 @@ def test_criterion_11_harness_interrupt_and_anomaly(tmp_path, capsys):
         "--checkpoint", str(cp), "--ledger", str(part),
     ]) == EXIT_OK
     ledger_ok = canonical_lines(str(part)) == canonical_lines(str(clean))
-    summaries = [
-        json.loads(line) for line in open(part) if json.loads(line)["type"] == "summary"
-    ]
+    with open(part) as fh:
+        summaries = [json.loads(line) for line in fh if json.loads(line)["type"] == "summary"]
     summary_ok = len(summaries) == 1
 
     injected = main([

@@ -30,7 +30,8 @@ from leftfact import (
     write_checkpoint,
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from leftfact.harness import _RECORD_LINE, CSV_HEADER, _ledger_lines, record_to_row
+from leftfact import cli
+from leftfact.harness import _RECORD_LINE, CSV_HEADER, CsvWriter, _ledger_lines, record_to_row
 from leftfact.primes import build_sieve
 from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD
 
@@ -45,13 +46,17 @@ def rec(prime, residue, ns=7, method="forward_v"):
     )
 
 
+def json_lines(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
 def checkpoint_for(frontier=100, records=5):
     return Checkpoint(
         command="kh",
         params={"lo": 3, "hi": 500, "method": "forward_v"},
         frontier=frontier,
         counters={"records": records, "violations": 0},
-        wall_seconds=1.25,
     )
 
 
@@ -111,9 +116,7 @@ def test_checkpoint_rejects_malformed_fields(tmp_path):
 
 def test_checkpoint_field_validation():
     with pytest.raises(ValueError):
-        Checkpoint("kh", {}, frontier=-1, counters={}, wall_seconds=0.0)
-    with pytest.raises(ValueError):
-        Checkpoint("kh", {}, frontier=0, counters={}, wall_seconds=-1.0)
+        Checkpoint("kh", {}, frontier=-1, counters={})
 
 
 def test_ensure_compatible():
@@ -136,7 +139,7 @@ def test_ledger_records_and_summary(tmp_path):
     writer.write_record(rec(5, 4))
     writer.write_summary(records=2, violations=0)
     writer.close()
-    lines = [json.loads(l) for l in open(path)]
+    lines = json_lines(path)
     assert [l["type"] for l in lines] == ["record", "record", "summary"]
     assert lines[0]["prime"] == 3
     assert lines[2]["records"] == 2
@@ -148,7 +151,8 @@ def test_ledger_fresh_start_clears_stale_file(tmp_path):
         fh.write('{"type": "record", "prime": 3}\n')
     writer = LedgerWriter(path)  # no resume frontier: start over
     writer.close()
-    assert open(path).read() == ""
+    with open(path) as fh:
+        assert fh.read() == ""
 
 
 def test_ledger_resume_truncates_to_frontier(tmp_path):
@@ -160,7 +164,7 @@ def test_ledger_resume_truncates_to_frontier(tmp_path):
     writer.close()
     resumed = LedgerWriter(path, resume_frontier=5)
     resumed.close()
-    lines = [json.loads(l) for l in open(path)]
+    lines = json_lines(path)
     assert [l["prime"] for l in lines] == [3, 5]
     assert all(l["type"] == "record" for l in lines)
 
@@ -175,7 +179,7 @@ def test_ledger_resume_drops_partial_tail(tmp_path):
         fh.write('{"type": "record", "prime": 7, "resi')  # torn write
     resumed = LedgerWriter(path, resume_frontier=1000)
     resumed.close()
-    lines = [json.loads(l) for l in open(path)]
+    lines = json_lines(path)
     assert [l["prime"] for l in lines] == [3, 5]
 
 
@@ -349,6 +353,29 @@ def test_record_to_row_and_header():
     assert record_to_row(rec(5, 0, ns=12)).split(",")[2] == "true"
 
 
+def test_csv_writer_is_short_when_no_kept_row_is_the_frontiers(tmp_path):
+    path = tmp_path / "out.csv"
+    rows = "".join(f"{p},1,false,7,forward_v\n" for p in (3, 5, 7, 11))
+    for text, frontier, short in (
+        (None, 7, True),  # missing
+        ("p,n\n3,1\n", 7, True),  # stale: another header
+        (CSV_HEADER + "\n", 7, True),  # header only
+        (CSV_HEADER + "\n" + rows, 13, True),  # rows stop below the frontier
+        (CSV_HEADER + "\n" + rows, 7, False),
+        (CSV_HEADER + "\n" + rows + "13,1,fa", 11, False),  # torn tail past the frontier
+    ):
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text)
+        writer = CsvWriter(str(path), resume_frontier=frontier)
+        writer.close()
+        assert writer.short is short, (text, frontier)
+    fresh = CsvWriter(str(path))
+    fresh.close()
+    assert fresh.short is False
+
+
 # ------------------------------------------------------------------ FileSink
 
 
@@ -356,12 +383,12 @@ def test_file_sink_persists_advances(tmp_path):
     path = str(tmp_path / "cp.json")
     params = {"lo": 3, "hi": 9999, "method": "forward_v"}
     sink = FileSink(path, "kh", params)
-    sink.counters = {"records": 0}
+    counters = {"records": 0}
     consumed = []
     for chunk in kh_chunks((3, 9999), after=sink.frontier):
         consumed += chunk.primes
-        sink.counters["records"] += len(chunk.primes)
-        sink.advance(chunk.primes[-1])
+        counters["records"] += len(chunk.primes)
+        sink.advance(chunk.primes[-1], counters)
     saved = load_checkpoint(path)
     assert saved is not None
     assert saved.frontier == consumed[-1]
@@ -380,21 +407,21 @@ def test_file_sink_rejects_incompatible_resume(tmp_path):
     path = str(tmp_path / "cp.json")
     sink = FileSink(path, "kh", {"lo": 3, "hi": 9999, "method": "forward_v"})
     for chunk in kh_chunks((3, 9999), after=sink.frontier):
-        sink.advance(chunk.primes[-1])
+        sink.advance(chunk.primes[-1], {})
     with pytest.raises(CheckpointMismatch):
         FileSink(path, "kh", {"lo": 3, "hi": 12000, "method": "forward_v"})
 
 
 def test_file_sink_frontier_regression_rejected(tmp_path):
     sink = FileSink(str(tmp_path / "cp.json"), "kh", {})
-    sink.advance(100)
+    sink.advance(100, {})
     with pytest.raises(ValueError):
-        sink.advance(50)
+        sink.advance(50, {})
 
 
 def test_file_sink_persists_the_callers_counters_after_its_writers(tmp_path):
-    # advance syncs every writer before the checkpoint and persists the
-    # counters the caller keeps in sink.counters
+    # advance syncs every writer it is given before the checkpoint, and
+    # persists the counters as they stand then
     path = str(tmp_path / "cp.json")
     order = []
 
@@ -402,11 +429,13 @@ def test_file_sink_persists_the_callers_counters_after_its_writers(tmp_path):
         def flush_fsync(self):
             order.append(("flush", load_checkpoint(path)))
 
-    sink = FileSink(path, "kh", {}, writers=(Spy(), Spy()))
-    sink.counters["violations"] = 7
-    sink.advance(100)
+    sink = FileSink(path, "kh", {})
+    counters = {"violations": 7}
+    sink.advance(100, counters, (Spy(), Spy()))
+    counters["violations"] += 1  # the checkpoint keeps its own copy
     assert order == [("flush", None), ("flush", None)]
     assert load_checkpoint(path).counters == {"violations": 7}
+    assert sink.counters == {"violations": 7}
 
 
 # ------------------------------------------------------------- CLI behaviour
@@ -473,7 +502,7 @@ def test_cli_kh_injected_violation_trips_anomaly(tmp_path, capsys):
     assert "VIOLATION: 101" in capsys.readouterr().err
     flagged = [l for l in csv_path.read_text().splitlines() if l.startswith("101,")]
     assert flagged == ["101,0,true," + flagged[0].split(",", 3)[3]]
-    led = [json.loads(l) for l in open(ledger)]
+    led = json_lines(ledger)
     assert [l for l in led if l["type"] == "summary"][0]["violations"] == 1
 
 
@@ -510,7 +539,7 @@ def test_cli_interrupt_resume_ledger_identity(tmp_path, capsys, halt_after):
     assert first == EXIT_OK
     assert "halted" in capsys.readouterr().err
     # no summary line on the interrupted ledger
-    partial = [json.loads(l) for l in open(part)]
+    partial = json_lines(part)
     assert all(l["type"] == "record" for l in partial)
 
     second = run_cli(
@@ -734,6 +763,54 @@ def test_cli_resume_refuses_a_missing_ledger_under_a_checkpoint(tmp_path, capsys
     assert not led.exists()
 
 
+def test_cli_resumes_from_a_checkpoint_that_carries_a_wall_clock(tmp_path, capsys):
+    # version-1 checkpoints once carried a wall_seconds field: one of them,
+    # at the end of chunk 1, over a ledger cut there, resumes to the clean run
+    clean, led, cp = tmp_path / "clean.jsonl", tmp_path / "led.jsonl", tmp_path / "cp.json"
+    argv = ["kh", "--from", "3", "--to", "20000", "--workers", "1", "--ledger"]
+    assert run_cli(*argv, clean) == EXIT_OK
+    want = capsys.readouterr().out
+    lines = clean.read_text().splitlines(keepends=True)
+    assert json.loads(lines[CHUNK_PRIMES - 1])["prime"] == 8167  # the last prime of chunk 1
+    led.write_text("".join(lines[:CHUNK_PRIMES]))
+    cp.write_text(
+        '{"command": "kh", "counters": {"records": 1024, "violations": 0}, "frontier": 8167, '
+        '"params": {"hi": 20000, "lo": 3, "method": "forward_v"}, "version": 1, '
+        '"wall_seconds": 0.42}\n'
+    )
+    assert run_cli(*argv, led, "--checkpoint", cp) == EXIT_OK
+    assert _masked(capsys.readouterr().out) == _masked(want)
+    assert canonical_lines(led) == canonical_lines(clean)
+    assert json.loads(cp.read_text()) == {
+        "command": "kh", "counters": {"records": len(lines) - 1, "violations": 0},
+        "frontier": json.loads(lines[-2])["prime"],
+        "params": {"hi": 20000, "lo": 3, "method": "forward_v"}, "version": 1,
+    }
+
+
+def test_cli_kh_failing_mid_stream_closes_its_files(tmp_path, monkeypatch, capsys):
+    # an error out of the chunk stream ends kh with exit 1, and kh closes
+    # the ledger and the CSV it opened rather than leave them to the garbage
+    # collector; the two chunks written before the error stay written
+    sweep = cli.kh_chunks
+
+    def fails_at_chunk_3(*args, **kwargs):
+        for number, chunk in enumerate(sweep(*args, **kwargs), 1):
+            if number == 3:
+                raise OSError("injected failure at chunk 3")
+            yield chunk
+
+    monkeypatch.setattr(cli, "kh_chunks", fails_at_chunk_3)
+    led = tmp_path / "l.jsonl"
+    code = run_cli(
+        "kh", "--from", "3", "--to", "30000", "--workers", "1",
+        "--checkpoint", tmp_path / "cp.json", "--ledger", led, "--csv", tmp_path / "o.csv",
+    )
+    assert code == EXIT_RUNTIME
+    assert "injected failure at chunk 3" in capsys.readouterr().err
+    assert len(led.read_text().splitlines()) == 2 * CHUNK_PRIMES
+
+
 def test_cli_resume_may_change_workers(tmp_path):
     cp = tmp_path / "cp.json"
     led = tmp_path / "led.jsonl"
@@ -789,11 +866,10 @@ def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
     stdout and stderr."""
     counters = {"records": 0, "violations": 0}
     sink = FileSink(str(d / "cp.json"), "kh", {"lo": lo, "hi": hi, "method": KERNEL_METHOD})
-    sink.counters = counters
     ledger = LedgerWriter(str(d / "led.jsonl"))
     with open(d / "out.csv", "w", encoding="utf-8", newline="\n") as csv:
         csv.write(CSV_HEADER + "\n")
-        sink.writers = (ledger, _Synced(csv))
+        writers = (ledger, _Synced(csv))
         stream = records = kh_sweep((lo, hi), worker_count=workers)
         if inject_violation is not None:
             records = (
@@ -812,10 +888,10 @@ def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
             ledger.write_record(r)
             csv.write(record_to_row(r) + "\n")
             if emitted % CHUNK_PRIMES == 0 and emitted != halt_after:
-                sink.advance(r.prime)
+                sink.advance(r.prime, counters, writers)
         stream.close()
         if emitted % CHUNK_PRIMES and emitted != halt_after:
-            sink.advance(r.prime)  # the range's last chunk, cut short
+            sink.advance(r.prime, counters, writers)  # the range's last chunk, cut short
     if emitted == halt_after:
         out = ""
         err += f"kh: halted after {emitted} records, no summary written\n"
@@ -875,7 +951,7 @@ def test_cli_kh_chunk_writes_match_per_record_writes(
         assert code == EXIT_ANOMALY
         assert captured.err.count("VIOLATION") == 1
         assert f"{inject_violation},0,true," in (got / "out.csv").read_text()
-        led = [json.loads(l) for l in open(got / "led.jsonl")]
+        led = json_lines(got / "led.jsonl")
         flagged = [l for l in led if l.get("prime") == inject_violation]
         assert [(l["residue"], l["violates_kh"]) for l in flagged] == [(0, True)]
 
@@ -899,11 +975,11 @@ from leftfact.harness import FileSink
 
 advance, calls = FileSink.advance, []
 
-def advance_or_die(self, frontier):
+def advance_or_die(self, frontier, counters, writers=()):
     calls.append(frontier)
     if len(calls) == 4:
         os.kill(os.getpid(), signal.SIGKILL)
-    advance(self, frontier)
+    advance(self, frontier, counters, writers)
 
 FileSink.advance = advance_or_die
 sys.exit(main(sys.argv[1:]))
@@ -976,7 +1052,7 @@ def test_cli_reports_a_kernel_violation_once(tmp_path):
     )
     assert proc.returncode == EXIT_ANOMALY, proc.stderr
     assert proc.stderr == "VIOLATION: 101 divides !101\n"
-    flagged = [r for r in map(json.loads, open(led)) if r.get("prime") == 101]
+    flagged = [r for r in json_lines(led) if r.get("prime") == 101]
     assert [(r["residue"], r["violates_kh"]) for r in flagged] == [(0, True)]
 
 

@@ -392,6 +392,7 @@ def test_kh_sweep_finished_range_builds_no_sieve(monkeypatch):
 def test_kh2_scan_finds_only_the_known_square():
     hits = kh2_scan((2, 50), 100)
     assert hits == [(2, 3)]
+    assert kh2_scan((2, 2), 10) == [(2, 3)]
 
 
 def test_kh2_scan_validation():
