@@ -421,6 +421,8 @@ def kh_chunks(
     come out once it is done. A zero residue is a result, not an error: it
     is the consumer's to report. Closing the stream early, or an exception
     in it, terminates the pool's workers rather than wait for their spans.
+    A range or worker count out of bounds raises here, at the call, before
+    the stream starts.
     """
     lo, hi = prime_range
     if lo < 3:
@@ -429,7 +431,11 @@ def kh_chunks(
         raise ValueError(f"hi {hi} exceeds sweep bound {MAX_SWEEP_PRIME}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    start = lo if after is None else max(lo, after + 1)
+    return _chunk_stream(lo if after is None else max(lo, after + 1), hi, worker_count)
+
+
+def _chunk_stream(start: int, hi: int, worker_count: int) -> Iterator[KhChunk]:
+    """kh_chunks's stream from its first prime candidate start up."""
     # a rerun over a finished sweep, or an empty range, has no prime left:
     # finding that out costs at most one prime gap of tests, where the sieve
     # covers all of [0, hi]

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import leftfact
@@ -206,20 +206,110 @@ def test_psi_13_goes_to_sympy(monkeypatch):
 def test_above_psi_13_rho_splits_before_sympy(monkeypatch):
     import sympy
 
-    seen = []
-    factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda n, **k: seen.append(n) or factorint(n, **k))
+    from leftfact import factorint
+
+    seen, curves, ecm = [], [], []
+    sympy_factorint, curve, divisor = sympy.factorint, factorint._ecm_curve, factorint._ecm_divisor
+    monkeypatch.setattr(
+        sympy, "factorint", lambda n, **k: seen.append(n) or sympy_factorint(n, **k)
+    )
+    monkeypatch.setattr(factorint, "_ecm_curve", lambda n, s: curves.append(s) or curve(n, s))
+    monkeypatch.setattr(factorint, "_ecm_divisor", lambda n: ecm.append(n) or divisor(n))
     # K(26): rho splits off 49297 and leaves a cofactor below PSI_13
     assert factorize(left_factorial(26)).factors == (
         (2, 1), (49297, 1), (1348619023, 1), (121525196147, 1)
     )
-    assert seen == []
+    assert seen == ecm == []
     # rho splits off 10007 within its budget but not the two primes near
-    # 2^42, so sympy gets their product and nothing else
+    # 2^42; the curves split their product, and sympy sees nothing
     p, q = int(sympy.prevprime(2**42)), int(sympy.nextprime(2**42))
     assert p * q >= PSI_13
-    assert factorize(10007 * p * q).factors == ((10007, 1), (p, 1), (q, 1))
+    got = factorize(10007 * p * q).factors
+    assert ecm == [p * q] and seen == []
+    assert got == ((10007, 1), (p, 1), (q, 1)) == sympy_factors(10007 * p * q)
+    # p - 1 = 2 * 3^2 * 5 * ... * 53 is smooth, so sympy's p-1 finds p at
+    # once, but neither rho nor any of the 8 curves splits p * q
+    p, q = 3 * int(sympy.primorial(53, nth=False)) + 1, int(sympy.nextprime(10**20))
+    assert p == 97767475431570134191
+    for calls in (seen, curves, ecm):
+        calls.clear()
+    got = factorize(p * q).factors
+    assert ecm == [p * q] and curves == list(range(6, 14))
     assert seen == [p * q]
+    assert got == ((p, 1), (q, 1)) == sympy_factors(p * q)
+
+
+def digit_primes(lo_digits, hi_digits):
+    """Primes of lo_digits to hi_digits digits, spread over the digit counts."""
+    import sympy
+
+    return (
+        st.integers(min_value=lo_digits, max_value=hi_digits)
+        .flatmap(lambda d: st.integers(min_value=10 ** (d - 1), max_value=10**d - 1))
+        .map(lambda x: int(sympy.nextprime(x)))
+        .filter(lambda p: p < 10**hi_digits)
+    )
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(digit_primes(7, 13), min_size=2, max_size=3))
+def test_ecm_path_matches_sympy_on_products_of_primes(primes):
+    v = 1
+    for p in primes:
+        v *= p
+    assume(v >= PSI_13)
+    # the primes are sympy's, so by unique factorization this is what
+    # sympy.factorint(v) returns, without its seconds per example
+    assert factorize(v).factors == tuple(sorted((p, primes.count(p)) for p in set(primes)))
+
+
+def test_ecm_divisor_is_deterministic():
+    import sympy
+
+    from leftfact import factorint
+
+    p, q = int(sympy.prevprime(2**42)), int(sympy.nextprime(2**42))
+    first = factorint._ecm_divisor(p * q)
+    assert first in (p, q)
+    assert factorint._ecm_divisor(p * q) == first
+
+
+def test_ecm_stage_2_covers_exactly_the_primes_between_its_bounds():
+    import sympy
+
+    from leftfact import factorint
+
+    k, plan = factorint._ecm_plan()
+    d = factorint._ECM_D
+    assert k == sympy.lcm(list(range(1, factorint._ECM_B1 + 1)))
+    steps, m = [], 2
+    for j in plan:
+        if j:
+            steps.append((m, j))
+        else:
+            m += 1
+    assert len(set(steps)) == len(steps)
+    covered = {m * d + s * j for m, j in steps for s in (-1, 1)}
+    want = set(sympy.primerange(factorint._ECM_B1 + 1, factorint._ECM_B2 + 1))
+    assert want <= covered
+    # each (m, j) is there for a prime, and no baby step is out of range
+    assert all(m * d - j in want or m * d + j in want for m, j in steps)
+    assert all(j % 2 and j <= d // 2 for _, j in steps)
+
+
+def test_curves_leave_sympy_only_primes_on_the_left_factorials_they_split(monkeypatch):
+    import sympy
+
+    seen = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda n, **k: seen.append(n) or factorint(n, **k))
+    for n in (27, 28, 31, 32, 34, 36, 38):
+        v = left_factorial(n)
+        f = factorize(v)
+        assert f.complete and f.reassemble() == v, n
+        assert all(is_probable_prime(p) for p, _ in f.factors), n
+    # a prime from PSI_13 up still goes to sympy.factorint to be certified
+    assert seen and all(sympy.isprime(n) for n in seen)
 
 
 def test_residue_direct_never_imports_sympy():

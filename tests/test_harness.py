@@ -33,7 +33,7 @@ from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leftfact import cli
 from leftfact.harness import _RECORD_LINE, CSV_HEADER, CsvWriter, _ledger_lines, record_to_row
 from leftfact.primes import build_sieve
-from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD
+from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD, MAX_SWEEP_PRIME
 
 
 def rec(prime, residue, ns=7, method="forward_v"):
@@ -809,6 +809,20 @@ def test_cli_kh_failing_mid_stream_closes_its_files(tmp_path, monkeypatch, capsy
     assert code == EXIT_RUNTIME
     assert "injected failure at chunk 3" in capsys.readouterr().err
     assert len(led.read_text().splitlines()) == 2 * CHUNK_PRIMES
+
+
+def test_cli_kh_refuses_a_range_past_the_bound_before_opening_its_files(tmp_path, capsys):
+    # the range is checked before the ledger and the CSV open, so a refused
+    # run leaves the files of an earlier one as they were
+    led, out = tmp_path / "old.jsonl", tmp_path / "old.csv"
+    assert run_cli("kh", "--from", "3", "--to", "1000", "--ledger", led, "--csv", out) == EXIT_OK
+    before = led.read_bytes(), out.read_bytes()
+    capsys.readouterr()
+    hi = 99999999999999
+    code = run_cli("kh", "--from", "3", "--to", hi, "--ledger", led, "--csv", out)
+    assert code == EXIT_RUNTIME
+    assert f"hi {hi} exceeds sweep bound {MAX_SWEEP_PRIME}" in capsys.readouterr().err
+    assert (led.read_bytes(), out.read_bytes()) == before
 
 
 def test_cli_resume_may_change_workers(tmp_path):
