@@ -3,7 +3,11 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 anomaly (a
 verified arithmetic surprise, e.g. a prime dividing its left factorial).
 Sweep commands stream results and can checkpoint/resume; everything else
-is a direct computation printed to stdout.
+is a direct computation printed to stdout. kh has one loop: each chunk
+is counted, its violations reported, its records written and then
+checkpointed. An interruption (Ctrl-C or a crash) and a violation (a zero
+residue from the kernel) take that same loop; kh has no option to stage
+either.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import os
 import sys
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exact import (
     IDENTITIES_WITH_M,
@@ -47,7 +51,6 @@ from .primes import (
 )
 from .sweeps import (
     KERNEL_METHOD,
-    KhChunk,
     a_set_scan,
     h4_witness_search,
     kh2_scan,
@@ -148,26 +151,6 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     return EXIT_ANOMALY if bad else EXIT_OK
 
 
-def _inject_violation(chunk: KhChunk, prime: int) -> KhChunk:
-    """The chunk with prime's residue set to 0, if it holds prime."""
-    if prime not in chunk.primes:
-        return chunk
-    residues = list(chunk.residues)
-    residues[chunk.primes.index(prime)] = 0
-    return chunk._replace(residues=residues)
-
-
-def _first_records(chunks: Iterator[KhChunk], count: int) -> Iterator[KhChunk]:
-    """The chunks holding the first count records, the last one cut short
-    if it overruns; the chunk after them is never asked for."""
-    for chunk in chunks:
-        if len(chunk.primes) >= count:
-            yield chunk._replace(primes=chunk.primes[:count], residues=chunk.residues[:count])
-            return
-        count -= len(chunk.primes)
-        yield chunk
-
-
 def _cmd_kh(args: argparse.Namespace) -> int:
     if args.lo < 3 or args.hi < args.lo:
         print(f"kh: need 3 <= --from <= --to, got {args.lo}..{args.hi}", file=sys.stderr)
@@ -183,13 +166,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
     if sink is not None:
         counters.update(sink.counters)
 
-    sweep = kh_chunks((args.lo, args.hi), worker_count=args.workers, after=frontier)
-    # the testing aids are filters on the chunk stream
-    chunks: Iterator[KhChunk] = sweep
-    if args.inject_violation is not None:
-        chunks = (_inject_violation(chunk, args.inject_violation) for chunk in chunks)
-    if args.halt_after is not None:
-        chunks = _first_records(chunks, args.halt_after)
+    chunks = kh_chunks((args.lo, args.hi), worker_count=args.workers, after=frontier)
     writers: list[RecordWriter] = []
     ledger = None
     try:
@@ -208,10 +185,8 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                     "the resumed table will be incomplete (the ledger is authoritative)",
                     file=sys.stderr,
                 )
-        emitted = 0
         t0 = time.monotonic()
         for primes, residues, elapsed_ns in chunks:
-            emitted += len(primes)
             violations = residues.count(0)
             counters["records"] += len(primes)
             counters["violations"] += violations
@@ -221,33 +196,27 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                         print(f"VIOLATION: {p} divides !{p}", file=sys.stderr)
             for writer in writers:
                 writer.write_chunk(primes, residues, elapsed_ns, KERNEL_METHOD)
-            # a halted run stands in for an interrupted one: it checkpoints
-            # nothing of its last chunk, even when that chunk is whole
-            if sink is not None and emitted != args.halt_after:
+            if sink is not None:
                 sink.advance(primes[-1], counters, writers)
         wall = time.monotonic() - t0
 
-        if emitted == args.halt_after:
-            # mimics an interruption: the ledger keeps its records, gets no summary
-            print(f"kh: halted after {emitted} records, no summary written", file=sys.stderr)
-        else:
-            if ledger is not None:
-                ledger.write_summary(
-                    command="kh",
-                    lo=args.lo,
-                    hi=args.hi,
-                    method=KERNEL_METHOD,
-                    records=counters["records"],
-                    violations=counters["violations"],
-                    wall_seconds=wall,
-                )
-            print(
-                f"kh [{args.lo}, {args.hi}]: {counters['records']} primes, "
-                f"{counters['violations']} violations, {wall:.2f}s "
-                f"({args.workers} worker{'s' if args.workers != 1 else ''})"
+        if ledger is not None:
+            ledger.write_summary(
+                command="kh",
+                lo=args.lo,
+                hi=args.hi,
+                method=KERNEL_METHOD,
+                records=counters["records"],
+                violations=counters["violations"],
+                wall_seconds=wall,
             )
+        print(
+            f"kh [{args.lo}, {args.hi}]: {counters['records']} primes, "
+            f"{counters['violations']} violations, {wall:.2f}s "
+            f"({args.workers} worker{'s' if args.workers != 1 else ''})"
+        )
     finally:
-        sweep.close()
+        chunks.close()
         for writer in writers:
             writer.close()
     return EXIT_ANOMALY if counters["violations"] else EXIT_OK
@@ -564,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--ledger", metavar="PATH")
     p.add_argument("--csv", metavar="PATH", help="also write the records as CSV to PATH")
-    p.add_argument("--halt-after", type=_positive, metavar="N", help="stop after N records (testing aid)")
-    p.add_argument("--inject-violation", type=_positive, metavar="P", help="fake a violation at prime P (testing aid)")
     p.set_defaults(func=_cmd_kh)
 
     p = sub.add_parser("kh2", help="scan for p^2 dividing !n")

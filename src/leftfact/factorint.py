@@ -10,8 +10,10 @@ algorithm", BIT 20, 1980). Such a cofactor, if composite, has a prime
 factor below 1.9*10^12, so rho needs about 1.7*10^6 steps in expectation
 at worst.
 
-A cofactor from PSI_13 up that fails the same test is composite, and goes
-through three stages until one splits it:
+A cofactor from PSI_13 up that passes the same test goes on to
+sympy.isprime (BPSW), which certifies a prime there. One that fails
+either test is composite, and goes through three stages until one splits
+it:
 
 1. rho, for _RHO_BUDGET = 4096 steps: prime factors up to about 10^6;
 2. ECM (_ecm_divisor): the _ECM_CURVES = 8 Montgomery curves of Suyama's
@@ -25,9 +27,8 @@ through three stages until one splits it:
 So a composite that only sympy splits first costs 4096 rho steps and 8
 curves, about 0.2 s at 40 digits (20-25 ms a curve on a 2-core x86-64
 host under CPython 3.11).
-A cofactor from PSI_13 up that passes the test goes to sympy.factorint
-too. is_probable_prime from PSI_13 up, and every factorize call with a
-limit, go to sympy.isprime (BPSW) and sympy.factorint as they are. sympy
+is_probable_prime from PSI_13 up, and every factorize call with a limit,
+go to sympy.isprime (BPSW) and sympy.factorint as they are. sympy
 is imported inside the functions, not here, so that commands which never
 go past the bound (the kh sweep above all) do not pay for importing it.
 """
@@ -219,10 +220,10 @@ def _ecm_divisor(n: int) -> int | None:
 
 
 def _factor_complete(v: int) -> dict[int, int]:
-    """{prime: exponent} of v >= 2. Cofactors below PSI_13 are split here,
-    every prime proven by is_probable_prime; sympy.factorint gets only the
-    cofactors from PSI_13 up that pass the 13-base test or that neither rho
-    within _RHO_BUDGET steps nor the ECM curves split."""
+    """{prime: exponent} of v >= 2, every prime proven by is_probable_prime.
+    Cofactors below PSI_13 are split here; sympy.factorint gets only the
+    composites from PSI_13 up that neither rho within _RHO_BUDGET steps nor
+    the ECM curves split."""
     out: dict[int, int] = {}
     for p in _MR_BASES:
         while v % p == 0:
@@ -232,13 +233,13 @@ def _factor_complete(v: int) -> dict[int, int]:
     while pending:
         n = pending.pop()
         # no factor up to 41 is left, so n below 43^2 is prime
-        if n < 43 * 43 or (n < PSI_13 and _strong_probable_prime(n)):
+        # from PSI_13 up, sympy.isprime certifies what passes the 13 bases
+        if n < 43 * 43 or (_strong_probable_prime(n) and (n < PSI_13 or is_probable_prime(n))):
             out[n] = out.get(n, 0) + 1
             continue
-        d = None
         if n < PSI_13:
             d = _brent_divisor(n)
-        elif not _strong_probable_prime(n):
+        else:
             d = _brent_divisor(n, _RHO_BUDGET) or _ecm_divisor(n)
         if d is not None:
             pending += [d, n // d]

@@ -113,14 +113,15 @@ def load_checkpoint(path: str) -> Checkpoint | None:
         raise CheckpointCorrupt(
             f"{path}: unsupported checkpoint version {obj.get('version')!r}"
         )
+    params, frontier, counters = obj.get("params"), obj.get("frontier"), obj.get("counters")
+    if not isinstance(params, dict) or not isinstance(counters, dict):
+        raise CheckpointCorrupt(f"{path}: params and counters must be JSON objects")
+    # json.loads gives bool for true and false, and float for 1.0
+    if not all(type(v) is int for v in (frontier, *counters.values())):
+        raise CheckpointCorrupt(f"{path}: frontier and counters must be JSON integers")
     try:
-        return Checkpoint(
-            command=obj["command"],
-            params=dict(obj["params"]),
-            frontier=int(obj["frontier"]),
-            counters={k: int(v) for k, v in obj["counters"].items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return Checkpoint(command=obj["command"], params=params, frontier=frontier, counters=counters)
+    except (KeyError, ValueError) as exc:
         raise CheckpointCorrupt(f"{path}: malformed field ({exc})") from exc
 
 

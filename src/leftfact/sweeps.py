@@ -453,7 +453,11 @@ def _chunk_stream(start: int, hi: int, worker_count: int) -> Iterator[KhChunk]:
     if worker_count > 1 and len(spans) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(worker_count, initializer=_exit_with, initargs=(os.getpid(),))
+        # a pool under fork starts all its workers at the first submit, so
+        # it gets one per span, however many were asked for
+        pool = ProcessPoolExecutor(
+            min(worker_count, len(spans)), initializer=_exit_with, initargs=(os.getpid(),)
+        )
     try:
         arrays = [primes[a * CHUNK_PRIMES : b * CHUNK_PRIMES] for a, b in spans]
         results = (pool.map if pool is not None else map)(_kernel_task, arrays)

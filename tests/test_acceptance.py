@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from fakes import interrupted_at_advance, zero_residue_at
 from stepper import residue_digest
 
 import leftfact
@@ -419,17 +420,16 @@ def test_criterion_10_cost_model_and_scaling():
     )
 
 
-def test_criterion_11_harness_interrupt_and_anomaly(tmp_path, capsys):
+def test_criterion_11_harness_interrupt_and_anomaly(tmp_path, monkeypatch, capsys):
     t0 = time.monotonic()
     clean = tmp_path / "clean.jsonl"
     assert main(["kh", "--from", "3", "--to", "30000", "--ledger", str(clean)]) == EXIT_OK
 
     cp = tmp_path / "cp.json"
     part = tmp_path / "part.jsonl"
-    assert main([
-        "kh", "--from", "3", "--to", "30000",
-        "--checkpoint", str(cp), "--ledger", str(part), "--halt-after", "1500",
-    ]) == EXIT_OK
+    # interrupted as it checkpoints chunk 2, whose records are written
+    with interrupted_at_advance(2):
+        main(["kh", "--from", "3", "--to", "30000", "--checkpoint", str(cp), "--ledger", str(part)])
     assert main([
         "kh", "--from", "3", "--to", "30000",
         "--checkpoint", str(cp), "--ledger", str(part),
@@ -439,9 +439,9 @@ def test_criterion_11_harness_interrupt_and_anomaly(tmp_path, capsys):
         summaries = [json.loads(line) for line in fh if json.loads(line)["type"] == "summary"]
     summary_ok = len(summaries) == 1
 
-    injected = main([
-        "kh", "--from", "3", "--to", "500", "--inject-violation", "101",
-    ])
+    # the kernel gives 101 a zero residue, as a real violation would
+    zero_residue_at(monkeypatch, 101)
+    injected = main(["kh", "--from", "3", "--to", "500", "--workers", "1"])
     anomaly_ok = injected == EXIT_ANOMALY
     capsys.readouterr()
 

@@ -192,8 +192,10 @@ def test_psi_13_goes_to_sympy(monkeypatch):
     )
     assert not is_probable_prime(PSI_13)
     assert calls == ["isprime"]
+    # it passes the 13 bases, sympy.isprime finds it composite, and neither
+    # rho nor the curves split it
     f = factorize(PSI_13)
-    assert calls[1] == "factorint"
+    assert calls == ["isprime", "isprime", "factorint"]
     assert f.complete and f.reassemble() == PSI_13
     assert f.factors == sympy_factors(PSI_13)
     # below the bound nothing reaches sympy
@@ -308,8 +310,8 @@ def test_curves_leave_sympy_only_primes_on_the_left_factorials_they_split(monkey
         f = factorize(v)
         assert f.complete and f.reassemble() == v, n
         assert all(is_probable_prime(p) for p, _ in f.factors), n
-    # a prime from PSI_13 up still goes to sympy.factorint to be certified
-    assert seen and all(sympy.isprime(n) for n in seen)
+    # sympy.isprime certifies the primes from PSI_13 up
+    assert seen == []
 
 
 def test_residue_direct_never_imports_sympy():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import itertools
 import json
 import os
 import re
@@ -13,6 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fakes import interrupted_at_advance, zero_residue_at
 
 import leftfact
 from leftfact import (
@@ -491,15 +492,15 @@ def test_cli_kh_plain_run(tmp_path, capsys):
     assert lines[1].startswith("3,1,false,")
 
 
-def test_cli_kh_injected_violation_trips_anomaly(tmp_path, capsys):
+def test_cli_kh_injected_violation_trips_anomaly(tmp_path, monkeypatch, capsys):
     csv_path = tmp_path / "out.csv"
     ledger = tmp_path / "ledger.jsonl"
+    zero_residue_at(monkeypatch, 101)
     code = run_cli(
-        "kh", "--from", "3", "--to", "500",
-        "--csv", csv_path, "--ledger", ledger, "--inject-violation", "101",
+        "kh", "--from", "3", "--to", "500", "--workers", "1", "--csv", csv_path, "--ledger", ledger,
     )
     assert code == EXIT_ANOMALY
-    assert "VIOLATION: 101" in capsys.readouterr().err
+    assert capsys.readouterr().err == "VIOLATION: 101 divides !101\n"
     flagged = [l for l in csv_path.read_text().splitlines() if l.startswith("101,")]
     assert flagged == ["101,0,true," + flagged[0].split(",", 3)[3]]
     led = json_lines(ledger)
@@ -516,6 +517,38 @@ def test_cli_kh_checkpoint_mismatch_and_corrupt(tmp_path, capsys):
     assert run_cli("kh", "--from", "3", "--to", "1000", "--checkpoint", cp) == EXIT_RUNTIME
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("params", [["lo", 3]]),
+        ("params", None),
+        ("counters", [1, 2]),
+        ("counters", "records=1024"),
+        ("frontier", None),
+        ("frontier", True),
+        ("frontier", 8167.0),
+        ("frontier", "8167"),
+        ("counters", {"records": 1024, "violations": False}),
+        ("counters", {"records": 1024.0, "violations": 0}),
+    ],
+)
+def test_cli_kh_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys, field, value):
+    # a field of the wrong JSON type is a corrupt checkpoint, reported as
+    # such: exit 1 with kh's message, no traceback, and the file kept
+    cp = tmp_path / "cp.json"
+    obj = {
+        "command": "kh", "counters": {"records": 1024, "violations": 0}, "frontier": 8167,
+        "params": {"hi": 20000, "lo": 3, "method": KERNEL_METHOD}, "version": 1,
+    }
+    cp.write_text(json.dumps({**obj, field: value}))
+    before = cp.read_bytes()
+    code = run_cli("kh", "--from", "3", "--to", "20000", "--workers", "1", "--checkpoint", cp)
+    captured = capsys.readouterr()
+    assert code == EXIT_RUNTIME
+    assert captured.err.startswith(f"kh: {cp}: "), captured.err
+    assert cp.read_bytes() == before
+
+
 def test_cli_kh_finished_checkpoint_resumes_to_noop(tmp_path, capsys):
     cp = tmp_path / "cp.json"
     run_cli("kh", "--from", "3", "--to", "5000", "--checkpoint", cp)
@@ -525,22 +558,22 @@ def test_cli_kh_finished_checkpoint_resumes_to_noop(tmp_path, capsys):
     assert "668 primes, 0 violations" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("halt_after", [1, 1023, 1024, 1025, 2500])
-def test_cli_interrupt_resume_ledger_identity(tmp_path, capsys, halt_after):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cli_interrupt_resume_ledger_identity(tmp_path, capsys, k):
+    # interrupted as it checkpoints chunk k of the four in [3, 30000]
     clean = tmp_path / "clean.jsonl"
     run_cli("kh", "--from", "3", "--to", "30000", "--ledger", clean)
 
     cp = tmp_path / "cp.json"
     part = tmp_path / "part.jsonl"
-    first = run_cli(
-        "kh", "--from", "3", "--to", "30000",
-        "--checkpoint", cp, "--ledger", part, "--halt-after", halt_after,
-    )
-    assert first == EXIT_OK
-    assert "halted" in capsys.readouterr().err
-    # no summary line on the interrupted ledger
+    with interrupted_at_advance(k):
+        run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--ledger", part)
+    # no summary line on the interrupted ledger, which holds chunk k
     partial = json_lines(part)
+    assert len(partial) == k * CHUNK_PRIMES
     assert all(l["type"] == "record" for l in partial)
+    # the checkpoint is chunk k - 1's, and there is none before chunk 1's
+    assert cp.exists() is (k > 1)
 
     second = run_cli(
         "kh", "--from", "3", "--to", "30000",
@@ -565,11 +598,10 @@ def test_cli_interrupt_resume_csv_matches_clean(tmp_path, capsys):
 
     cp = tmp_path / "cp.json"
     part = tmp_path / "part.csv"
-    # halt lands mid-chunk, so the csv is ahead of the checkpoint frontier
-    run_cli(
-        "kh", "--from", "3", "--to", "30000",
-        "--checkpoint", cp, "--csv", part, "--halt-after", "1500",
-    )
+    # interrupted as it checkpoints chunk 2, so the csv is ahead of the
+    # checkpoint frontier
+    with interrupted_at_advance(2):
+        run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--csv", part)
     run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--csv", part)
     capsys.readouterr()
 
@@ -584,10 +616,8 @@ def test_cli_csv_resume_fsyncs_its_directory(tmp_path, monkeypatch, capsys):
     cp_dir.mkdir()
     csv_dir.mkdir()
     cp, out = cp_dir / "cp.json", csv_dir / "out.csv"
-    run_cli(
-        "kh", "--from", "3", "--to", "30000",
-        "--checkpoint", cp, "--csv", out, "--halt-after", "1500",
-    )
+    with interrupted_at_advance(2):
+        run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--csv", out)
     synced_dirs = []
     real_fsync = os.fsync
 
@@ -617,15 +647,15 @@ def test_cli_finished_checkpoint_rerun_keeps_csv(tmp_path, capsys):
     assert out.read_text() == before
 
 
-def _halted_csv_run(tmp_path, *extra):
-    """A checkpointed [3, 30000] run halted mid-chunk 2; returns the
-    checkpoint and CSV paths and the checkpoint frontier."""
+def _interrupted_csv_run(tmp_path, *extra):
+    """A checkpointed [3, 30000] run interrupted as it checkpoints chunk 2;
+    returns the checkpoint and CSV paths and the checkpoint frontier."""
     cp, out = tmp_path / "cp.json", tmp_path / "out.csv"
-    code = run_cli(
-        "kh", "--from", "3", "--to", "30000", "--workers", "1",
-        "--checkpoint", cp, "--csv", out, "--halt-after", "1500", *extra,
-    )
-    assert code == EXIT_OK
+    with interrupted_at_advance(2):
+        run_cli(
+            "kh", "--from", "3", "--to", "30000", "--workers", "1",
+            "--checkpoint", cp, "--csv", out, *extra,
+        )
     return cp, out, load_checkpoint(str(cp)).frontier
 
 
@@ -639,7 +669,7 @@ def _resume_csv_run(cp, out, *extra):
 def test_cli_csv_resume_drops_a_torn_last_row(tmp_path, capsys):
     clean = tmp_path / "clean.csv"
     run_cli("kh", "--from", "3", "--to", "30000", "--workers", "1", "--csv", clean)
-    cp, out, frontier = _halted_csv_run(tmp_path)
+    cp, out, frontier = _interrupted_csv_run(tmp_path)
     lines = out.read_text().splitlines(keepends=True)
     # the last row, cut inside its residue and without its newline
     out.write_text("".join(lines[:-1]) + lines[-1][: lines[-1].index(",") + 2])
@@ -653,7 +683,7 @@ def test_cli_csv_resume_drops_a_torn_row_whose_head_is_below_the_frontier(tmp_pa
     # prime; a row with no comma is torn, not a record
     clean = tmp_path / "clean.csv"
     run_cli("kh", "--from", "3", "--to", "30000", "--workers", "1", "--csv", clean)
-    cp, out, frontier = _halted_csv_run(tmp_path)
+    cp, out, frontier = _interrupted_csv_run(tmp_path)
     kept = [l for l in out.read_text().splitlines(keepends=True)[1:] if int(l.split(",")[0]) <= frontier]
     out.write_text(CSV_HEADER + "\n" + "".join(kept) + str(frontier)[:2])
     assert _resume_csv_run(cp, out) == EXIT_OK
@@ -662,7 +692,7 @@ def test_cli_csv_resume_drops_a_torn_row_whose_head_is_below_the_frontier(tmp_pa
 
 
 def test_cli_csv_resume_restarts_a_file_with_another_header(tmp_path, capsys):
-    cp, out, frontier = _halted_csv_run(tmp_path)
+    cp, out, frontier = _interrupted_csv_run(tmp_path)
     out.write_text("p,n\n3,1,false,0,forward_v\n")
     assert _resume_csv_run(cp, out) == EXIT_OK
     assert "missing rows" in capsys.readouterr().err
@@ -672,7 +702,7 @@ def test_cli_csv_resume_restarts_a_file_with_another_header(tmp_path, capsys):
 
 
 def test_cli_csv_resume_short_of_the_frontier_warns_and_succeeds(tmp_path, capsys):
-    cp, out, frontier = _halted_csv_run(tmp_path)
+    cp, out, frontier = _interrupted_csv_run(tmp_path)
     lines = out.read_text().splitlines(keepends=True)
     out.write_text("".join(lines[:101]))  # header and the first 100 rows
     assert _resume_csv_run(cp, out) == EXIT_OK
@@ -685,7 +715,7 @@ def test_cli_csv_resume_short_of_the_frontier_warns_and_succeeds(tmp_path, capsy
 
 def test_cli_resume_leaves_no_temporary_files(tmp_path, capsys):
     led = tmp_path / "led.jsonl"
-    cp, out, _frontier = _halted_csv_run(tmp_path, "--ledger", led)
+    cp, out, _frontier = _interrupted_csv_run(tmp_path, "--ledger", led)
     assert _resume_csv_run(cp, out, "--ledger", led) == EXIT_OK
     assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
     # a resume that raises on a malformed ledger line leaves both files as
@@ -702,15 +732,15 @@ def test_cli_resume_leaves_no_temporary_files(tmp_path, capsys):
         assert sorted(os.listdir(tmp_path)) == ["cp.json", "led.jsonl", "out.csv"]
 
 
-def _halted_ledger_run(tmp_path):
-    """A checkpointed [3, 20000] run with ledger and CSV, halted at record
-    1500, inside chunk 2; returns the three paths and the frontier."""
+def _interrupted_ledger_run(tmp_path):
+    """A checkpointed [3, 20000] run with ledger and CSV, interrupted as it
+    checkpoints chunk 2; returns the three paths and the frontier."""
     cp, led, out = tmp_path / "cp.json", tmp_path / "led.jsonl", tmp_path / "out.csv"
-    code = run_cli(
-        "kh", "--from", "3", "--to", "20000", "--workers", "1",
-        "--checkpoint", cp, "--ledger", led, "--csv", out, "--halt-after", "1500",
-    )
-    assert code == EXIT_OK
+    with interrupted_at_advance(2):
+        run_cli(
+            "kh", "--from", "3", "--to", "20000", "--workers", "1",
+            "--checkpoint", cp, "--ledger", led, "--csv", out,
+        )
     frontier = load_checkpoint(str(cp)).frontier
     assert frontier == 8167  # the last prime of chunk 1
     return cp, led, out, frontier
@@ -721,7 +751,7 @@ def _files(directory):
 
 
 def _refused_resume(tmp_path, capsys, led, frontier):
-    """Resume the halted run over a damaged or missing ledger: it must exit 1
+    """Resume the interrupted run over a damaged or missing ledger: it must exit 1
     naming the ledger and the frontier, and change no file. Returns stderr."""
     before = _files(tmp_path)
     capsys.readouterr()
@@ -739,16 +769,16 @@ def _refused_resume(tmp_path, capsys, led, frontier):
 
 
 def test_cli_resume_refuses_a_ledger_damaged_below_the_frontier(tmp_path, capsys):
-    cp, led, out, frontier = _halted_ledger_run(tmp_path)
+    cp, led, out, frontier = _interrupted_ledger_run(tmp_path)
     lines = led.read_text().splitlines(keepends=True)
-    assert len(lines) == 1500
+    assert len(lines) == 2 * CHUNK_PRIMES
     lines[500] = lines[500][:20] + "\n"  # line 501
     led.write_text("".join(lines))
     _refused_resume(tmp_path, capsys, led, frontier)
 
 
 def test_cli_resume_refuses_a_ledger_that_lost_a_record_below_the_frontier(tmp_path, capsys):
-    cp, led, out, frontier = _halted_ledger_run(tmp_path)
+    cp, led, out, frontier = _interrupted_ledger_run(tmp_path)
     lines = led.read_text().splitlines(keepends=True)
     del lines[500]  # line 501, a whole record
     led.write_text("".join(lines))
@@ -757,7 +787,7 @@ def test_cli_resume_refuses_a_ledger_that_lost_a_record_below_the_frontier(tmp_p
 
 
 def test_cli_resume_refuses_a_missing_ledger_under_a_checkpoint(tmp_path, capsys):
-    cp, led, out, frontier = _halted_ledger_run(tmp_path)
+    cp, led, out, frontier = _interrupted_ledger_run(tmp_path)
     led.unlink()
     _refused_resume(tmp_path, capsys, led, frontier)
     assert not led.exists()
@@ -828,10 +858,11 @@ def test_cli_kh_refuses_a_range_past_the_bound_before_opening_its_files(tmp_path
 def test_cli_resume_may_change_workers(tmp_path):
     cp = tmp_path / "cp.json"
     led = tmp_path / "led.jsonl"
-    run_cli(
-        "kh", "--from", "3", "--to", "20000", "--workers", "1",
-        "--checkpoint", cp, "--ledger", led, "--halt-after", "1500",
-    )
+    with interrupted_at_advance(2):
+        run_cli(
+            "kh", "--from", "3", "--to", "20000", "--workers", "1",
+            "--checkpoint", cp, "--ledger", led,
+        )
     code = run_cli(
         "kh", "--from", "3", "--to", "20000", "--workers", "2",
         "--checkpoint", cp, "--ledger", led,
@@ -871,55 +902,43 @@ class _Synced:
         self.fh.flush()
 
 
-def _per_record_kh(d, lo, hi, workers, halt_after=None, inject_violation=None):
-    """The kh command's files and output, formatted one record at a time:
-    kh_sweep's records through write_record and record_to_row, with the
-    testing aids as filters on the record stream. The checkpoint advances
-    at the end of each chunk, every CHUNK_PRIMES-th record and the last,
-    but not at the record a halted run stops at. Returns the exit code,
-    stdout and stderr."""
+def _per_record_kh(d, lo, hi, workers):
+    """The kh command, formatted one record at a time: kh_sweep's records
+    through write_record and record_to_row, each violation and the closing
+    line printed as kh prints them. The checkpoint advances at the end of
+    each chunk, every CHUNK_PRIMES-th record and the last. Returns the exit
+    code."""
     counters = {"records": 0, "violations": 0}
     sink = FileSink(str(d / "cp.json"), "kh", {"lo": lo, "hi": hi, "method": KERNEL_METHOD})
     ledger = LedgerWriter(str(d / "led.jsonl"))
-    with open(d / "out.csv", "w", encoding="utf-8", newline="\n") as csv:
-        csv.write(CSV_HEADER + "\n")
-        writers = (ledger, _Synced(csv))
-        stream = records = kh_sweep((lo, hi), worker_count=workers)
-        if inject_violation is not None:
-            records = (
-                dataclasses.replace(r, residue=0, violates_kh=True) if r.prime == inject_violation else r
-                for r in records
-            )
-        if halt_after is not None:
-            records = itertools.islice(records, halt_after)
-        err, emitted = "", 0
-        for r in records:
-            emitted += 1
-            counters["records"] += 1
-            counters["violations"] += r.violates_kh
-            if r.violates_kh:
-                err += f"VIOLATION: {r.prime} divides !{r.prime}\n"
-            ledger.write_record(r)
-            csv.write(record_to_row(r) + "\n")
-            if emitted % CHUNK_PRIMES == 0 and emitted != halt_after:
-                sink.advance(r.prime, counters, writers)
-        stream.close()
-        if emitted % CHUNK_PRIMES and emitted != halt_after:
-            sink.advance(r.prime, counters, writers)  # the range's last chunk, cut short
-    if emitted == halt_after:
-        out = ""
-        err += f"kh: halted after {emitted} records, no summary written\n"
-    else:
+    stream = kh_sweep((lo, hi), worker_count=workers)
+    try:
+        with open(d / "out.csv", "w", encoding="utf-8", newline="\n") as csv:
+            csv.write(CSV_HEADER + "\n")
+            writers = (ledger, _Synced(csv))
+            for emitted, r in enumerate(stream, 1):
+                counters["records"] += 1
+                counters["violations"] += r.violates_kh
+                if r.violates_kh:
+                    print(f"VIOLATION: {r.prime} divides !{r.prime}", file=sys.stderr)
+                ledger.write_record(r)
+                csv.write(record_to_row(r) + "\n")
+                if emitted % CHUNK_PRIMES == 0:
+                    sink.advance(r.prime, counters, writers)
+            if emitted % CHUNK_PRIMES:
+                sink.advance(r.prime, counters, writers)  # the range's last chunk, cut short
         ledger.write_summary(
             command="kh", lo=lo, hi=hi, method=KERNEL_METHOD,
             records=counters["records"], violations=counters["violations"], wall_seconds=0.0,
         )
-        out = (
+        print(
             f"kh [{lo}, {hi}]: {counters['records']} primes, {counters['violations']} violations, "
-            f"0.00s ({workers} worker{'s' if workers != 1 else ''})\n"
+            f"0.00s ({workers} worker{'s' if workers != 1 else ''})"
         )
-    ledger.close()
-    return (EXIT_ANOMALY if counters["violations"] else EXIT_OK), out, err
+    finally:
+        stream.close()
+        ledger.close()
+    return EXIT_ANOMALY if counters["violations"] else EXIT_OK
 
 
 # an odd prime inside the second chunk of [3, 20000]
@@ -927,46 +946,51 @@ _SECOND_CHUNK_PRIME = int(build_sieve(20000).primes[1 + CHUNK_PRIMES + 100])
 
 
 @pytest.mark.parametrize(
-    "hi,workers,halt_after,inject_violation",
+    "hi,workers,interrupt_at,violation_at",
     [
         (100_000, 1, None, None),
-        (20_000, 1, 1024, None),
-        (20_000, 1, 1500, None),
+        (20_000, 1, 1, None),
+        (20_000, 1, 2, None),
         (20_000, 1, None, _SECOND_CHUNK_PRIME),
         (20_000, 2, None, None),
         (20_000, 3, None, None),
     ],
-    ids=["full-1e5", "halt-1024", "halt-1500", "inject", "workers-2", "workers-3"],
+    ids=["full-1e5", "interrupt-1", "interrupt-2", "inject", "workers-2", "workers-3"],
 )
 def test_cli_kh_chunk_writes_match_per_record_writes(
-    tmp_path, capsys, hi, workers, halt_after, inject_violation
+    tmp_path, monkeypatch, capsys, hi, workers, interrupt_at, violation_at
 ):
+    # both runs see the same kernel, and are interrupted at the same advance
+    if violation_at is not None:
+        zero_residue_at(monkeypatch, violation_at)
     ref, got = tmp_path / "ref", tmp_path / "got"
     ref.mkdir()
     got.mkdir()
-    want_code, want_out, want_err = _per_record_kh(ref, 3, hi, workers, halt_after, inject_violation)
     argv = [
         "kh", "--from", "3", "--to", hi, "--workers", workers,
         "--checkpoint", got / "cp.json", "--ledger", got / "led.jsonl", "--csv", got / "out.csv",
     ]
-    if halt_after is not None:
-        argv += ["--halt-after", halt_after]
-    if inject_violation is not None:
-        argv += ["--inject-violation", inject_violation]
-    capsys.readouterr()
-    code = run_cli(*argv)
-    captured = capsys.readouterr()
-    assert (code, _masked(captured.out), captured.err) == (want_code, want_out, want_err)
-    # a halt at a chunk's end checkpoints no chunk: no cp.json yet
+    outcomes = []
+    for run in (lambda: _per_record_kh(ref, 3, hi, workers), lambda: run_cli(*argv)):
+        code = None  # an interrupted run returns none
+        capsys.readouterr()
+        with interrupted_at_advance(interrupt_at) if interrupt_at else contextlib.nullcontext():
+            code = run()
+        captured = capsys.readouterr()
+        outcomes.append((code, _masked(captured.out), captured.err))
+    assert outcomes[1] == outcomes[0]
+    # an interrupt at chunk 1's checkpoint leaves no cp.json
     assert sorted(os.listdir(got)) == sorted(os.listdir(ref))
+    assert ("cp.json" in os.listdir(got)) is (interrupt_at != 1)
     for name in os.listdir(ref):
         assert _masked((got / name).read_text()) == _masked((ref / name).read_text()), name
-    if inject_violation is not None:
+    if violation_at is not None:
+        code, _out, err = outcomes[1]
         assert code == EXIT_ANOMALY
-        assert captured.err.count("VIOLATION") == 1
-        assert f"{inject_violation},0,true," in (got / "out.csv").read_text()
+        assert err.count("VIOLATION") == 1
+        assert f"{violation_at},0,true," in (got / "out.csv").read_text()
         led = json_lines(got / "led.jsonl")
-        flagged = [l for l in led if l.get("prime") == inject_violation]
+        flagged = [l for l in led if l.get("prime") == violation_at]
         assert [(l["residue"], l["violates_kh"]) for l in flagged] == [(0, True)]
 
 
@@ -978,25 +1002,28 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": pythonpath}
 
 
-# The CLI, killed by SIGKILL as it is about to persist its fourth chunk: that
-# chunk's records are already with the writers, so the record files run
-# ahead of the checkpoint. One worker sweeps [3, 10^5] as one span, so the
-# kill falls inside it whatever the host's speed.
-_KILLED_AT_FOURTH_CHUNK = """
+# The CLI, stopped as it is about to persist its kth chunk (argv[1]): by
+# SIGKILL when argv[2] is "kill", else by a KeyboardInterrupt, as from
+# Ctrl-C. That chunk's records are already with the writers, so the record
+# files run ahead of the checkpoint.
+_STOPPED_AT_ADVANCE = """
 import os, signal, sys
 from leftfact.cli import main
 from leftfact.harness import FileSink
 
 advance, calls = FileSink.advance, []
+k, how = int(sys.argv[1]), sys.argv[2]
 
-def advance_or_die(self, frontier, counters, writers=()):
+def advance_or_stop(self, frontier, counters, writers=()):
     calls.append(frontier)
-    if len(calls) == 4:
-        os.kill(os.getpid(), signal.SIGKILL)
+    if len(calls) == k:
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise KeyboardInterrupt
     advance(self, frontier, counters, writers)
 
-FileSink.advance = advance_or_die
-sys.exit(main(sys.argv[1:]))
+FileSink.advance = advance_or_stop
+sys.exit(main(sys.argv[3:]))
 """
 
 
@@ -1010,8 +1037,9 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
         "--checkpoint", str(cp), "--ledger", str(led), "--csv", str(csv),
     ]
     env = _child_env()
+    # [3, 10^5] has ten chunks, so the kill at chunk 4 falls mid-sweep
     killed = subprocess.run(
-        [sys.executable, "-c", _KILLED_AT_FOURTH_CHUNK, *args],
+        [sys.executable, "-c", _STOPPED_AT_ADVANCE, "4", "kill", *args],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
     )
     assert killed.returncode == -signal.SIGKILL, killed.stderr  # killed mid-sweep, not exited
@@ -1084,17 +1112,18 @@ def _processes_naming(text):
 
 
 def test_cli_pooled_sweep_closed_early_exits_and_leaves_no_worker(tmp_path):
-    # --halt-after closes the record stream while chunks are in flight on
+    # the interrupt closes the chunk stream while chunks are in flight on
     # two workers; a worker left alive would also hold the output pipes
     # open and run into the timeout
     argv = [
-        sys.executable, "-m", "leftfact", "kh", "--from", "3", "--to", "30000",
-        "--workers", "2", "--halt-after", "1500",
+        sys.executable, "-c", _STOPPED_AT_ADVANCE, "2", "interrupt",
+        "kh", "--from", "3", "--to", "30000", "--workers", "2",
         "--checkpoint", str(tmp_path / "cp.json"), "--csv", str(tmp_path / "out.csv"),
     ]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=_child_env())
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert "halted after 1500 records" in proc.stderr
+    assert proc.returncode == -signal.SIGINT, proc.stderr
+    assert proc.stderr.rstrip().endswith("KeyboardInterrupt"), proc.stderr
+    assert load_checkpoint(str(tmp_path / "cp.json")).counters["records"] == CHUNK_PRIMES
     assert _processes_naming(str(tmp_path)) == []
 
 
@@ -1164,6 +1193,34 @@ def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
         "import False", f"kh {EXIT_OK} False", f"kh2 {EXIT_OK} False"
     ], proc.stderr
     assert canonical_lines(led) == finished
+
+
+def test_perfbench_tracer_finds_the_names_it_rebinds(tmp_path):
+    # the traced benchmark runs rebind names in cli, harness, sweeps and
+    # factorint (perfbench/tracer.py); a rename of one breaks them there,
+    # so a traced kh run and the library install are checked here
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "from tracer import Tracer, install_cli, install_library\n"
+        "from leftfact.cli import main\n"
+        "tracer = Tracer()\n"
+        "install_cli(tracer)\n"
+        "rc = main(sys.argv[1:])\n"
+        "install_library(Tracer())\n"
+        "print(rc, *sorted(set(tracer.names)))\n"
+    )
+    kh = ["kh", "--from", "3", "--to", "3000", "--workers", "1", "--checkpoint",
+          str(tmp_path / "c.json"), "--ledger", str(tmp_path / "l.jsonl"), "--csv", str(tmp_path / "t.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *kh], capture_output=True, text=True, timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, *names = proc.stdout.splitlines()[-1].split()
+    assert rc == str(EXIT_OK)
+    assert {"harness.advance", "harness.checkpoint_write", "harness.fsync", "sweeps.kernel"} <= set(names)
 
 
 def test_package_names_all_resolve_in_their_order():

@@ -327,6 +327,25 @@ def test_kh_sweep_worker_count_does_not_change_records():
     assert serial == pooled
 
 
+def test_kh_chunks_pool_has_one_worker_per_span(monkeypatch):
+    # under fork a pool starts every worker it is sized for at its first
+    # submit; [3, 10^4] is two chunks, so two spans, and of four workers
+    # asked for only two start
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    chunks = list(kh_chunks((3, 10000), worker_count=4))
+    assert sizes == [2]
+    assert [p for c in chunks for p in c.primes] == primes_between(3, 10000).tolist()
+
+
 def _slow_past_the_first_chunk(chunk):
     # the kernel on a window whose chunks each take minutes, bar the first
     if int(chunk[0]) > 3:
