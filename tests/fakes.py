@@ -8,7 +8,7 @@ import contextlib
 import pytest
 
 from leftfact import sweeps
-from leftfact.harness import FileSink
+from leftfact.harness import FileSink, RecordWriter
 
 
 @contextlib.contextmanager
@@ -32,6 +32,32 @@ def interrupted_at_advance(k):
             yield
     finally:
         FileSink.advance = advance
+
+
+@contextlib.contextmanager
+def interrupted_after_records(n):
+    """A record writer raises KeyboardInterrupt inside the block once its file
+    holds n records, partway through writing a chunk when n falls inside one,
+    as Ctrl-C or a crash during a chunk's write would: the records before it
+    reach the file, and the checkpoint stays at the last whole chunk that
+    advanced (there is none while n <= CHUNK_PRIMES). The block must end in
+    that interrupt."""
+    write_chunk, written = RecordWriter.write_chunk, {}
+
+    def write_or_interrupt(self, primes, residues, elapsed_ns, method):
+        before = written.get(id(self), 0)
+        take = min(len(primes), n - before)
+        write_chunk(self, primes[:take], residues[:take], elapsed_ns, method)
+        written[id(self)] = before + take
+        if before + take == n:
+            raise KeyboardInterrupt
+
+    RecordWriter.write_chunk = write_or_interrupt
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            yield
+    finally:
+        RecordWriter.write_chunk = write_chunk
 
 
 def zero_residue_at(monkeypatch, prime):

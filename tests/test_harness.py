@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from fakes import interrupted_at_advance, zero_residue_at
+from fakes import interrupted_after_records, interrupted_at_advance, zero_residue_at
 
 import leftfact
 from leftfact import (
@@ -558,22 +558,24 @@ def test_cli_kh_finished_checkpoint_resumes_to_noop(tmp_path, capsys):
     assert "668 primes, 0 violations" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_cli_interrupt_resume_ledger_identity(tmp_path, capsys, k):
-    # interrupted as it checkpoints chunk k of the four in [3, 30000]
+@pytest.mark.parametrize("records", [1, 1023, 1024, 1025, 2500, 3072])
+def test_cli_interrupt_resume_ledger_identity(tmp_path, capsys, records):
+    # interrupted once the ledger holds that many records of [3, 30000]:
+    # inside chunk 1, at its end, inside chunks 2 and 3, and at chunk 3's end
     clean = tmp_path / "clean.jsonl"
     run_cli("kh", "--from", "3", "--to", "30000", "--ledger", clean)
 
     cp = tmp_path / "cp.json"
     part = tmp_path / "part.jsonl"
-    with interrupted_at_advance(k):
+    with interrupted_after_records(records):
         run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--ledger", part)
-    # no summary line on the interrupted ledger, which holds chunk k
+    # no summary line on the interrupted ledger
     partial = json_lines(part)
-    assert len(partial) == k * CHUNK_PRIMES
+    assert len(partial) == records
     assert all(l["type"] == "record" for l in partial)
-    # the checkpoint is chunk k - 1's, and there is none before chunk 1's
-    assert cp.exists() is (k > 1)
+    # the checkpoint is the last whole chunk's before the interrupted one,
+    # and there is none while the interrupt falls in chunk 1
+    assert cp.exists() is (records > CHUNK_PRIMES)
 
     second = run_cli(
         "kh", "--from", "3", "--to", "30000",
