@@ -11,14 +11,15 @@ series of gamma values. Everything here is double precision; residues are
 exact rationals. The supported window is |z| <= 50 and Re z >= -20.
 
 The integral is a composite 48/24-point Gauss-Legendre rule out to a cut
-T, with a power series on a patch of half-width 1e-2 across the removable
-point t = 1. T is picked from Re z so that the neglected tail is below
-the tolerance and below the roundoff the panel sums already carry, and
-the error estimate charges the whole tail bound. The nodes depend only on
-T, so they are built once per T with e^(-t) and log t precomputed, and
-each z then costs one numpy pass over every node plus a vectorized series
-on the patch. The node-by-node scalar form of the same rule is kept as a
-test oracle in tests/quadrature_oracle.py.
+T, with one panel across the removable point t = 1, where t^z - 1 is
+numpy.expm1(z log t) and so keeps its digits as t nears 1. T is picked
+from Re z so that the neglected tail is below the tolerance and below the
+roundoff the panel sums already carry, and the error estimate charges the
+whole tail bound. The nodes depend only on T, so they are built once per T
+with e^(-t) and log t precomputed, and each z then costs one numpy pass
+over every node. The node-by-node scalar form of the same rule, with a
+binomial series near t = 1 instead of expm1, is kept as a test oracle in
+tests/quadrature_oracle.py.
 """
 
 from __future__ import annotations
@@ -156,10 +157,8 @@ class QuadratureResult:
     truncation: float
 
 
-# Half-width of the series patch around the removable point t = 1, and the
-# cap on that series' terms.
+# Half-width of the panel across the removable point t = 1.
 _DELTA = 1e-2
-_SERIES_ORDER = 40
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,21 +190,20 @@ class _PanelNodes:
     """Every quadrature node of one T's panel list, z-independent.
 
     Row i holds panel i's 48-point nodes followed by its 24-point nodes.
-    `patch` indexes the nodes within _DELTA of t = 1, where the integrand is
-    summed as a series instead.
+    Both rules have an even order, so no node sits at a panel's midpoint and
+    none is t = 1 itself: the integrand is one expression at every node.
     """
 
     half: np.ndarray
     t: np.ndarray
     exp_neg_t: np.ndarray
     log_t: np.ndarray
-    patch: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=8)
 def _panel_nodes(big_t: float) -> _PanelNodes:
     # Panel list: dyadically graded toward 0 (t^z has unbounded derivatives
-    # at 0 for Re z < 1), one panel across the series patch, then fixed-width
+    # at 0 for Re z < 1), one panel across t = 1, then fixed-width
     # panels out to T.
     cuts = [0.0]
     left_edge = (1.0 - _DELTA) / 2
@@ -232,29 +230,11 @@ def _panel_nodes(big_t: float) -> _PanelNodes:
         t=t,
         exp_neg_t=np.exp(-t),
         log_t=np.log(t),
-        patch=np.nonzero(np.abs(t - 1.0) < _DELTA),
     )
     # every caller shares the cached arrays
-    for array in (nodes.half, nodes.t, nodes.exp_neg_t, nodes.log_t, *nodes.patch):
+    for array in (nodes.half, nodes.t, nodes.exp_neg_t, nodes.log_t):
         array.flags.writeable = False
     return nodes
-
-
-def _patch_series(z: complex, u: np.ndarray) -> np.ndarray:
-    # (t^z - 1)/(t - 1) = sum_{k>=1} binom(z, k) (t-1)^(k-1) at u = t - 1; the
-    # ratio |next/prev| is below |z - k + 1| * _DELTA / k < 1/2 for |z| <= 50,
-    # so truncation at _SERIES_ORDER is geometric. Each node stops adding
-    # once its next term falls below 1e-18 of its sum.
-    acc = np.zeros(u.shape, dtype=complex)
-    term = np.full(u.shape, z, dtype=complex)
-    live = np.ones(u.shape, dtype=bool)
-    for k in range(1, _SERIES_ORDER + 1):
-        acc[live] += term[live]
-        term = term * (z - k) / (k + 1) * u
-        live &= np.abs(term) >= 1e-18 * np.maximum(1.0, np.abs(acc))
-        if not live.any():
-            break
-    return acc
 
 
 def _tail_bound(x: float, big_t: float) -> float:
@@ -289,14 +269,12 @@ def _k_integral_cached(z: complex, cfg: QuadratureConfig) -> QuadratureResult:
         ) from None
 
     # One numpy pass evaluates the integrand at every node of every panel;
-    # only the nodes on the series patch across t = 1 are then redone by the
-    # binomial series. Each panel's 48- and 24-point sums are one weighted
+    # expm1 keeps t^z - 1 to a few ulps where t is near 1 and exp(w) - 1
+    # would cancel. Each panel's 48- and 24-point sums are one weighted
     # product each, and their difference is the panel's error estimate.
     nodes = _panel_nodes(big_t)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = nodes.exp_neg_t * (np.exp(z * nodes.log_t) - 1.0) / (nodes.t - 1.0)
-    patch = nodes.patch
-    vals[patch] = nodes.exp_neg_t[patch] * _patch_series(z, nodes.t[patch] - 1.0)
+        vals = nodes.exp_neg_t * np.expm1(z * nodes.log_t) / (nodes.t - 1.0)
     fine = (vals[:, :48] @ _leggauss(48)[1]) * nodes.half
     coarse = (vals[:, 48:] @ _leggauss(24)[1]) * nodes.half
     total = complex(fine.sum())
@@ -342,7 +320,7 @@ def k_integral_detailed(
 def k_integral(z: complex | float, cfg: QuadratureConfig = QuadratureConfig()) -> complex:
     """K(z) for Re z > 0 by composite Gauss-Legendre quadrature.
 
-    The removable point t = 1 is crossed on a power-series patch; the
+    The removable point t = 1 is crossed with t^z - 1 as expm1(z log t); the
     range stops at a cut T beyond which the integrand's bound leaves less
     than the tolerance and the sums' roundoff, and the error estimate
     charges that bound in full. Raises QuadratureError (value attached) if
@@ -426,11 +404,15 @@ def slavic_constant_block() -> float:
     return (acc + euler_constant()) / math.e
 
 
-def k_slavic(z: complex | float, terms: int = 40) -> complex:
+# Terms of k_slavic's gamma series.
+_SLAVIC_TERMS = 40
+
+
+def k_slavic(z: complex | float) -> complex:
     """K(z) by the closed form: cotangent term, constant block, gamma series.
 
         K(z) = -(pi/e) cot(pi z) + slavic_constant_block()
-               + sum_{n=0}^{terms-1} Gamma(z - n)
+               + sum_{n=0}^{_SLAVIC_TERMS-1} Gamma(z - n)
 
     At every integer z the cot pole and the gamma-series poles cancel; the
     finite limit is evaluated as the symmetric average at z +/- 1e-5
@@ -443,21 +425,21 @@ def k_slavic(z: complex | float, terms: int = 40) -> complex:
         raise PoleError(f"K has a pole at z = {-pole_n}", pole_residue(pole_n))
     nearest = round(z.real)
     if abs(z - nearest) < 1e-9:
-        left = k_slavic(complex(nearest - 1e-5, z.imag), terms)
-        right = k_slavic(complex(nearest + 1e-5, z.imag), terms)
+        left = k_slavic(complex(nearest - 1e-5, z.imag))
+        right = k_slavic(complex(nearest + 1e-5, z.imag))
         return 0.5 * (left + right)
 
     acc = -(math.pi / math.e) * (
         cmath.cos(cmath.pi * z) / cmath.sin(cmath.pi * z)
     ) + slavic_constant_block()
     last = math.inf
-    for n in range(terms):
+    for n in range(_SLAVIC_TERMS):
         term = gamma(z - n)
         acc += term
         last = abs(term)
     if last > 1e-12 * max(1.0, abs(acc)):
         raise ArithmeticError(
-            f"gamma series not converged after {terms} terms at z = {z} "
+            f"gamma series not converged after {_SLAVIC_TERMS} terms at z = {z} "
             f"(last term {last:.3e})"
         )
     return acc

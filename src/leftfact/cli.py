@@ -344,7 +344,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         return EXIT_OK
     if which == "slavic":
         direct = k_continued(args.z, cfg)
-        series = k_slavic(args.z, terms=args.terms)
+        series = k_slavic(args.z)
         print(f"K({_fmt_complex(args.z)}) continuation = {_fmt_complex(direct)}")
         print(f"K({_fmt_complex(args.z)}) closed form  = {_fmt_complex(series)}")
         print(f"  |difference| = {abs(direct - series):.3e}")
@@ -573,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_complex_arg, default=complex(0.5, 0.0))
     p.add_argument("--x", type=float, default=30.0)
     p.add_argument("--n-max", type=_positive, default=5)
-    p.add_argument("--terms", type=_positive, default=40)
     p.add_argument("--tolerance", type=float)  # default: QuadratureConfig's
     p.set_defaults(func=_cmd_analytic)
 

@@ -14,7 +14,6 @@ from typing import Iterator
 
 __all__ = [
     "left_factorial",
-    "factorial",
     "iter_left_factorials",
     "alternating_factorial",
     "alternating_divisor_hits",
@@ -27,13 +26,6 @@ __all__ = [
     "gcd_pair",
     "partial_sum_gcd",
 ]
-
-
-def factorial(n: int) -> int:
-    """n! with 0! = 1."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return math.factorial(n)
 
 
 def left_factorial(n: int) -> int:

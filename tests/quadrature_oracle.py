@@ -2,9 +2,12 @@
 
 This is the rule `leftfact.analytic._k_integral_cached` evaluated before
 its panels were vectorized: the same cuts, the same 48/24-point
-Gauss-Legendre pair (taken from mpmath), the same series patch and the same
-tail cut, but one `cmath` integrand call per node inside Python sums. Its
-only use is as an independent oracle for the numpy evaluation in the tests.
+Gauss-Legendre pair (taken from mpmath) and the same tail cut, but one
+`cmath` integrand call per node inside Python sums. Within _DELTA of the
+removable point t = 1 the package now takes t^z - 1 as numpy.expm1(z log t);
+the oracle keeps the binomial series it used there before, so that the
+two agree by independent methods. Its only use is as an oracle for the
+numpy evaluation in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from leftfact.analytic import (
     _DELTA,
-    _SERIES_ORDER,
     QuadratureConfig,
     QuadratureResult,
     _pick_truncation,
@@ -35,6 +37,11 @@ def leggauss(degree: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 _GL48 = leggauss(5)
 _GL24 = leggauss(4)
+
+# Cap on the terms of the series near t = 1: successive terms shrink by at
+# least 1/2 for |z| <= 50 and |t - 1| < _DELTA, so 40 terms reach 1e-12 of
+# the first and the 1e-18 stop ends the sum well before the cap.
+_SERIES_ORDER = 40
 
 
 def _integrand(t: float, z: complex) -> complex:

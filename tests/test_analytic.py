@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from leftfact import (
     pole_residue,
     slavic_constant_block,
 )
+from leftfact import analytic
 from leftfact.analytic import _k_integral_cached, _leggauss
 from quadrature_oracle import leggauss, scalar_k_integral
 
@@ -191,6 +193,32 @@ def test_vectorized_quadrature_matches_scalar_oracle():
     assert outcomes == {(1e-10, False), (1e-10, True), (1e-12, False), (1e-12, True)}
 
 
+def test_integrand_keeps_its_digits_next_to_t_equal_one(monkeypatch):
+    # one panel of half-width 1e-9 across t = 1, much closer than the rule's
+    # own nodes come: there t^z - 1 as exp(z log t) - 1 loses up to 9
+    # digits to cancellation, and expm1 must lose none
+    half = 1e-9
+    t = 1.0 + half * np.concatenate([_leggauss(48)[0], _leggauss(24)[0]])[None, :]
+    nodes = analytic._PanelNodes(
+        half=np.array([half]), t=t, exp_neg_t=np.exp(-t), log_t=np.log(t)
+    )
+    monkeypatch.setattr(analytic, "_panel_nodes", lambda big_t: nodes)
+    weights = _leggauss(48)[1]
+    for z in (0.5, complex(2, 3), complex(9, -4), complex(0.25, 9.5)):
+        got = _k_integral_cached.__wrapped__(z, QuadratureConfig()).value
+        # the same Gauss sum at the same double nodes, the integrand in
+        # 40-digit mpmath
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(z)
+            want = half * mpmath.fsum(
+                mpmath.mpf(w) * mpmath.exp(-mpmath.mpf(x)) * (mpmath.mpf(x) ** zm - 1)
+                / (mpmath.mpf(x) - 1)
+                for x, w in zip(t[0, :48].tolist(), weights.tolist())
+            )
+            want = complex(want)
+        assert abs(got - want) <= 1e-13 * abs(want), z
+
+
 def test_k_continued_functional_equation_grid():
     rng = np.random.default_rng(20260816)
     checked = 0
@@ -255,11 +283,12 @@ def test_slavic_finite_at_cancelled_poles():
         assert abs(got - k_continued(z)) < 1e-5, z
 
 
-def test_slavic_rejects_true_poles_and_short_series():
+def test_slavic_rejects_true_poles_and_short_series(monkeypatch):
     with pytest.raises(PoleError):
         k_slavic(-3.0)
+    monkeypatch.setattr(analytic, "_SLAVIC_TERMS", 3)
     with pytest.raises(ArithmeticError):
-        k_slavic(0.4 + 0.2j, terms=3)
+        k_slavic(0.4 + 0.2j)
 
 
 def test_asymptotic_ratio_drifts_to_limits():

@@ -20,7 +20,6 @@ from leftfact import (
     stirling_table,
     weighted_sum,
 )
-from leftfact.exact import factorial
 
 KNOWN_VALUES = {
     0: 0,
@@ -44,8 +43,6 @@ def test_left_factorial_known_values():
 def test_left_factorial_rejects_negative():
     with pytest.raises(ValueError):
         left_factorial(-1)
-    with pytest.raises(ValueError):
-        factorial(-3)
 
 
 def test_iter_left_factorials_matches_pointwise():

@@ -875,8 +875,10 @@ def test_cli_resume_may_change_workers(tmp_path):
     assert canonical_lines(led) == canonical_lines(clean)
 
 
-def test_cli_kh_ledger_is_the_same_for_any_worker_count(tmp_path):
+def test_cli_kh_ledger_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
     # one worker takes 10^5 as one span, two and three cut it into as many
+    # (on four CPUs: kh_chunks cuts the workers to the CPU count)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     ledgers = []
     for workers in ("1", "2", "3"):
         led = tmp_path / f"w{workers}.jsonl"
@@ -962,7 +964,9 @@ _SECOND_CHUNK_PRIME = int(build_sieve(20000).primes[1 + CHUNK_PRIMES + 100])
 def test_cli_kh_chunk_writes_match_per_record_writes(
     tmp_path, monkeypatch, capsys, hi, workers, interrupt_at, violation_at
 ):
-    # both runs see the same kernel, and are interrupted at the same advance
+    # both runs see the same kernel, and are interrupted at the same advance;
+    # on four CPUs, so that --workers 3 gets three
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     if violation_at is not None:
         zero_residue_at(monkeypatch, violation_at)
     ref, got = tmp_path / "ref", tmp_path / "got"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import random
 import time
 from multiprocessing.connection import wait
@@ -318,7 +319,8 @@ def test_kh_sweep_empty_and_invalid_ranges():
         list(kh_sweep((3, 100), worker_count=0))
 
 
-def test_kh_sweep_worker_count_does_not_change_records():
+def test_kh_sweep_worker_count_does_not_change_records(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     serial = [(r.prime, r.residue, r.method) for r in kh_sweep((3, 9000))]
     pooled = [
         (r.prime, r.residue, r.method)
@@ -330,9 +332,10 @@ def test_kh_sweep_worker_count_does_not_change_records():
 def test_kh_chunks_pool_has_one_worker_per_span(monkeypatch):
     # under fork a pool starts every worker it is sized for at its first
     # submit; [3, 10^4] is two chunks, so two spans, and of four workers
-    # asked for only two start
+    # asked for (on four CPUs) only two start
     import concurrent.futures
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     sizes = []
 
     class Recorded(concurrent.futures.ProcessPoolExecutor):
@@ -353,7 +356,25 @@ def _slow_past_the_first_chunk(chunk):
     return _kernel_task(chunk)
 
 
+def test_kh_chunks_caps_workers_at_the_cpu_count(monkeypatch):
+    # a span per worker would mean a process per chunk for a large
+    # --workers; [3, 8000] is one chunk, so no process starts here
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = []
+    spans = sweeps._spans
+
+    def recorded(edges, worker_count):
+        seen.append(worker_count)
+        return spans(edges, worker_count)
+
+    monkeypatch.setattr(sweeps, "_spans", recorded)
+    chunks = list(kh_chunks((3, 8000), worker_count=10**4))
+    assert seen == [2]
+    assert [p for c in chunks for p in c.primes] == primes_between(3, 8000).tolist()
+
+
 def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweeps, "_kernel_task", _slow_past_the_first_chunk)
     stream = kh_sweep((3, 20000), worker_count=2)
     assert next(stream).prime == 3
