@@ -56,6 +56,7 @@ from .sweeps import (
     kh2_scan,
     kh_chunks,
     kh_sweep,
+    sweep_workers,
 )
 
 EXIT_OK = 0
@@ -199,6 +200,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
             if sink is not None:
                 sink.advance(primes[-1], counters, writers)
         wall = time.monotonic() - t0
+        workers = sweep_workers(args.workers)
 
         if ledger is not None:
             ledger.write_summary(
@@ -213,7 +215,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
         print(
             f"kh [{args.lo}, {args.hi}]: {counters['records']} primes, "
             f"{counters['violations']} violations, {wall:.2f}s "
-            f"({args.workers} worker{'s' if args.workers != 1 else ''})"
+            f"({workers} worker{'s' if workers != 1 else ''})"
         )
     finally:
         chunks.close()

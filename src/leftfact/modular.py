@@ -170,6 +170,15 @@ def _inverse_table(p: int) -> list[int]:
     return inv
 
 
+def _rising_products(p: int) -> list[int]:
+    # rising[k] = (k+1)(k+2)...(p-1) mod p for 0 <= k < p, built descending
+    rising = [0] * p
+    rising[p - 1] = 1
+    for k in range(p - 1, 0, -1):
+        rising[k - 1] = rising[k] * k % p
+    return rising
+
+
 def kh_equivalent_residue(variant: str, p: int) -> int:
     """One of six sums over GF(p) whose vanishing is equivalent to p | !p.
 
@@ -205,20 +214,15 @@ def kh_equivalent_residue(variant: str, p: int) -> int:
             total = (total + (k - 1) * fact) % p
         return total
 
-    # rising[k] = (k+1)(k+2)...(p-1) mod p, built descending
-    rising = [0] * p
-    rising[p - 1] = 1
-    for k in range(p - 1, 0, -1):
-        rising[k - 1] = rising[k] * k % p
-
     if variant == "T21_2":
         total = 0
-        for k in range(p):
-            total += rising[k] if k % 2 == 0 else -rising[k]
+        for k, rising in enumerate(_rising_products(p)):
+            total += rising if k % 2 == 0 else -rising
         return total % p
 
     inv = _inverse_table(p)
     if variant == "T21_4":
+        rising = _rising_products(p)
         total, binom = 0, 1  # binom(p-1, k) mod p, k ascending
         for k in range(p):
             total += binom * rising[k]

@@ -51,6 +51,7 @@ __all__ = [
     "KhChunk",
     "kh_chunks",
     "kh_sweep",
+    "sweep_workers",
     "kh2_scan",
     "a_set_scan",
     "h4_witness_search",
@@ -422,7 +423,8 @@ def kh_chunks(
     is the consumer's to report. Closing the stream early, or an exception
     in it, terminates the pool's workers rather than wait for their spans.
     A range or worker count out of bounds raises here, at the call, before
-    the stream starts; a worker count above os.cpu_count() is cut to it.
+    the stream starts; a worker count above os.cpu_count() is cut to it
+    (sweep_workers).
     """
     lo, hi = prime_range
     if lo < 3:
@@ -431,10 +433,16 @@ def kh_chunks(
         raise ValueError(f"hi {hi} exceeds sweep bound {MAX_SWEEP_PRIME}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    # _spans cuts a span per worker, each folding every step below it, so
-    # workers beyond the CPUs would only add processes and work
-    worker_count = min(worker_count, os.cpu_count() or 1)
-    return _chunk_stream(lo if after is None else max(lo, after + 1), hi, worker_count)
+    return _chunk_stream(
+        lo if after is None else max(lo, after + 1), hi, sweep_workers(worker_count)
+    )
+
+
+def sweep_workers(worker_count: int) -> int:
+    """The workers kh_chunks runs when asked for worker_count: at most
+    os.cpu_count(). _spans cuts a span per worker, each folding every step
+    below it, so workers beyond the CPUs would only add processes and work."""
+    return min(worker_count, os.cpu_count() or 1)
 
 
 def _chunk_stream(start: int, hi: int, worker_count: int) -> Iterator[KhChunk]:

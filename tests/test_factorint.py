@@ -3,9 +3,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leftfact
@@ -181,28 +182,35 @@ def test_twelve_bases_pass_psi_12_and_the_thirteenth_rejects_it():
     assert factorize(PSI_12).factors == sympy_factors(PSI_12)
 
 
+def counted_sympy_factorint(monkeypatch):
+    """The arguments of every sympy.factorint call from here on."""
+    import sympy
+
+    seen = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda n, **k: seen.append(n) or factorint(n, **k))
+    return seen
+
+
 def test_psi_13_goes_to_sympy(monkeypatch):
     import sympy
 
     calls = []
-    isprime, factorint = sympy.isprime, sympy.factorint
+    isprime = sympy.isprime
     monkeypatch.setattr(sympy, "isprime", lambda n: calls.append("isprime") or isprime(n))
-    monkeypatch.setattr(
-        sympy, "factorint", lambda *a, **k: calls.append("factorint") or factorint(*a, **k)
-    )
+    seen = counted_sympy_factorint(monkeypatch)
     assert not is_probable_prime(PSI_13)
     assert calls == ["isprime"]
-    # it passes the 13 bases, sympy.isprime finds it composite, and neither
-    # rho nor the curves split it
+    # it passes the 13 bases and sympy.isprime finds it composite; rho does
+    # not split it, and the sieve does
     f = factorize(PSI_13)
-    assert calls == ["isprime", "isprime", "factorint"]
-    assert f.complete and f.reassemble() == PSI_13
-    assert f.factors == sympy_factors(PSI_13)
+    assert calls == ["isprime", "isprime"] and seen == []
+    assert f.factors == ((1287836182261, 1), (2575672364521, 1))
     # below the bound nothing reaches sympy
     calls.clear()
     assert is_probable_prime(PSI_13 - 2) == isprime(PSI_13 - 2)
     factorize(PSI_13 - 1)
-    assert calls == []
+    assert calls == [] and seen == []
 
 
 def test_above_psi_13_rho_splits_before_sympy(monkeypatch):
@@ -210,108 +218,161 @@ def test_above_psi_13_rho_splits_before_sympy(monkeypatch):
 
     from leftfact import factorint
 
-    seen, curves, ecm = [], [], []
-    sympy_factorint, curve, divisor = sympy.factorint, factorint._ecm_curve, factorint._ecm_divisor
-    monkeypatch.setattr(
-        sympy, "factorint", lambda n, **k: seen.append(n) or sympy_factorint(n, **k)
-    )
-    monkeypatch.setattr(factorint, "_ecm_curve", lambda n, s: curves.append(s) or curve(n, s))
-    monkeypatch.setattr(factorint, "_ecm_divisor", lambda n: ecm.append(n) or divisor(n))
+    seen, sieved = counted_sympy_factorint(monkeypatch), []
+    divisor = factorint._qs_divisor
+    monkeypatch.setattr(factorint, "_qs_divisor", lambda n: sieved.append(n) or divisor(n))
     # K(26): rho splits off 49297 and leaves a cofactor below PSI_13
     assert factorize(left_factorial(26)).factors == (
         (2, 1), (49297, 1), (1348619023, 1), (121525196147, 1)
     )
-    assert seen == ecm == []
+    assert seen == sieved == []
     # rho splits off 10007 within its budget but not the two primes near
-    # 2^42; the curves split their product, and sympy sees nothing
+    # 2^42; the sieve splits their product, and sympy sees nothing
     p, q = int(sympy.prevprime(2**42)), int(sympy.nextprime(2**42))
     assert p * q >= PSI_13
     got = factorize(10007 * p * q).factors
-    assert ecm == [p * q] and seen == []
-    assert got == ((10007, 1), (p, 1), (q, 1)) == sympy_factors(10007 * p * q)
+    assert sieved == [p * q] and seen == []
+    assert got == ((10007, 1), (p, 1), (q, 1))
+
+
+def test_the_sieve_splits_what_sympy_split_by_p_minus_1(monkeypatch):
+    import sympy
+
+    seen = counted_sympy_factorint(monkeypatch)
     # p - 1 = 2 * 3^2 * 5 * ... * 53 is smooth, so sympy's p-1 finds p at
-    # once, but neither rho nor any of the 8 curves splits p * q
+    # once; neither rho nor the old ECM curves split p * q
     p, q = 3 * int(sympy.primorial(53, nth=False)) + 1, int(sympy.nextprime(10**20))
     assert p == 97767475431570134191
-    for calls in (seen, curves, ecm):
-        calls.clear()
-    got = factorize(p * q).factors
-    assert ecm == [p * q] and curves == list(range(6, 14))
-    assert seen == [p * q]
-    assert got == ((p, 1), (q, 1)) == sympy_factors(p * q)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert seen == []
 
 
-def digit_primes(lo_digits, hi_digits):
-    """Primes of lo_digits to hi_digits digits, spread over the digit counts."""
+def test_above_fifty_digits_sympy_factorint_splits_what_rho_leaves(monkeypatch):
     import sympy
 
-    return (
-        st.integers(min_value=lo_digits, max_value=hi_digits)
-        .flatmap(lambda d: st.integers(min_value=10 ** (d - 1), max_value=10**d - 1))
-        .map(lambda x: int(sympy.nextprime(x)))
-        .filter(lambda p: p < 10**hi_digits)
-    )
+    seen = counted_sympy_factorint(monkeypatch)
+    p, q = 3 * int(sympy.primorial(53, nth=False)) + 1, int(sympy.nextprime(10**31))
+    assert p * q >= 10**50
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert seen == [p * q]
 
 
-@settings(deadline=None, max_examples=15)
-@given(st.lists(digit_primes(7, 13), min_size=2, max_size=3))
-def test_ecm_path_matches_sympy_on_products_of_primes(primes):
-    v = 1
-    for p in primes:
-        v *= p
-    assume(v >= PSI_13)
+def seeded_prime(rng, digits):
+    import sympy
+
+    return int(sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits)))
+
+
+# the digits of the primes of each seeded product: balanced ones from
+# PSI_13 up to 50 digits, and ones with a prime of 9-12 digits, which
+# rho's budget misses, or of three primes
+SIEVE_CASES = (
+    (13, 13), (15, 16), (19, 19), (22, 23), (25, 25),
+    (9, 20), (10, 25), (11, 30), (12, 26),
+    (9, 10, 12), (10, 12, 15), (12, 14, 16),
+)
+
+
+@pytest.mark.parametrize("digits", SIEVE_CASES, ids=lambda d: "-".join(map(str, d)))
+def test_the_sieve_splits_seeded_products_of_primes(monkeypatch, digits):
+    import random
+
+    rng = random.Random(f"qs{digits}")
+    primes = [seeded_prime(rng, d) for d in digits]
+    v = prod(primes)
+    assert PSI_13 <= v < 10**50
+    seen = counted_sympy_factorint(monkeypatch)
     # the primes are sympy's, so by unique factorization this is what
     # sympy.factorint(v) returns, without its seconds per example
-    assert factorize(v).factors == tuple(sorted((p, primes.count(p)) for p in set(primes)))
+    assert factorize(v).factors == tuple((p, 1) for p in sorted(primes))
+    assert seen == []
 
 
-def test_ecm_divisor_is_deterministic():
-    import sympy
+def test_qs_divisor_is_deterministic():
+    import random
 
     from leftfact import factorint
 
-    p, q = int(sympy.prevprime(2**42)), int(sympy.nextprime(2**42))
-    first = factorint._ecm_divisor(p * q)
+    rng = random.Random(1)
+    p, q = seeded_prime(rng, 15), seeded_prime(rng, 16)
+    first = factorint._qs_divisor(p * q)
     assert first in (p, q)
-    assert factorint._ecm_divisor(p * q) == first
+    assert [factorint._qs_divisor(p * q) for _ in range(2)] == [first, first]
 
 
-def test_ecm_stage_2_covers_exactly_the_primes_between_its_bounds():
+def test_qs_polynomials_are_distinct_with_a_dividing_them_and_true_roots():
+    import random
+    from itertools import islice
+
+    import numpy as np
     import sympy
+    from sympy.ntheory import sqrt_mod
 
     from leftfact import factorint
 
-    k, plan = factorint._ecm_plan()
-    d = factorint._ECM_D
-    assert k == sympy.lcm(list(range(1, factorint._ECM_B1 + 1)))
-    steps, m = [], 2
-    for j in plan:
-        if j:
-            steps.append((m, j))
-        else:
-            m += 1
-    assert len(set(steps)) == len(steps)
-    covered = {m * d + s * j for m, j in steps for s in (-1, 1)}
-    want = set(sympy.primerange(factorint._ECM_B1 + 1, factorint._ECM_B2 + 1))
-    assert want <= covered
-    # each (m, j) is there for a prime, and no baby step is out of range
-    assert all(m * d - j in want or m * d + j in want for m, j in steps)
-    assert all(j % 2 and j <= d // 2 for _, j in steps)
+    rng = random.Random(2)
+    n = seeded_prime(rng, 19) * seeded_prime(rng, 20)
+    size, m = factorint._qs_params(n)
+    qrs = (p for p in sympy.primerange(3, 10**5) if pow(n % p, (p - 1) // 2, p) == 1)
+    fb = [2, *islice(qrs, size - 1)]
+    roots = np.array([0] + [int(sqrt_mod(n % p, p)) for p in fb[1:]], dtype=np.int64)
+    polys = list(islice(factorint._qs_polynomials(n, m, fb, roots, random.Random(0)), 64))
+    assert len({(a, b) for a, _, b, _, _ in polys}) == 64
+    for a, qs, b, x1, x2 in polys:
+        assert a == prod(fb[i] for i in qs)
+        assert (b * b - n) % a == 0
+        # at sieve position x, y = a(x - m) + b
+        for i in set(range(1, len(fb))) - set(qs):
+            for x in (int(x1[i]), int(x2[i])):
+                assert ((a * (x - m) + b) ** 2 - n) % fb[i] == 0
 
 
-def test_curves_leave_sympy_only_primes_on_the_left_factorials_they_split(monkeypatch):
-    import sympy
+@pytest.mark.parametrize("power", (2, 3))
+@pytest.mark.parametrize("digits", (13, 15))
+def test_prime_powers_split_without_sympy_factorint(monkeypatch, power, digits):
+    import random
 
-    seen = []
-    factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda n, **k: seen.append(n) or factorint(n, **k))
-    for n in (27, 28, 31, 32, 34, 36, 38):
+    p = seeded_prime(random.Random(digits), digits)
+    assert p**power >= PSI_13
+    seen = counted_sympy_factorint(monkeypatch)
+    assert factorize(p**power).factors == ((p, power),)
+    assert factorize(7 * p**power).factors == ((7, 1), (p, power))
+    assert seen == []
+
+
+def test_left_factorials_to_40_never_call_sympy_factorint(monkeypatch):
+    seen = counted_sympy_factorint(monkeypatch)
+    for n in range(2, 41):
         v = left_factorial(n)
         f = factorize(v)
         assert f.complete and f.reassemble() == v, n
         assert all(is_probable_prime(p) for p, _ in f.factors), n
     # sympy.isprime certifies the primes from PSI_13 up
     assert seen == []
+
+
+def run_isolated(code):
+    """stdout of code run in a fresh interpreter that imports this tree's
+    leftfact."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_factoring_below_psi_13_imports_neither_numpy_nor_sympy():
+    code = (
+        "import sys\n"
+        "from leftfact import factorize, left_factorial\n"
+        "assert factorize(left_factorial(25)).factors[-1] == (26658285041, 1)\n"
+        "assert factorize(PSI := 3317044064679887385961981 - 1).reassemble() == PSI\n"
+        "print('numpy' in sys.modules, 'sympy' in sys.modules)\n"
+    )
+    assert run_isolated(code) == "False False"
 
 
 def test_residue_direct_never_imports_sympy():
@@ -321,11 +382,4 @@ def test_residue_direct_never_imports_sympy():
         "assert residue_direct(7, 7).residue == 6\n"
         "print('sympy' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_isolated(code) == "False"

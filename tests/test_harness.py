@@ -875,6 +875,14 @@ def test_cli_resume_may_change_workers(tmp_path):
     assert canonical_lines(led) == canonical_lines(clean)
 
 
+def test_cli_kh_summary_reports_the_workers_after_the_cpu_cap(monkeypatch, capsys):
+    # [3, 2000] is one chunk, so no worker process starts whatever is asked
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for asked, shown in (("64", "(2 workers)"), ("2", "(2 workers)"), ("1", "(1 worker)")):
+        assert run_cli("kh", "--from", "3", "--to", "2000", "--workers", asked) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith(shown), asked
+
+
 def test_cli_kh_ledger_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
     # one worker takes 10^5 as one span, two and three cut it into as many
     # (on four CPUs: kh_chunks cuts the workers to the CPU count)

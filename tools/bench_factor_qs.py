@@ -1,29 +1,28 @@
 #!/usr/bin/env python3
 """Time the factoring of K(2..40) and the `oracles` benchmark on two
-source trees, and write the comparison as JSON.
+source trees, time the change's quadratic sieve by size of cofactor, and
+write the comparison as JSON.
 
-    python3 tools/bench_ecm_budget.py PARENT CHANGE --out BENCH.json [--cpu N]
+    python3 tools/bench_factor_qs.py PARENT CHANGE --out BENCH.json [--cpu N]
 
 PARENT and CHANGE are checkouts, each with src/, perfbench/ and
-BENCHMARK.json.
+BENCHMARK.json. The layer measured is the factoring of K(n).
 
 - `factorize K(2..40)`: both trees' leftfact packages are loaded into this
   one process (under the names leftfact_parent and leftfact_change) and
   factor K(2), ..., K(40) in FACTOR_PAIRS pairs that alternate which tree
   goes first. sympy's factor_cache, which would hand a later run the
-  factors an earlier one found, and the change's cached ECM plan are
-  cleared before every run. Each run also counts the sympy.factorint
-  calls and their time: the layer this change moves.
-- `sigma starts`: the change's factoring time with its curves started at
-  Suyama's sigma = S, ..., S + 7 instead of 6, ..., 13, over the SIGMA_STARTS
-  below (fixed before any run), as a ratio to the parent's median time; it
-  shows whether sigma = 6 is a typical start or a lucky one. Every start
-  must give the parent's factorizations.
+  factors an earlier one found, is cleared before every run. Each run also
+  counts the sympy.factorint calls and their time.
+- `sieve by size`: the change's _qs_divisor on seeded products of two
+  primes of SIEVE_DIGITS digits, balanced (two halves) and unbalanced (a
+  prime of UNBALANCED_DIGITS digits times the rest), SIEVE_REPEATS runs
+  each; every run must return one of the two primes.
 - `perfbench oracles`: OBENCH_PAIRS pairs of BENCHMARK.json's command on
   the `oracles` workload (seeds from SEED on, `--seconds 30`), then
   TRACE_PAIRS traced pairs for the factorint layer.
 - `perfbench kh-sweep` and `perfbench kh-rerun`: KH_PAIRS pairs each. `kh`
-  imports factorint but never runs its curves, so these should not move.
+  imports factorint but never factors, so these should not move.
 
 Each row gives both sides' medians and quartiles and how many pairs the
 change won. --cpu pins this process and its children to one core.
@@ -38,18 +37,21 @@ import json
 import math
 import os
 import platform
-import statistics
+import random
 import sys
 import time
 from pathlib import Path
 
 import sympy
-from bench_numpy_free_kh import SEED, pairs, perfbench, summarize
+from bench_numpy_free_kh import SEED, pairs, perfbench, quartiles, summarize
 from sympy.ntheory import factor_cache
 
+LAYER = "factoring of K(n)"
 FACTOR_NS = range(2, 41)
 FACTOR_PAIRS = 6
-SIGMA_STARTS = (6, 100, 1000, 10**4, 10**5, 10**6, 10**7, 31415926)
+SIEVE_DIGITS = (26, 30, 34, 38, 42, 46, 50)
+UNBALANCED_DIGITS = 11
+SIEVE_REPEATS = 3
 OBENCH_PAIRS = 10
 TRACE_PAIRS = 2
 KH_PAIRS = 3
@@ -90,8 +92,6 @@ class Factoring:
 
     def run(self, module, side: str) -> dict[str, float]:
         factor_cache.cache_clear()
-        if hasattr(module, "_ecm_plan"):
-            module._ecm_plan.cache_clear()
         self.calls.clear()
         t0 = time.perf_counter()
         got = [module.factorize(v).factors for v in VALUES]
@@ -100,6 +100,27 @@ class Factoring:
             raise SystemExit(f"{side}: factorizations changed between runs")
         return {"factor_s": wall, "sympy_s": sum(self.calls),
                 "sympy_escalations": len(self.calls)}
+
+
+def sieve_by_size(module) -> dict:
+    """Seconds per _qs_divisor call on seeded products of two primes, by
+    digits and balance: [q1, median, q3] of SIEVE_REPEATS runs."""
+    rng = random.Random(SEED)
+    out = {}
+    for digits in SIEVE_DIGITS:
+        for kind, small in (("balanced", digits // 2), ("unbalanced", UNBALANCED_DIGITS)):
+            primes = [int(sympy.nextprime(rng.randrange(10 ** (d - 1), 10**d)))
+                      for d in (small, digits - small)]
+            n = primes[0] * primes[1]
+            times = []
+            for _ in range(SIEVE_REPEATS):
+                t0 = time.perf_counter()
+                d = module._qs_divisor(n)
+                times.append(time.perf_counter() - t0)
+                if d not in primes:
+                    raise SystemExit(f"the sieve gave {d} for {primes}")
+            out[f"{len(str(n))} digits {kind}"] = [round(t, 6) for t in quartiles(times)]
+    return out
 
 
 def main() -> None:
@@ -118,7 +139,9 @@ def main() -> None:
                  "python": platform.python_version(), "sympy": sympy.__version__,
                  "machine": platform.machine()},
         "trees": {side: tree.name for side, tree in trees.items()},
-        "options": {"factor_pairs": FACTOR_PAIRS, "sigma_starts": SIGMA_STARTS,
+        "layer": LAYER,
+        "options": {"factor_pairs": FACTOR_PAIRS, "sieve_digits": SIEVE_DIGITS,
+                    "unbalanced_digits": UNBALANCED_DIGITS, "sieve_repeats": SIEVE_REPEATS,
                     "oracles_pairs": OBENCH_PAIRS, "trace_pairs": TRACE_PAIRS,
                     "kh_pairs": KH_PAIRS, "seed": SEED},
         "traced_layers": LAYERS,
@@ -134,22 +157,8 @@ def main() -> None:
     if factoring.results["parent"] != factoring.results["change"]:
         raise SystemExit("the trees factor K(2..40) differently")
     record("factorize K(2..40)", summarize(rows))
-    parent_s = statistics.median(r["parent"]["factor_s"] for r in rows)
 
-    change = modules["change"]
-    sigmas = {}
-    for start in SIGMA_STARTS:
-        change._ECM_SIGMA = start
-        got = factoring.run(change, f"sigma {start}")
-        if factoring.results[f"sigma {start}"] != factoring.results["parent"]:
-            raise SystemExit(f"sigma start {start} changed a factorization")
-        sigmas[str(start)] = {**{k: round(v, 6) for k, v in got.items()},
-                              "ratio_to_parent": round(got["factor_s"] / parent_s, 4)}
-    change._ECM_SIGMA = SIGMA_STARTS[0]
-    ratios = sorted(s["ratio_to_parent"] for s in sigmas.values())
-    record("sigma starts", {"parent_median_s": round(parent_s, 6), "starts": sigmas,
-                            "ratio_min_median_max": [ratios[0], statistics.median(ratios),
-                                                     ratios[-1]]})
+    record("sieve by size", sieve_by_size(modules["change"]))
 
     rows = pairs(OBENCH_PAIRS, lambda side, i: perfbench(trees[side], "oracles", SEED + i, 0))
     record("perfbench oracles", summarize(rows))
