@@ -34,9 +34,8 @@ _NAMES = {
         )),
         ("factorint", "Factorization factorize is_probable_prime"),
         ("harness", (
-            "Checkpoint CheckpointCorrupt CheckpointError CheckpointMismatch "
-            "FileSink LedgerWriter canonical_lines ensure_compatible "
-            "load_checkpoint write_checkpoint"
+            "CheckpointCorrupt CheckpointError CheckpointMismatch FileSink "
+            "LedgerWriter canonical_lines write_checkpoint"
         )),
         ("modular", (
             "MAX_MODULUS VARIANTS CostModel ResidueResult VerificationRecord "

@@ -76,10 +76,16 @@ def alternating_factorial(n: int) -> int:
 def alternating_divisor_hits(n_max: int) -> list[int]:
     """All n with 2 <= n <= n_max such that n+1 divides n! - (n-1)! + ... ± 1!.
 
-    The scanned sum is A_{n+1}. A hit would persist for every larger n
-    (A_{m+1} = m! - A_m preserves divisibility by n+1 once n+1 <= m+1) and
-    so cap the primes among the A values; none is known, and the scan is
-    expected empty at any desk scale.
+    The scanned sum is A_{n+1}. A hit's divisor divides every later A value
+    (A_{m+1} = m! - A_m preserves divisibility by n+1 once n+1 <= m+1), and
+    so caps the primes among them. Hits exist: 3612703 divides
+    3612702! - 3612701! + ... - 1!, and no smaller prime p divides its A_p
+    (Zivkovic, Math. Comp. 68 (1999) 403-409). A composite n+1 that divided
+    A_{n+1} would make its least prime factor q a hit at q - 1, so the
+    first hit is n = 3612702: a scan returns [] below it and [3612702] at
+    n_max = 3612702. Each step works on the exact n!, so the scan's cost
+    grows about quadratically in n_max, and it does not get that far at
+    desk scale.
     """
     if n_max < 2:
         raise ValueError(f"alternating_divisor_hits requires n_max >= 2, got {n_max}")

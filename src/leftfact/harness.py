@@ -1,24 +1,24 @@
 """Checkpoint and record-file persistence for long sweeps.
 
-A sweep owns at most one checkpoint file (JSON, atomically replaced) and
-any number of record files: the JSON-lines ledger and the CSV export, one
-line per record in ascending prime order, appended between checkpoints.
-The invariant for every record file: each record at or below the
-checkpoint frontier is on disk in the file before the checkpoint naming
-that frontier is visible. Resume therefore only ever has to discard lines
-past the frontier, never invent missing ones, and RecordWriter does that
-for every format; a format adds only its rule for which lines to keep.
+A sweep owns at most one checkpoint file (FileSink's, JSON) and any number
+of record files: the JSON-lines ledger and the CSV export, one line per
+record in ascending prime order, appended between checkpoints. The
+invariant for every record file: each record at or below the checkpoint
+frontier is on disk in the file before the checkpoint naming that frontier
+is visible. Resume therefore only ever has to discard lines past the
+frontier, never invent missing ones, and RecordWriter does that for every
+format; a format adds only its rule for which lines to keep. Each
+checkpoint write and each resume cut is one atomic replace (_replace).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .modular import VerificationRecord
 
@@ -27,10 +27,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointCorrupt",
     "CheckpointMismatch",
-    "Checkpoint",
     "write_checkpoint",
-    "load_checkpoint",
-    "ensure_compatible",
     "RecordWriter",
     "LedgerWriter",
     "CsvWriter",
@@ -61,19 +58,6 @@ class CheckpointMismatch(CheckpointError):
     """Valid checkpoint, but for a different command or parameter set."""
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    command: str
-    params: dict[str, Any]
-    frontier: int
-    counters: dict[str, int]
-    version: int = CHECKPOINT_VERSION
-
-    def __post_init__(self) -> None:
-        if self.frontier < 0:
-            raise ValueError(f"frontier must be nonnegative, got {self.frontier}")
-
-
 def _fsync_dir(path: str) -> None:
     fd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
     try:
@@ -82,72 +66,29 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def write_checkpoint(path: str, checkpoint: Checkpoint) -> None:
-    """Atomically publish a checkpoint: temp file, fsync, rename over."""
-    payload = json.dumps(dataclasses.asdict(checkpoint), sort_keys=True)
+def _replace(path: str, lines: Iterable[str]) -> None:
+    """Replace the file at path by lines, each ending in a newline, atomically
+    and durably: temp file, write, flush, fsync, rename over, directory
+    fsync. When writing or renaming raises, the temp file goes and the file
+    at path stays as it was (or absent)."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for line in lines:
+                fh.write(line if line.endswith("\n") else line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     _fsync_dir(path)
 
 
-def load_checkpoint(path: str) -> Checkpoint | None:
-    """Read a checkpoint; None when absent, CheckpointCorrupt when unusable.
-    Fields a Checkpoint does not hold are ignored, such as the wall_seconds
-    that earlier version-1 files carry."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return None
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CheckpointCorrupt(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise CheckpointCorrupt(f"{path}: expected a JSON object")
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointCorrupt(
-            f"{path}: unsupported checkpoint version {obj.get('version')!r}"
-        )
-    params, frontier, counters = obj.get("params"), obj.get("frontier"), obj.get("counters")
-    if not isinstance(params, dict) or not isinstance(counters, dict):
-        raise CheckpointCorrupt(f"{path}: params and counters must be JSON objects")
-    # json.loads gives bool for true and false, and float for 1.0
-    if not all(type(v) is int for v in (frontier, *counters.values())):
-        raise CheckpointCorrupt(f"{path}: frontier and counters must be JSON integers")
-    try:
-        return Checkpoint(command=obj["command"], params=params, frontier=frontier, counters=counters)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointCorrupt(f"{path}: malformed field ({exc})") from exc
-
-
-def ensure_compatible(
-    checkpoint: Checkpoint, command: str, params: dict[str, Any]
-) -> None:
-    """Refuse checkpoints from a different command or parameter set.
-
-    Worker count is intentionally absent from params: partitioning does not
-    change the record stream, so a sweep may resume under a different
-    process count.
-    """
-    if checkpoint.command != command:
-        raise CheckpointMismatch(
-            f"checkpoint is for command {checkpoint.command!r}, not {command!r}"
-        )
-    if checkpoint.params != params:
-        diff = sorted(
-            k
-            for k in set(checkpoint.params) | set(params)
-            if checkpoint.params.get(k) != params.get(k)
-        )
-        raise CheckpointMismatch(
-            f"checkpoint params differ on {', '.join(diff)}: "
-            f"{checkpoint.params} vs {params}"
-        )
+def write_checkpoint(path: str, fields: dict[str, Any]) -> None:
+    """Publish a checkpoint's fields as one JSON line with sorted keys."""
+    _replace(path, (json.dumps(fields, sort_keys=True),))
 
 
 def _csv_rows(
@@ -219,26 +160,14 @@ class RecordWriter:
 
     def _truncate_to(self, frontier: int) -> None:
         """Cut the file back to the lines kept_lines(file, frontier) yields
-        from it (a missing file reads as empty), each ending in a newline,
-        and make the cut durable: temp file, fsync, rename over, directory
-        fsync. When reading raises, the file stays as it was (or absent) and
-        the temp file goes."""
-        tmp = f"{self.path}.tmp.{os.getpid()}"
+        from it (a missing file reads as empty), through _replace: when
+        reading raises, the file stays as it was (or absent)."""
         try:
             src: IO[str] = open(self.path, "r", encoding="utf-8")
         except FileNotFoundError:
             src = io.StringIO()
-        with src, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            try:
-                for line in self.kept_lines(src, frontier):
-                    fh.write(line if line.endswith("\n") else line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        os.replace(tmp, self.path)
-        _fsync_dir(self.path)
+        with src:
+            _replace(self.path, self.kept_lines(src, frontier))
 
     def write_chunk(
         self, primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
@@ -377,15 +306,19 @@ def canonical_lines(path: str) -> list[str]:
 
 @dataclass
 class FileSink:
-    """The sweep's checkpoint file, and only that.
+    """The sweep's checkpoint file, and only that: its JSON schema (command,
+    params, frontier, counters, version), its validation and its writes.
 
     frontier and counters are the file's: as read when the sink opened it
     (None and {} when there was none), then as each advance() wrote them.
-    The caller owns the running counters and the record writers and hands
-    both to advance(), which flushes and fsyncs every writer first and only
-    then replaces the checkpoint, so a crash between the two leaves record
-    files that are ahead of the checkpoint, which is the recoverable
-    direction.
+    Fields the schema does not hold are ignored, such as the wall_seconds
+    that earlier version-1 files carry. Worker count is intentionally absent
+    from params: partitioning does not change the record stream, so a sweep
+    may resume under a different process count. The caller owns the running
+    counters and the record writers and hands both to advance(), which
+    flushes and fsyncs every writer first and only then replaces the
+    checkpoint, so a crash between the two leaves record files that are
+    ahead of the checkpoint, which is the recoverable direction.
     """
 
     path: str
@@ -395,19 +328,55 @@ class FileSink:
     counters: dict[str, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        existing = load_checkpoint(self.path)
-        if existing is not None:
-            ensure_compatible(existing, self.command, self.params)
-            self.frontier = existing.frontier
-            self.counters = existing.counters
+        path = self.path
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
+            return
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CheckpointCorrupt(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise CheckpointCorrupt(f"{path}: expected a JSON object")
+        if obj.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointCorrupt(f"{path}: unsupported checkpoint version {obj.get('version')!r}")
+        params, frontier, counters = obj.get("params"), obj.get("frontier"), obj.get("counters")
+        if not isinstance(params, dict) or not isinstance(counters, dict):
+            raise CheckpointCorrupt(f"{path}: params and counters must be JSON objects")
+        # json.loads gives bool for true and false, and float for 1.0
+        if not all(type(v) is int for v in (frontier, *counters.values())):
+            raise CheckpointCorrupt(f"{path}: frontier and counters must be JSON integers")
+        if "command" not in obj:
+            raise CheckpointCorrupt(f"{path}: malformed field ('command')")
+        if frontier < 0:
+            raise CheckpointCorrupt(
+                f"{path}: malformed field (frontier must be nonnegative, got {frontier})"
+            )
+        if obj["command"] != self.command:
+            raise CheckpointMismatch(
+                f"checkpoint is for command {obj['command']!r}, not {self.command!r}"
+            )
+        if params != self.params:
+            diff = sorted(
+                k for k in params.keys() | self.params.keys() if params.get(k) != self.params.get(k)
+            )
+            raise CheckpointMismatch(
+                f"checkpoint params differ on {', '.join(diff)}: {params} vs {self.params}"
+            )
+        self.frontier, self.counters = frontier, counters
 
     def advance(
         self, frontier: int, counters: dict[str, int], writers: Sequence[RecordWriter] = ()
     ) -> None:
-        if self.frontier is not None and frontier < self.frontier:
-            raise ValueError(f"frontier regressed: {frontier} < {self.frontier}")
+        if frontier < (self.frontier or 0):
+            raise ValueError(f"frontier regressed: {frontier} < {self.frontier or 0}")
         for writer in writers:
             writer.flush_fsync()
-        checkpoint = Checkpoint(self.command, self.params, frontier, dict(counters))
-        write_checkpoint(self.path, checkpoint)
-        self.frontier, self.counters = frontier, checkpoint.counters
+        counters = dict(counters)
+        write_checkpoint(self.path, {
+            "command": self.command, "params": self.params, "frontier": frontier,
+            "counters": counters, "version": CHECKPOINT_VERSION,
+        })
+        self.frontier, self.counters = frontier, counters

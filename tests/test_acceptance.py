@@ -415,7 +415,8 @@ def test_criterion_10_cost_model_and_scaling():
         10,
         a10 == 68 and ratio_off < 0.15,
         f"A(10) = {a10} exactly; a(2, 10^5) = {ratio:.4f} is {ratio_off:.1%} from "
-        f"the limiting 4; 4-worker speedup {speedup:.2f}x on a {cores}-core host "
+        f"the limiting 4; speedup {speedup:.2f}x with sweep_workers(4) = "
+        f"{sweeps.sweep_workers(4)} worker(s) on a {cores}-core host "
         f"(reported, not gated) ({dt:.1f}s)",
     )
 

@@ -17,18 +17,14 @@ from fakes import interrupted_after_records, interrupted_at_advance, zero_residu
 
 import leftfact
 from leftfact import (
-    Checkpoint,
     CheckpointCorrupt,
     CheckpointMismatch,
     FileSink,
     LedgerWriter,
     VerificationRecord,
     canonical_lines,
-    ensure_compatible,
     kh_chunks,
     kh_sweep,
-    load_checkpoint,
-    write_checkpoint,
 )
 from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leftfact import cli
@@ -52,82 +48,143 @@ def json_lines(path):
         return [json.loads(line) for line in fh]
 
 
-def checkpoint_for(frontier=100, records=5):
-    return Checkpoint(
-        command="kh",
-        params={"lo": 3, "hi": 500, "method": "forward_v"},
-        frontier=frontier,
-        counters={"records": records, "violations": 0},
-    )
+def saved(path):
+    """The fields of the checkpoint file at path."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+PARAMS = {"lo": 3, "hi": 500, "method": "forward_v"}
+COUNTERS = {"records": 5, "violations": 0}
+MISSING = object()
+
+
+def sink_at(tmp_path, frontier=100):
+    """A FileSink over tmp_path/cp.json that has advanced to frontier."""
+    sink = FileSink(str(tmp_path / "cp.json"), "kh", PARAMS)
+    sink.advance(frontier, COUNTERS)
+    return sink
 
 
 # ---------------------------------------------------------------- checkpoint
 
 
+def refused(tmp_path, error, text=None, **fields):
+    """The message of the error a FileSink for kh and PARAMS raises over
+    tmp_path/cp.json holding text, or else the fields of a valid file
+    updated by fields, MISSING deleting one."""
+    path = tmp_path / "cp.json"
+    if text is None:
+        path.unlink(missing_ok=True)
+        sink_at(tmp_path)
+        obj = {**saved(path), **fields}
+        text = json.dumps({k: v for k, v in obj.items() if v is not MISSING}, sort_keys=True)
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        FileSink(str(path), "kh", PARAMS)
+    return str(err.value).replace(f"{path}: ", "cp.json: ")
+
+
 def test_checkpoint_roundtrip(tmp_path):
-    path = str(tmp_path / "cp.json")
-    original = checkpoint_for()
-    write_checkpoint(path, original)
-    loaded = load_checkpoint(path)
-    assert loaded == original
+    sink_at(tmp_path)
+    again = FileSink(str(tmp_path / "cp.json"), "kh", PARAMS)
+    assert (again.frontier, again.counters) == (100, COUNTERS)
     # atomic publish leaves no temp litter
     assert os.listdir(tmp_path) == ["cp.json"]
 
 
 def test_checkpoint_missing_is_none(tmp_path):
-    assert load_checkpoint(str(tmp_path / "absent.json")) is None
+    sink = FileSink(str(tmp_path / "absent.json"), "kh", PARAMS)
+    assert (sink.frontier, sink.counters) == (None, {})
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_kh_checkpoint_format_is_pinned(tmp_path, capsys):
+    # sorted keys, json.dumps's default separators and a trailing newline:
+    # the bytes every earlier version wrote for the same run
+    cp = tmp_path / "cp.json"
+    assert run_cli("kh", "--from", "3", "--to", "3000", "--workers", "1", "--checkpoint", cp) == EXIT_OK
+    assert cp.read_text() == (
+        '{"command": "kh", "counters": {"records": 429, "violations": 0}, "frontier": 2999, '
+        '"params": {"hi": 3000, "lo": 3, "method": "forward_v"}, "version": 1}\n'
+    )
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    path = str(tmp_path / "cp.json")
-    path2 = str(tmp_path / "cp2.json")
-    with open(path, "w") as fh:
-        fh.write("{truncated")
-    with pytest.raises(CheckpointCorrupt):
-        load_checkpoint(path)
-    with open(path2, "w") as fh:
-        fh.write("[1, 2, 3]\n")
-    with pytest.raises(CheckpointCorrupt):
-        load_checkpoint(path2)
+    assert refused(tmp_path, CheckpointCorrupt, "{truncated") == (
+        "cp.json: not valid JSON (Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1))"
+    )
+    assert refused(tmp_path, CheckpointCorrupt, "[1, 2, 3]\n") == "cp.json: expected a JSON object"
 
 
 def test_checkpoint_rejects_other_versions(tmp_path):
-    path = str(tmp_path / "cp.json")
-    write_checkpoint(path, checkpoint_for())
-    with open(path) as fh:
-        obj = json.load(fh)
-    obj["version"] = 99
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    with pytest.raises(CheckpointCorrupt):
-        load_checkpoint(path)
+    for version, shown in ((99, "99"), (None, "None"), (MISSING, "None")):
+        message = refused(tmp_path, CheckpointCorrupt, version=version)
+        assert message == f"cp.json: unsupported checkpoint version {shown}"
 
 
 def test_checkpoint_rejects_malformed_fields(tmp_path):
-    path = str(tmp_path / "cp.json")
-    write_checkpoint(path, checkpoint_for())
-    with open(path) as fh:
-        obj = json.load(fh)
-    del obj["frontier"]
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    with pytest.raises(CheckpointCorrupt):
-        load_checkpoint(path)
+    objects = "cp.json: params and counters must be JSON objects"
+    integers = "cp.json: frontier and counters must be JSON integers"
+    assert refused(tmp_path, CheckpointCorrupt, params=None) == objects
+    assert refused(tmp_path, CheckpointCorrupt, counters=MISSING) == objects
+    assert refused(tmp_path, CheckpointCorrupt, frontier=MISSING) == integers
+    # a missing command is a corrupt file, not one for another command
+    assert refused(tmp_path, CheckpointCorrupt, command=MISSING) == "cp.json: malformed field ('command')"
 
 
-def test_checkpoint_field_validation():
+def test_checkpoint_field_validation(tmp_path):
+    message = refused(tmp_path, CheckpointCorrupt, frontier=-1)
+    assert message == "cp.json: malformed field (frontier must be nonnegative, got -1)"
+    (tmp_path / "cp.json").unlink()
     with pytest.raises(ValueError):
-        Checkpoint("kh", {}, frontier=-1, counters={})
+        FileSink(str(tmp_path / "cp.json"), "kh", {}).advance(-1, {})
+    assert os.listdir(tmp_path) == []
 
 
-def test_ensure_compatible():
-    cp = checkpoint_for()
-    ensure_compatible(cp, "kh", {"lo": 3, "hi": 500, "method": "forward_v"})
-    with pytest.raises(CheckpointMismatch):
-        ensure_compatible(cp, "kh2", {"lo": 3, "hi": 500, "method": "forward_v"})
-    with pytest.raises(CheckpointMismatch) as err:
-        ensure_compatible(cp, "kh", {"lo": 3, "hi": 600, "method": "forward_v"})
-    assert "hi" in str(err.value)
+def test_ensure_compatible(tmp_path):
+    assert refused(tmp_path, CheckpointMismatch, command="kh2") == (
+        "checkpoint is for command 'kh2', not 'kh'"
+    )
+    assert refused(tmp_path, CheckpointMismatch, params={**PARAMS, "hi": 600}) == (
+        "checkpoint params differ on hi: {'hi': 600, 'lo': 3, 'method': 'forward_v'} "
+        "vs {'lo': 3, 'hi': 500, 'method': 'forward_v'}"
+    )
+
+
+def _fail_fsync(monkeypatch):
+    def fsync(fd):
+        raise OSError("injected fsync failure")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+def test_a_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    sink = sink_at(tmp_path)
+    before = (tmp_path / "cp.json").read_bytes()
+    _fail_fsync(monkeypatch)
+    with pytest.raises(OSError, match="injected"):
+        sink.advance(200, COUNTERS)
+    assert (tmp_path / "cp.json").read_bytes() == before
+    assert os.listdir(tmp_path) == ["cp.json"]
+
+
+@pytest.mark.parametrize(
+    "records,fsync_fails", [(2, False), (3, True)], ids=["kept_lines", "fsync"]
+)
+def test_a_failed_resume_cut_keeps_the_record_file(tmp_path, monkeypatch, records, fsync_fails):
+    # a ledger that holds another count of records than the checkpoint's
+    # raises in kept_lines; one that holds the count meets the failing fsync
+    path = tmp_path / "led.jsonl"
+    path.write_text(_ledger_lines([3, 5, 7], [1, 4, 1], 7, "forward_v") + '{"type": "summary"}\n')
+    before = path.read_bytes()
+    if fsync_fails:
+        _fail_fsync(monkeypatch)
+    with pytest.raises(OSError if fsync_fails else ValueError):
+        LedgerWriter(str(path), resume_frontier=7, records=records)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["led.jsonl"]
 
 
 # -------------------------------------------------------------------- ledger
@@ -390,17 +447,16 @@ def test_file_sink_persists_advances(tmp_path):
         consumed += chunk.primes
         counters["records"] += len(chunk.primes)
         sink.advance(chunk.primes[-1], counters)
-    saved = load_checkpoint(path)
-    assert saved is not None
-    assert saved.frontier == consumed[-1]
+    fields = saved(path)
+    assert fields["frontier"] == consumed[-1]
     # the caller's counts, as they stood at the last frontier
-    assert saved.counters == {"records": len(consumed)}
-    assert saved.command == "kh"
+    assert fields["counters"] == {"records": len(consumed)}
+    assert fields["command"] == "kh"
 
     # a second sink over the same file resumes rather than restarting
     again = FileSink(path, "kh", params)
-    assert again.frontier == saved.frontier
-    assert again.counters == saved.counters
+    assert again.frontier == fields["frontier"]
+    assert again.counters == fields["counters"]
     assert list(kh_chunks((3, 9999), after=again.frontier)) == []
 
 
@@ -428,14 +484,14 @@ def test_file_sink_persists_the_callers_counters_after_its_writers(tmp_path):
 
     class Spy:
         def flush_fsync(self):
-            order.append(("flush", load_checkpoint(path)))
+            order.append(("flush", os.path.exists(path)))
 
     sink = FileSink(path, "kh", {})
     counters = {"violations": 7}
     sink.advance(100, counters, (Spy(), Spy()))
     counters["violations"] += 1  # the checkpoint keeps its own copy
-    assert order == [("flush", None), ("flush", None)]
-    assert load_checkpoint(path).counters == {"violations": 7}
+    assert order == [("flush", False), ("flush", False)]
+    assert saved(path)["counters"] == {"violations": 7}
     assert sink.counters == {"violations": 7}
 
 
@@ -658,7 +714,7 @@ def _interrupted_csv_run(tmp_path, *extra):
             "kh", "--from", "3", "--to", "30000", "--workers", "1",
             "--checkpoint", cp, "--csv", out, *extra,
         )
-    return cp, out, load_checkpoint(str(cp)).frontier
+    return cp, out, saved(cp)["frontier"]
 
 
 def _resume_csv_run(cp, out, *extra):
@@ -743,7 +799,7 @@ def _interrupted_ledger_run(tmp_path):
             "kh", "--from", "3", "--to", "20000", "--workers", "1",
             "--checkpoint", cp, "--ledger", led, "--csv", out,
         )
-    frontier = load_checkpoint(str(cp)).frontier
+    frontier = saved(cp)["frontier"]
     assert frontier == 8167  # the last prime of chunk 1
     return cp, led, out, frontier
 
@@ -1060,7 +1116,7 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
 
     # the frontier is the third chunk's last prime, inside the span
     third_chunk_end = int(build_sieve(100000).primes_up_to(100000)[3 * CHUNK_PRIMES])
-    assert load_checkpoint(str(cp)).frontier == third_chunk_end
+    assert saved(cp)["frontier"] == third_chunk_end
 
     argv = [sys.executable, "-m", "leftfact", *args]
     resume = subprocess.run(
@@ -1137,7 +1193,7 @@ def test_cli_pooled_sweep_closed_early_exits_and_leaves_no_worker(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == -signal.SIGINT, proc.stderr
     assert proc.stderr.rstrip().endswith("KeyboardInterrupt"), proc.stderr
-    assert load_checkpoint(str(tmp_path / "cp.json")).counters["records"] == CHUNK_PRIMES
+    assert saved(tmp_path / "cp.json")["counters"]["records"] == CHUNK_PRIMES
     assert _processes_naming(str(tmp_path)) == []
 
 
@@ -1247,9 +1303,9 @@ def test_package_names_all_resolve_in_their_order():
         "slavic_constant_block IDENTITY_IDS StirlingTable alternating_divisor_hits "
         "alternating_factorial evaluate_identity gcd_pair iter_left_factorials "
         "left_factorial partial_sum_gcd pole_residue_fraction stirling_table "
-        "weighted_sum Factorization factorize is_probable_prime Checkpoint "
+        "weighted_sum Factorization factorize is_probable_prime "
         "CheckpointCorrupt CheckpointError CheckpointMismatch FileSink LedgerWriter "
-        "canonical_lines ensure_compatible load_checkpoint write_checkpoint "
+        "canonical_lines write_checkpoint "
         "MAX_MODULUS VARIANTS CostModel ResidueResult VerificationRecord cost_model "
         "derangement_number floor_factorial_over_e kh_equivalent_residue "
         "residue_backward_s residue_direct residue_forward_t residue_forward_v "
@@ -1297,7 +1353,7 @@ SMOKE = [
         ("report", "kh-status"),
         re.escape("divisibility sweep p <= 10000: 1228 primes, 0 violations"),
     ),
-    (("report", "cost-model"), r"  4 worker\(s\): \d+\.\d\ds for 9591 primes"),
+    (("report", "cost-model"), r"  \d+ worker\(s\): \d+\.\d\ds for 9591 primes"),
     (("report", "analytic"), re.escape("K(-2) = 1 (removable, exactly 1)")),
     (("report", "primes"), re.escape("P(13): none (exhaustive)")),
     (
@@ -1321,6 +1377,23 @@ def test_cli_command_smoke(capsys, argv, line):
     assert run_cli(*argv) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert any(re.fullmatch(line, got) for got in out), out
+
+
+@pytest.mark.parametrize("cores,counts", [(1, [1]), (2, [1, 2]), (8, [1, 2, 4])])
+def test_cli_cost_model_reports_each_worker_count_its_sweeps_run(monkeypatch, capsys, cores, counts):
+    # asked for 1, 2 and 4 workers, a sweep runs sweep_workers of each: the
+    # report times and prints each distinct count once
+    runs = []
+
+    def sweep(bounds, worker_count):
+        runs.append(worker_count)
+        return iter(range(9591))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli, "kh_sweep", sweep)
+    assert run_cli("report", "cost-model") == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert [int(l.split()[0]) for l in out if "worker(s)" in l] == runs == counts
 
 
 def test_cli_misc_commands_smoke(capsys, tmp_path):
