@@ -9,7 +9,7 @@ carries an error estimate.
 The public names load on first use: `import leftfact` imports no
 submodule, and `leftfact.k_continued` (or `from leftfact import
 k_continued`) imports leftfact.analytic then. So the `kh` command line
-never loads the analytic code.
+never loads the analytic or the factoring code.
 """
 
 from importlib import import_module
@@ -32,7 +32,7 @@ _NAMES = {
             "iter_left_factorials left_factorial partial_sum_gcd "
             "pole_residue_fraction stirling_table weighted_sum"
         )),
-        ("factorint", "Factorization factorize is_probable_prime"),
+        ("factorint", "Factorization factorize"),
         ("harness", (
             "CheckpointCorrupt CheckpointError CheckpointMismatch FileSink "
             "LedgerWriter canonical_lines write_checkpoint"
@@ -44,8 +44,8 @@ _NAMES = {
             "residue_forward_t residue_forward_v residue_mod_p_squared"
         )),
         ("primes", (
-            "GoodPrimeResult PrimeSieve SignStatistics TripletReport "
-            "build_sieve count_pair_progressions good_prime_check p_set "
+            "GoodPrimeResult PrimeSieve SignStatistics TripletReport build_sieve "
+            "count_pair_progressions good_prime_check is_probable_prime p_set "
             "pi_sequence s_sequence sign_statistics sum_inequality_scan"
         )),
         ("sweeps", (

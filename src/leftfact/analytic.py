@@ -8,7 +8,10 @@ extended left by the functional equation K(z) = K(z+1) - Gamma(z+1).
 K has simple poles at z = -1, -3, -4, -5, ... (-2 is not a pole), and an
 independent closed form as a cotangent term plus a constant block plus a
 series of gamma values. Everything here is double precision; residues are
-exact rationals. The supported window is |z| <= 50 and Re z >= -20.
+exact rationals. At the default tolerance the supported window is
+Re z >= -20, |Im z| <= 9 and |z| <= 50; from about |Im z| = 9.9 (near
+Re z = 10) the error estimate exceeds the check, and k_continued raises
+QuadratureError.
 
 The integral is a composite 48/24-point Gauss-Legendre rule out to a cut
 T, with one panel across the removable point t = 1, where t^z - 1 is
@@ -33,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import left_factorial, pole_residue_fraction
-from .factorint import is_probable_prime
 from .modular import derangement_number, floor_factorial_over_e
+from .primes import is_probable_prime
 
 __all__ = [
     "gamma",
@@ -359,7 +362,7 @@ def _pole_at(z: complex, eps: float = 1e-12) -> int | None:
 
 
 def k_continued(z: complex | float, cfg: QuadratureConfig = QuadratureConfig()) -> complex:
-    """K(z) anywhere in the strip Re z >= -20 off the poles.
+    """K(z) off the poles, within the window the module docstring gives.
 
     Unfolds K(z) = K(z+1) - Gamma(z+1) until the argument reaches the
     integral's half-plane. z = -2 is the one point where individual gamma

@@ -26,7 +26,6 @@ from .exact import (
     evaluate_identity,
     left_factorial,
 )
-from .factorint import factorize
 from .harness import (
     CheckpointError,
     CheckpointMismatch,
@@ -119,6 +118,8 @@ def _cmd_kn(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    from .factorint import factorize
+
     if args.raw:
         label, value = str(args.n), args.n
     else:
@@ -262,8 +263,8 @@ def _cmd_h4(args: argparse.Namespace) -> int:
 
 
 def _cmd_altfact(args: argparse.Namespace) -> int:
-    hits = alternating_divisor_hits(args.n_max)
-    print(f"n | af(n) for n <= {args.n_max}: {' '.join(map(str, hits)) or 'none'}")
+    hits = " ".join(map(str, alternating_divisor_hits(args.n_max))) or "none"
+    print(f"n <= {args.n_max} with n+1 | n! - (n-1)! + ... +/- 1!: {hits}")
     return EXIT_OK
 
 
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV to PATH")
     p.set_defaults(func=_cmd_h4)
 
-    p = sub.add_parser("altfact", help="n dividing the alternating factorial af(n)")
+    p = sub.add_parser("altfact", help="n for which n+1 divides n! - (n-1)! + ... +/- 1!")
     p.add_argument("--n-max", type=_positive, required=True)
     p.set_defaults(func=_cmd_altfact)
 

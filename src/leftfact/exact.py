@@ -201,21 +201,21 @@ def evaluate_identity(identity_id: str, **params: int) -> tuple[int, int]:
     if identity_id == "I221":
         if n < 1:
             raise ValueError(f"I221 requires n >= 1, got {n}")
-        lhs = sum(left_factorial(i) for i in range(n + 1))
+        lhs = weighted_sum("Q", 0, n + 1)
         rhs = n * left_factorial(n - 1) + 1
         return lhs, rhs
 
     if identity_id == "I222":
         if n < 2:
             raise ValueError(f"I222 requires n >= 2, got {n}")
-        lhs = 2 * sum(i * left_factorial(i) for i in range(n))
+        lhs = 2 * weighted_sum("Q", 1, n)
         rhs = left_factorial(n) + n * (n - 1) * left_factorial(n - 2)
         return lhs, rhs
 
     if identity_id == "I223":
         if n < 2:
             raise ValueError(f"I223 requires n >= 2, got {n}")
-        lhs = 6 * sum(i * i * left_factorial(i) for i in range(n))
+        lhs = 6 * weighted_sum("Q", 2, n)
         rhs = (
             (2 * n - 1) * left_factorial(n)
             + (n - 1) * (2 * n * n - n - 2) * left_factorial(n - 2)

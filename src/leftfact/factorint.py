@@ -1,19 +1,13 @@
-"""Integer factorization and primality.
+"""Integer factorization.
 
-Below PSI_13 = 3317044064679887385961981 both are done here, without
-sympy: is_probable_prime is Miller-Rabin with the first 13 prime bases,
-which no composite below that bound passes (Sorenson & Webster, "Strong
-pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so it is a
-proof there; factorize divides out the primes up to 41 and splits what
-is left with Brent's rho (Brent, "An improved Monte Carlo factorization
-algorithm", BIT 20, 1980). Such a cofactor, if composite, has a prime
-factor below 1.9*10^12, so rho needs about 1.7*10^6 steps in expectation
-at worst.
+Every prime found is certified by primes.is_probable_prime. Below PSI_13
+factorize divides out the primes up to 41 and splits what is left with
+Brent's rho (Brent, "An improved Monte Carlo factorization algorithm",
+BIT 20, 1980). Such a cofactor, if composite, has a prime factor below
+1.9*10^12, so rho needs about 1.7*10^6 steps in expectation at worst.
 
-A cofactor from PSI_13 up that passes the same test goes on to
-sympy.isprime (BPSW), which certifies a prime there. One that fails
-either test is composite, and goes through these stages until one splits
-it:
+A composite cofactor from PSI_13 up goes through these stages until one
+splits it:
 
 1. rho, for _RHO_BUDGET = 4096 steps: prime factors up to about 10^6;
 2. sympy.perfect_power, which splits p^e into e copies of p;
@@ -26,8 +20,8 @@ it:
 
 Every factorize call with a limit goes to sympy.factorint as it is. sympy
 and numpy are imported inside the functions, and nothing here is computed
-at import, so that commands which never go past the bound (the kh sweep
-above all) do not pay for them.
+at import, so that factoring that never goes past the bound does not pay
+for them.
 """
 
 from __future__ import annotations
@@ -38,17 +32,16 @@ from itertools import chain, islice
 from math import gcd, isqrt, log, prod
 from typing import TYPE_CHECKING
 
+from .primes import _MR_BASES, PSI_13, is_probable_prime
+
 if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
     from random import Random
 
     import numpy as np
 
-__all__ = ["PSI_13", "Factorization", "factorize", "is_probable_prime"]
+__all__ = ["Factorization", "factorize"]
 
-# the least strong pseudoprime to the first 13 prime bases
-PSI_13 = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # rho steps spent on a composite from PSI_13 up before the sieve takes it
 # over; enough for a prime factor up to about 10^6 (49297 in K(26))
 _RHO_BUDGET = 1 << 12
@@ -81,40 +74,6 @@ _QS_THRESHOLD = 0.5
 _QS_EXTRA = 16
 # draws of a's primes that may repeat an a before the sieve gives up
 _QS_A_TRIES = 100
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 prime bases, for odd n > 41."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def is_probable_prime(n: int) -> bool:
-    """Whether n is prime: exact below PSI_13 (trial division, then
-    Miller-Rabin with the first 13 prime bases); sympy.isprime from there
-    (exact below 2^64, so throughout here, and Baillie-PSW above)."""
-    if n < PSI_13:
-        if n < 2:
-            return False
-        for p in _MR_BASES:
-            if n % p == 0:
-                return n == p
-        return _strong_probable_prime(n)
-    import sympy
-
-    return sympy.isprime(n)
 
 
 def _brent_divisor(n: int, budget: int | None = None) -> int | None:
@@ -429,9 +388,7 @@ def _factor_complete(v: int) -> dict[int, int]:
     pending = [v] if v > 1 else []
     while pending:
         n = pending.pop()
-        # no factor up to 41 is left, so n below 43^2 is prime
-        # from PSI_13 up, sympy.isprime certifies what passes the 13 bases
-        if n < 43 * 43 or (_strong_probable_prime(n) and (n < PSI_13 or is_probable_prime(n))):
+        if is_probable_prime(n):
             out[n] = out.get(n, 0) + 1
             continue
         # below PSI_13 rho has no budget, and always splits n
@@ -492,8 +449,8 @@ def factorize(v: int, limit: int | None = None) -> Factorization:
     division, Brent's rho and, from PSI_13 up, the quadratic sieve, with
     sympy.factorint for what they leave there (_factor_complete). A limit
     >= 1 always goes to sympy.factorint, which then bounds its trial
-    division and its rho and p-1 steps; whatever sympy leaves unsplit (the keys that fail
-    sympy.isprime) is multiplied into composite_remainder.
+    division and its rho and p-1 steps; whatever sympy leaves unsplit (the
+    keys that fail is_probable_prime) is multiplied into composite_remainder.
     """
     if v < 2:
         raise ValueError(f"factorize requires v >= 2, got {v}")
@@ -509,7 +466,7 @@ def factorize(v: int, limit: int | None = None) -> Factorization:
 
         for p, e in sorted(sympy.factorint(v, limit=limit).items()):
             p, e = int(p), int(e)
-            if sympy.isprime(p):
+            if is_probable_prime(p):
                 factors.append((p, e))
             else:
                 remainder = (remainder or 1) * p**e

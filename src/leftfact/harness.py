@@ -340,12 +340,13 @@ class FileSink:
             raise CheckpointCorrupt(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict):
             raise CheckpointCorrupt(f"{path}: expected a JSON object")
-        if obj.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointCorrupt(f"{path}: unsupported checkpoint version {obj.get('version')!r}")
+        # json.loads gives bool for true and false, and float for 1.0
+        version = obj.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise CheckpointCorrupt(f"{path}: unsupported checkpoint version {version!r}")
         params, frontier, counters = obj.get("params"), obj.get("frontier"), obj.get("counters")
         if not isinstance(params, dict) or not isinstance(counters, dict):
             raise CheckpointCorrupt(f"{path}: params and counters must be JSON objects")
-        # json.loads gives bool for true and false, and float for 1.0
         if not all(type(v) is int for v in (frontier, *counters.values())):
             raise CheckpointCorrupt(f"{path}: frontier and counters must be JSON integers")
         if "command" not in obj:
@@ -358,10 +359,11 @@ class FileSink:
             raise CheckpointMismatch(
                 f"checkpoint is for command {obj['command']!r}, not {self.command!r}"
             )
-        if params != self.params:
-            diff = sorted(
-                k for k in params.keys() | self.params.keys() if params.get(k) != self.params.get(k)
-            )
+        # compared as JSON text, so that 20000.0 or true is not 20000 or 1
+        found = {k: json.dumps(v, sort_keys=True) for k, v in params.items()}
+        wanted = {k: json.dumps(v, sort_keys=True) for k, v in self.params.items()}
+        if found != wanted:
+            diff = sorted(k for k in found.keys() | wanted.keys() if found.get(k) != wanted.get(k))
             raise CheckpointMismatch(
                 f"checkpoint params differ on {', '.join(diff)}: {params} vs {self.params}"
             )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factorint import is_probable_prime
+from .primes import is_probable_prime
 
 __all__ = [
     "MAX_MODULUS",

@@ -1,5 +1,12 @@
-"""Prime-sequence problems: centered 3-term progressions P(n), the sign
-sequences s_n and pi_n, good primes, and the prefix-sum inequality.
+"""Primality, the prime sieve, and the prime-sequence problems: centered
+3-term progressions P(n), the sign sequences s_n and pi_n, good primes,
+and the prefix-sum inequality.
+
+is_probable_prime is Miller-Rabin with the first 13 prime bases, which no
+composite below PSI_13 = 3317044064679887385961981 passes (Sorenson &
+Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+2017), so it is a proof there. From PSI_13 up, what passes those bases
+goes on to sympy.isprime (BPSW), which is imported only then.
 
 Index convention throughout: p_1 = 2, p_2 = 3, p_3 = 5, ...
 """
@@ -13,12 +20,12 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .factorint import is_probable_prime
-
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "PSI_13",
+    "is_probable_prime",
     "PrimeSieve",
     "build_sieve",
     "TripletReport",
@@ -33,9 +40,41 @@ __all__ = [
     "SignStatistics",
 ]
 
+# the least strong pseudoprime to the first 13 prime bases
+PSI_13 = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # odd numbers per sieve segment, one byte each: segment k holds the odd
 # numbers from 1 + 2k * _SEGMENT up to, not including, 1 + 2(k+1) * _SEGMENT
 _SEGMENT = 1 << 20
+
+
+def is_probable_prime(n: int) -> bool:
+    """Whether n is prime: trial division and Miller-Rabin with the first
+    13 prime bases, exact below PSI_13; from there, sympy.isprime for what
+    passes them (Baillie-PSW)."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n < PSI_13:
+        return True
+    import sympy
+
+    return sympy.isprime(n)
 
 
 class PrimeSieve:
@@ -104,11 +143,8 @@ def build_sieve(limit: int) -> PrimeSieve:
     if limit < 2:
         raise ValueError(f"build_sieve requires limit >= 2, got {limit}")
     root = math.isqrt(limit)
-    small = bytearray([1]) * (root + 1)
-    for p in range(3, math.isqrt(root) + 1, 2):
-        if small[p]:
-            small[p * p :: 2 * p] = bytes(len(range(p * p, root + 1, 2 * p)))
-    base = list(compress(range(3, root + 1, 2), small[3::2]))
+    # the odd primes up to sqrt(limit), by the same sieve
+    base = build_sieve(root).ints[1:].tolist() if root > 1 else []
 
     primes = array("q", [2])
     for lo in range(1, limit + 1, 2 * _SEGMENT):

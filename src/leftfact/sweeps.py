@@ -35,9 +35,8 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .exact import gcd_pair, iter_left_factorials
-from .factorint import is_probable_prime
 from .modular import VerificationRecord, residue_direct
-from .primes import build_sieve
+from .primes import build_sieve, is_probable_prime
 
 if TYPE_CHECKING:
     import numpy as np

@@ -231,6 +231,21 @@ def test_k_continued_functional_equation_grid():
         checked += 1
 
 
+def test_k_continued_is_certified_over_the_stated_window():
+    # the module docstring's window at the default tolerance: Re z >= -20,
+    # |Im z| <= 9 and |z| <= 50; past it the estimate outgrows the check
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    while checked < 300:
+        z = complex(rng.uniform(-20, 50), rng.uniform(-9, 9))
+        if abs(z) > 50:
+            continue
+        assert cmath.isfinite(k_continued(z)), z
+        checked += 1
+    with pytest.raises(QuadratureError):
+        k_continued(11.2 + 11j)
+
+
 def test_k_continued_pole_errors_carry_residue():
     for n in (1, 3, 4):
         with pytest.raises(PoleError) as err:

@@ -383,3 +383,17 @@ def test_residue_direct_never_imports_sympy():
         "print('sympy' in sys.modules)\n"
     )
     assert run_isolated(code) == "False"
+
+
+def test_primality_callers_never_import_factorint():
+    # is_probable_prime lives in primes, so only factoring loads factorint;
+    # a composite from PSI_13 up that fails the 13 bases needs no sympy
+    code = (
+        "import sys\n"
+        "import leftfact.analytic, leftfact.modular, leftfact.primes, leftfact.sweeps\n"
+        "from leftfact.primes import PSI_13, is_probable_prime\n"
+        "assert (2**61 - 1) * (2**89 - 1) > PSI_13\n"
+        "assert not is_probable_prime((2**61 - 1) * (2**89 - 1))\n"
+        "print('leftfact.factorint' in sys.modules, 'sympy' in sys.modules)\n"
+    )
+    assert run_isolated(code) == "False False"

@@ -586,6 +586,8 @@ def test_cli_kh_checkpoint_mismatch_and_corrupt(tmp_path, capsys):
         ("frontier", "8167"),
         ("counters", {"records": 1024, "violations": False}),
         ("counters", {"records": 1024.0, "violations": 0}),
+        ("version", True),
+        ("version", 1.0),
     ],
 )
 def test_cli_kh_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys, field, value):
@@ -602,6 +604,23 @@ def test_cli_kh_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys, field,
     captured = capsys.readouterr()
     assert code == EXIT_RUNTIME
     assert captured.err.startswith(f"kh: {cp}: "), captured.err
+    assert cp.read_bytes() == before
+
+
+@pytest.mark.parametrize("param", ["hi", "lo"])
+def test_cli_kh_refuses_checkpoint_params_of_another_json_type(tmp_path, capsys, param):
+    # 20000.0 == 20000 in Python but not in JSON: a checkpoint whose params
+    # hold a float is not one that kh --from 3 --to 20000 writes
+    cp = tmp_path / "cp.json"
+    params = {"hi": 20000, "lo": 3, "method": KERNEL_METHOD}
+    cp.write_text(json.dumps({
+        "command": "kh", "counters": {"records": 1024, "violations": 0}, "frontier": 8167,
+        "params": {**params, param: float(params[param])}, "version": 1,
+    }))
+    before = cp.read_bytes()
+    assert run_cli("kh", "--from", "3", "--to", "20000", "--workers", "1", "--checkpoint", cp) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"kh: checkpoint params differ on {param}: "), err
     assert cp.read_bytes() == before
 
 
@@ -1226,6 +1245,7 @@ def test_cli_kh_never_imports_sympy():
         "from leftfact.cli import main\n"
         "rc = main(['kh', '--from', '3', '--to', '2000', '--workers', '1'])\n"
         "print('analytic', 'leftfact.analytic' in sys.modules, file=sys.stderr)\n"
+        "print('factorint', 'leftfact.factorint' in sys.modules, file=sys.stderr)\n"
         "print('exit', rc, 'sympy', 'sympy' in sys.modules, file=sys.stderr)\n"
     )
     proc = subprocess.run(
@@ -1234,7 +1254,8 @@ def test_cli_kh_never_imports_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"exit {EXIT_OK} sympy False", proc.stderr
-    assert proc.stderr.splitlines()[-2] == "analytic False", proc.stderr
+    assert proc.stderr.splitlines()[-2] == "factorint False", proc.stderr
+    assert proc.stderr.splitlines()[-3] == "analytic False", proc.stderr
 
 
 def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
@@ -1303,14 +1324,15 @@ def test_package_names_all_resolve_in_their_order():
         "slavic_constant_block IDENTITY_IDS StirlingTable alternating_divisor_hits "
         "alternating_factorial evaluate_identity gcd_pair iter_left_factorials "
         "left_factorial partial_sum_gcd pole_residue_fraction stirling_table "
-        "weighted_sum Factorization factorize is_probable_prime "
+        "weighted_sum Factorization factorize "
         "CheckpointCorrupt CheckpointError CheckpointMismatch FileSink LedgerWriter "
         "canonical_lines write_checkpoint "
         "MAX_MODULUS VARIANTS CostModel ResidueResult VerificationRecord cost_model "
         "derangement_number floor_factorial_over_e kh_equivalent_residue "
         "residue_backward_s residue_direct residue_forward_t residue_forward_v "
         "residue_mod_p_squared GoodPrimeResult PrimeSieve SignStatistics "
-        "TripletReport build_sieve count_pair_progressions good_prime_check p_set "
+        "TripletReport build_sieve count_pair_progressions good_prime_check "
+        "is_probable_prime p_set "
         "pi_sequence s_sequence sign_statistics sum_inequality_scan CHUNK_PRIMES "
         "SPAN_PRIMES MAX_SWEEP_PRIME KhChunk a_set_scan batch_residues "
         "h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
@@ -1408,6 +1430,12 @@ def test_cli_misc_commands_smoke(capsys, tmp_path):
     assert run_cli("analytic", "eval", "--z", "2.5+1.5j") == EXIT_OK
     assert run_cli("analytic", "residues", "--n-max", "5") == EXIT_OK
     assert run_cli("pairs", "--m-bound", "500") == EXIT_OK
+
+
+def test_cli_altfact_output(capsys):
+    # the first n with n+1 | n! - (n-1)! + ... - 1! is 3612702
+    assert run_cli("altfact", "--n-max", "200") == EXIT_OK
+    assert capsys.readouterr().out == "n <= 200 with n+1 | n! - (n-1)! + ... +/- 1!: none\n"
 
 
 @pytest.mark.parametrize(
