@@ -18,9 +18,10 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from .modular import VerificationRecord
+if TYPE_CHECKING:
+    from .modular import VerificationRecord
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -161,24 +161,6 @@ def residue_mod_p_squared(n: int, p: int) -> ResidueResult:
 VARIANTS = ("T21_2", "T21_4", "T21_5", "T21_6", "STANK", "DERANGE")
 
 
-def _inverse_table(p: int) -> list[int]:
-    # inv[i] = i^{-1} mod p for 1 <= i < p, via the standard linear recurrence
-    inv = [0] * p
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = -(p // i) * inv[p % i] % p
-    return inv
-
-
-def _rising_products(p: int) -> list[int]:
-    # rising[k] = (k+1)(k+2)...(p-1) mod p for 0 <= k < p, built descending
-    rising = [0] * p
-    rising[p - 1] = 1
-    for k in range(p - 1, 0, -1):
-        rising[k - 1] = rising[k] * k % p
-    return rising
-
-
 def kh_equivalent_residue(variant: str, p: int) -> int:
     """One of six sums over GF(p) whose vanishing is equivalent to p | !p.
 
@@ -191,8 +173,10 @@ def kh_equivalent_residue(variant: str, p: int) -> int:
     DERANGE: D_{p-1} mod p via D_k = k*D_{k-1} + (-1)^k; equals r_p exactly
              through the floor identity [(p-1)!/e] = D_{p-1} - 1 (odd p)
 
-    Modular inverses use Fermat via a batch inverse table. DERANGE stays
-    exact on purpose: no floating floor of (p-1)!/e is ever taken.
+    The sums read one table of k! mod p and one of 1/k! mod p, through
+    (k+1)...(p-1) = (p-1)!/k! and binom(p-1,k) = (p-1)!/(k! (p-1-k)!).
+    DERANGE stays exact on purpose: no floating floor of (p-1)!/e is ever
+    taken.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {VARIANTS}")
@@ -207,44 +191,28 @@ def kh_equivalent_residue(variant: str, p: int) -> int:
             sign = -sign
         return d
 
+    fact = [1] * (p + 1)  # k! mod p
+    for k in range(1, p + 1):
+        fact[k] = fact[k - 1] * k % p
     if variant == "STANK":
-        fact, total = 1, 0
-        for k in range(2, p + 1):
-            fact = fact * k % p
-            total = (total + (k - 1) * fact) % p
-        return total
-
-    if variant == "T21_2":
-        total = 0
-        for k, rising in enumerate(_rising_products(p)):
-            total += rising if k % 2 == 0 else -rising
-        return total % p
-
-    inv = _inverse_table(p)
-    if variant == "T21_4":
-        rising = _rising_products(p)
-        total, binom = 0, 1  # binom(p-1, k) mod p, k ascending
-        for k in range(p):
-            total += binom * rising[k]
-            binom = binom * ((p - 1 - k) % p) % p * inv[k + 1] % p if k + 1 < p else 0
-        return total % p
+        return sum((k - 1) * fact[k] for k in range(2, p + 1)) % p
 
     inv_fact = [1] * p  # 1/k! mod p
-    for k in range(1, p):
-        inv_fact[k] = inv_fact[k - 1] * inv[k] % p
-
+    inv_fact[p - 1] = pow(fact[p - 1], -1, p)
+    for k in range(p - 1, 1, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
     if variant == "T21_5":
-        total = 0
-        for k in range(p):
-            total += inv_fact[k] if k % 2 == 0 else -inv_fact[k]
-        return total % p
+        return (sum(inv_fact[0::2]) - sum(inv_fact[1::2])) % p
 
+    rising = [fact[p - 1] * inv % p for inv in inv_fact]  # (k+1)...(p-1)
+    if variant == "T21_2":
+        return (sum(rising[0::2]) - sum(rising[1::2])) % p
+
+    binom = [r * inv_fact[p - 1 - k] % p for k, r in enumerate(rising)]
+    if variant == "T21_4":
+        return sum(b * r for b, r in zip(binom, rising)) % p
     # T21_6
-    total, binom = 0, 1
-    for k in range(p):
-        total += binom * inv_fact[k]
-        binom = binom * ((p - 1 - k) % p) % p * inv[k + 1] % p if k + 1 < p else 0
-    return total % p
+    return sum(b * inv for b, inv in zip(binom, inv_fact)) % p
 
 
 def derangement_number(n: int) -> int:

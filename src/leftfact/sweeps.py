@@ -51,6 +51,7 @@ __all__ = [
     "kh_chunks",
     "kh_sweep",
     "sweep_workers",
+    "KNOWN_SQUARE_HITS",
     "kh2_scan",
     "a_set_scan",
     "h4_witness_search",
@@ -514,12 +515,17 @@ def kh_sweep(
         chunks.close()
 
 
+# The (p, n) with p^2 | !n that kh2 expects: !3 = 2^2 and 54503^2 | !26541.
+# It reports any other hit as an anomaly.
+KNOWN_SQUARE_HITS = ((2, 3), (54503, 26541))
+
+
 def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
     """All (p, n) with p in the range, n <= n_bound, and p^2 | !n.
 
     Every prime runs the same mod-p^2 accumulation over every n up to
     n_bound (exhaustively, below p as well, where a hit would contradict
-    nothing); p = 2 surfaces the one known hit, !3 = 2^2.
+    nothing); p = 2 surfaces !3 = 2^2, the first of KNOWN_SQUARE_HITS.
     """
     lo, hi = p_range
     if n_bound < 2:

@@ -30,7 +30,7 @@ from leftfact.cli import EXIT_ANOMALY, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leftfact import cli
 from leftfact.harness import _RECORD_LINE, CSV_HEADER, CsvWriter, _ledger_lines, record_to_row
 from leftfact.primes import build_sieve
-from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD, MAX_SWEEP_PRIME
+from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD, KNOWN_SQUARE_HITS, MAX_SWEEP_PRIME
 
 
 def rec(prime, residue, ns=7, method="forward_v"):
@@ -1258,6 +1258,17 @@ def test_cli_kh_never_imports_sympy():
     assert proc.stderr.splitlines()[-3] == "analytic False", proc.stderr
 
 
+def test_harness_never_imports_modular():
+    # the record files need VerificationRecord for annotations only
+    code = "import sys, leftfact.harness\nprint('leftfact.modular' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
     # numpy costs about as much to import as the rest of a kh rerun; only the
     # kernel and the vector prime problems need it
@@ -1284,6 +1295,21 @@ def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
         "import False", f"kh {EXIT_OK} False", f"kh2 {EXIT_OK} False"
     ], proc.stderr
     assert canonical_lines(led) == finished
+
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+@pytest.mark.parametrize("tool", sorted(f for f in os.listdir(TOOLS) if f.endswith(".py")))
+def test_tool_help_exits_0(tool):
+    # the tools import private kernel names, so a kernel change that breaks
+    # one fails here rather than at the tool's next run
+    proc = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, tool), "--help"], capture_output=True,
+        text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:"), proc.stdout
 
 
 def test_perfbench_tracer_finds_the_names_it_rebinds(tmp_path):
@@ -1430,6 +1456,18 @@ def test_cli_misc_commands_smoke(capsys, tmp_path):
     assert run_cli("analytic", "eval", "--z", "2.5+1.5j") == EXIT_OK
     assert run_cli("analytic", "residues", "--n-max", "5") == EXIT_OK
     assert run_cli("pairs", "--m-bound", "500") == EXIT_OK
+
+
+def test_cli_kh2_expects_only_the_known_square_hits(monkeypatch, capsys):
+    hits = list(KNOWN_SQUARE_HITS)
+    monkeypatch.setattr(cli, "kh2_scan", lambda p_range, n_bound: hits)
+    assert run_cli("kh2", "--p-max", "60000", "--n-max", "27000") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  2^2 divides !3", "  54503^2 divides !26541"
+    ]
+    hits.append((7, 100))
+    assert run_cli("kh2", "--p-max", "60000", "--n-max", "27000") == EXIT_ANOMALY
+    assert capsys.readouterr().out.splitlines()[-1] == "  7^2 divides !100"
 
 
 def test_cli_altfact_output(capsys):

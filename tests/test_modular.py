@@ -123,11 +123,14 @@ def test_variant_sign_relations_small():
 
 
 def test_variants_vanish_together_to_2000():
+    # no r_p is 0 below 2000, so each variant is pinned to +r_p or -r_p
     for p in ODD_PRIMES_2K:
         r = residue_direct(p, p).residue
         values = {v: kh_equivalent_residue(v, p) for v in VARIANTS}
-        assert values["T21_2"] == r, p
-        assert values["DERANGE"] == r, p
+        for v in ("T21_2", "T21_4", "DERANGE"):
+            assert values[v] == r, (p, v)
+        for v in ("T21_5", "T21_6", "STANK"):
+            assert values[v] == (-r) % p, (p, v)
         for v, val in values.items():
             assert (val == 0) == (r == 0), (p, v)
 

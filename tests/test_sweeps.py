@@ -23,11 +23,19 @@ from leftfact import (
     kh_chunks,
     kh_sweep,
     residue_direct,
+    residue_mod_p_squared,
     residue_summatory,
     sweeps,
 )
 from leftfact.primes import build_sieve
-from leftfact.sweeps import KERNEL_METHOD, SPAN_PRIMES, _kernel_task, _reciprocal, _reducer
+from leftfact.sweeps import (
+    KERNEL_METHOD,
+    KNOWN_SQUARE_HITS,
+    SPAN_PRIMES,
+    _kernel_task,
+    _reciprocal,
+    _reducer,
+)
 
 SIEVE = build_sieve(20000)
 # the stepper's recurrences, each an oracle for the kernel's one
@@ -433,6 +441,13 @@ def test_kh2_scan_finds_only_the_known_square():
     hits = kh2_scan((2, 50), 100)
     assert hits == [(2, 3)]
     assert kh2_scan((2, 2), 10) == [(2, 3)]
+
+
+def test_known_square_hits_are_square_divisors():
+    assert KNOWN_SQUARE_HITS == ((2, 3), (54503, 26541))
+    for p, n in KNOWN_SQUARE_HITS:
+        assert residue_direct(n, p * p).residue == 0, (p, n)
+    assert residue_mod_p_squared(26541, 54503).residue == 0
 
 
 def test_kh2_scan_validation():
