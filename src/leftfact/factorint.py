@@ -13,8 +13,9 @@ splits it:
 2. sympy.perfect_power, which splits p^e into e copies of p;
 3. below 10^50, the self-initialising quadratic sieve (_qs_divisor),
    whose time depends on the size of the cofactor, not on luck: about
-   0.02 s at 26 digits, 0.2-0.25 s at 37-38, 0.6 s at 42, 1.3 s at 45-46
-   and 3-4 s at 49-50 on a 2-core x86-64 host under CPython 3.11;
+   0.012 s at 26 digits, 0.03 s at 32, 0.13-0.15 s at 38, 0.4-0.6 s at
+   43-44 and 2.1 s at 50 on one core of a 2-core x86-64 host under
+   CPython 3.11 and numpy 2.4;
 4. sympy.factorint, for composites of 50 digits and more, and for the
    cofactors that the sieve leaves unsplit.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import gcd, isqrt, log, prod
+from math import gcd, isqrt, log, log2, prod
 from typing import TYPE_CHECKING
 
 from .primes import _MR_BASES, PSI_13, is_probable_prime
@@ -62,13 +63,14 @@ _QS_TABLE = (
 _QS_MULTIPLIERS = (1, 3, 5, 7, 11, 13, 15, 17, 19, 21, 23, 29, 31, 33, 35, 37, 39, 41, 43,
                    47, 51, 53, 55, 57, 59, 61, 65, 67, 69, 71, 73)
 _QS_MULTIPLIER_PRIMES = 100
-# factor-base primes below _QS_SLICED are sieved by strided adds, the rest
-# by one numpy.bincount per polynomial
-_QS_SLICED = 500
+# factor-base primes below _QS_SKIP are not sieved: the threshold drops by
+# their expected share of a value's log2, and the root test still finds them
+_QS_SKIP = 30
 # the large-prime bound, in multiples of the largest factor-base prime
 _QS_LARGE_PRIME = 100
-# what a sieve position needs above log(m sqrt(kn / 2) / large-prime bound)
-_QS_THRESHOLD = 0.5
+# the bits a sieve position needs above log2(m sqrt(kn / 2) / large-prime
+# bound)
+_QS_THRESHOLD = 0.7
 # relations gathered beyond the factor base's primes and sign, each adding
 # a dependency
 _QS_EXTRA = 16
@@ -250,28 +252,38 @@ def _qs_relations(
     relation (the large-prime variation). Parity bit 0 is the sign, bit
     i + 1 that of fb[i].
 
-    Each polynomial is sieved over the 2m positions |x| <= m in one float
-    row: the primes below _QS_SLICED by one strided add per root, the rest
-    by one numpy.bincount over their hits. A position whose row exceeds
-    log(m sqrt(kn / 2) / the large-prime bound) + _QS_THRESHOLD is trial
-    divided by the primes whose roots it hits."""
+    Each polynomial is sieved over the 2m positions |x| <= m in one uint8
+    row: one numpy.add.at adds the rounded log2 of each factor-base prime
+    from _QS_SKIP up at its hits x1 + jp and x2 + jp, j < 2m / p rounded
+    up. The last hit may land in the fb[-1] bytes past 2m, which are
+    ignored. A byte sums the bits of distinct primes that divide one value,
+    at most about 110 for kn below 73 * _QS_BELOW. The primes below
+    _QS_SKIP are not sieved (the small-prime variation): the threshold,
+    log2(m sqrt(kn / 2) / the large-prime bound) + _QS_THRESHOLD, drops by
+    their expected share of a value's bits instead. The positions above it
+    are tested against every prime's roots in one candidates-by-primes
+    matrix of x mod p, and each is trial divided by the primes it hits."""
     from random import Random
 
     import numpy as np
 
     p = np.array(fb, dtype=np.int64)
-    logs = np.log(p)
+    bits = np.log2(p)
     width = 2 * m
     large = _QS_LARGE_PRIME * fb[-1]
-    threshold = log(m) + log(kn / 2) / 2 - log(large) + _QS_THRESHOLD
-    sliced = bisect_left(fb, _QS_SLICED)
-    # the bincount primes' hits are x1 + jp and x2 + jp for j < counts; the
-    # last may land past the row, which is cut to width
-    counts = np.tile(-(-width // p[sliced:]), 2)
+    skip = bisect_left(fb, _QS_SKIP)
+    # a prime of k has one root, and divides a value once in p, not twice
+    two = roots != 0
+    skipped = np.where(two, 2 * bits / (p - 1), bits / p)[1:skip].sum()
+    threshold = log2(m) + log2(kn / 2) / 2 - log2(large) + _QS_THRESHOLD - skipped
+    # the sieved primes' hits are x1 + jp and x2 + jp for j < counts
+    counts = np.tile(-(-width // p[skip:]), 2)
     starts = np.cumsum(counts) - counts
     offsets = (np.arange(counts.sum()) - np.repeat(starts, counts)) * np.repeat(
-        np.tile(p[sliced:], 2), counts
+        np.tile(p[skip:], 2), counts
     )
+    row = np.empty(width + fb[-1], dtype=np.uint8)
+    rounded = np.rint(bits).astype(np.uint8)
     partials: dict[int, tuple[int, int, int]] = {}
     last_a = 0
     for a, qs, b, x1, x2 in _qs_polynomials(kn, m, fb, roots, Random(n)):
@@ -279,25 +291,18 @@ def _qs_relations(
             last_a = a
             divides = np.ones(len(fb), dtype=bool)  # where the roots are right
             divides[[0, *qs]] = False
-            weights = np.repeat(np.tile(np.where(divides, logs, 0)[sliced:], 2), counts)
-            small = [i for i in range(1, sliced) if divides[i]]
-            small_primes, small_logs = [fb[i] for i in small], logs[small].tolist()
-        row = np.bincount(
-            np.concatenate((x1[sliced:], x2[sliced:])).repeat(counts) + offsets,
-            weights,
-            minlength=width,
-        )[:width]
-        for q, lq, r1, r2 in zip(small_primes, small_logs, x1[small].tolist(), x2[small].tolist()):
-            row[r1::q] += lq
-            if r2 != r1:  # a prime of k has one root
-                row[r2::q] += lq
-        for x in np.flatnonzero(row > threshold).tolist():
+            weight = np.where(divides, rounded, 0)[skip:]
+            weights = np.repeat(np.concatenate((weight, weight * two[skip:])), counts)
+        row.fill(0)
+        np.add.at(row, np.concatenate((x1[skip:], x2[skip:])).repeat(counts) + offsets, weights)
+        candidates = np.flatnonzero(row[:width] > threshold)
+        r = candidates[:, None] % p
+        hits = ((r == x1) | (r == x2)) & divides
+        for x, hit in zip(candidates.tolist(), hits):
             y = a * (x - m) + b
             value = y * y - kn
             v, parities = abs(value), int(value < 0)
-            r = x % p
-            hits = np.flatnonzero(((r == x1) | (r == x2)) & divides).tolist()
-            for i in chain((0,), qs, hits):
+            for i in chain((0,), qs, np.flatnonzero(hit).tolist()):
                 while v % fb[i] == 0:
                     v //= fb[i]
                     parities ^= 2 << i
@@ -313,20 +318,46 @@ def _qs_relations(
                     yield y * other[0] % n, value * other[1], parities ^ other[2]
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """The square root of a mod the odd prime p that is at most p // 2, by
+    Tonelli-Shanks; a must be a square mod p, and 0 gives 0."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    # invariant: r^2 = a t mod p, with t of order dividing 2^(s-1) and c a
+    # 2^s-th root of unity
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return min(r, p - r)
+
+
 def _gf2_dependencies(rows: list[int]) -> Iterator[int]:
     """Sets of rows, as bitsets with bit i for rows[i], whose rows XOR to
-    0: each row is reduced by the pivot row at its lowest set bit until it
-    is 0, a dependency, or its lowest bit has no pivot yet, which makes it
-    the pivot there."""
+    0: each row is reduced by the pivot row at its highest set bit until it
+    is 0, a dependency, or its highest bit has no pivot yet, which makes it
+    the pivot there. The high bits are the factor base's largest primes,
+    which few rows share, so pivoting there first keeps the rows sparse."""
     pivots: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(rows):
         used = 1 << i
         while row:
-            low = row & -row
-            if low not in pivots:
-                pivots[low] = (row, used)
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = (row, used)
                 break
-            pivot, pivot_used = pivots[low]
+            pivot, pivot_used = pivots[top]
             row, used = row ^ pivot, used ^ pivot_used
         else:
             yield used
@@ -347,7 +378,6 @@ def _qs_divisor(n: int) -> int | None:
     The polynomials are drawn by a Random seeded with n, so each n gets the
     same divisor every time."""
     import numpy as np
-    from sympy.ntheory import sqrt_mod
 
     from .primes import build_sieve
 
@@ -363,7 +393,7 @@ def _qs_divisor(n: int) -> int | None:
             fb.append(p)
             if len(fb) == size:
                 break
-    roots = np.array([0] + [int(sqrt_mod(kn % p, p)) for p in fb[1:]], dtype=np.int64)
+    roots = np.array([0] + [_sqrt_mod(kn, p) for p in fb[1:]], dtype=np.int64)
     relations = list(islice(_qs_relations(n, kn, m, fb, roots), len(fb) + 1 + _QS_EXTRA))
     for used in _gf2_dependencies([parities for _, _, parities in relations]):
         chosen = [rel for i, rel in enumerate(relations) if used >> i & 1]

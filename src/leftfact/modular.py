@@ -8,6 +8,7 @@ point of this module is the fast path. r_q denotes rest(!q, q).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,10 +174,8 @@ def kh_equivalent_residue(variant: str, p: int) -> int:
     DERANGE: D_{p-1} mod p via D_k = k*D_{k-1} + (-1)^k; equals r_p exactly
              through the floor identity [(p-1)!/e] = D_{p-1} - 1 (odd p)
 
-    The sums read one table of k! mod p and one of 1/k! mod p, through
-    (k+1)...(p-1) = (p-1)!/k! and binom(p-1,k) = (p-1)!/(k! (p-1-k)!).
-    DERANGE stays exact on purpose: no floating floor of (p-1)!/e is ever
-    taken.
+    The sums read the tables of _tables(p). DERANGE stays exact on
+    purpose: no floating floor of (p-1)!/e is ever taken.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {VARIANTS}")
@@ -191,28 +190,35 @@ def kh_equivalent_residue(variant: str, p: int) -> int:
             sign = -sign
         return d
 
-    fact = [1] * (p + 1)  # k! mod p
-    for k in range(1, p + 1):
-        fact[k] = fact[k - 1] * k % p
+    fact, inv_fact, rising, binom = _tables(p)
     if variant == "STANK":
         return sum((k - 1) * fact[k] for k in range(2, p + 1)) % p
-
-    inv_fact = [1] * p  # 1/k! mod p
-    inv_fact[p - 1] = pow(fact[p - 1], -1, p)
-    for k in range(p - 1, 1, -1):
-        inv_fact[k - 1] = inv_fact[k] * k % p
     if variant == "T21_5":
         return (sum(inv_fact[0::2]) - sum(inv_fact[1::2])) % p
-
-    rising = [fact[p - 1] * inv % p for inv in inv_fact]  # (k+1)...(p-1)
     if variant == "T21_2":
         return (sum(rising[0::2]) - sum(rising[1::2])) % p
-
-    binom = [r * inv_fact[p - 1 - k] % p for k, r in enumerate(rising)]
     if variant == "T21_4":
         return sum(b * r for b, r in zip(binom, rising)) % p
     # T21_6
     return sum(b * inv for b, inv in zip(binom, inv_fact)) % p
+
+
+@functools.lru_cache(maxsize=1)
+def _tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """(k! for k <= p, 1/k!, (k+1)...(p-1) and binom(p-1, k) for k < p),
+    all mod the odd prime p, through (k+1)...(p-1) = (p-1)!/k! and
+    binom(p-1, k) = (p-1)!/(k! (p-1-k)!). The last p's tables are kept,
+    since the variants of one p are asked for in a row."""
+    fact = [1] * (p + 1)
+    for k in range(1, p + 1):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [1] * p
+    inv_fact[p - 1] = pow(fact[p - 1], -1, p)
+    for k in range(p - 1, 1, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    rising = [fact[p - 1] * inv % p for inv in inv_fact]
+    binom = [r * inv_fact[p - 1 - k] % p for k, r in enumerate(rising)]
+    return tuple(fact), tuple(inv_fact), tuple(rising), tuple(binom)
 
 
 def derangement_number(n: int) -> int:

@@ -300,23 +300,40 @@ def test_qs_divisor_is_deterministic():
     assert [factorint._qs_divisor(p * q) for _ in range(2)] == [first, first]
 
 
+def qs_factor_base(n, k, size):
+    """2, then the odd primes of k and those modulo which kn is a nonzero
+    square, size primes in all, found by sympy."""
+    import sympy
+
+    kn, fb = k * n, [2]
+    for p in map(int, sympy.primerange(3, 10**6)):
+        if k % p == 0 or pow(kn % p, (p - 1) // 2, p) == 1:
+            fb.append(p)
+            if len(fb) == size:
+                return fb
+    raise AssertionError("too few primes")
+
+
+def sympy_roots(kn, fb):
+    """A square root of kn mod each odd prime of fb, by sympy, and 0 for 2."""
+    import numpy as np
+    from sympy.ntheory import sqrt_mod
+
+    return np.array([0] + [int(sqrt_mod(kn % p, p)) for p in fb[1:]], dtype=np.int64)
+
+
 def test_qs_polynomials_are_distinct_with_a_dividing_them_and_true_roots():
     import random
     from itertools import islice
-
-    import numpy as np
-    import sympy
-    from sympy.ntheory import sqrt_mod
 
     from leftfact import factorint
 
     rng = random.Random(2)
     n = seeded_prime(rng, 19) * seeded_prime(rng, 20)
     size, m = factorint._qs_params(n)
-    qrs = (p for p in sympy.primerange(3, 10**5) if pow(n % p, (p - 1) // 2, p) == 1)
-    fb = [2, *islice(qrs, size - 1)]
-    roots = np.array([0] + [int(sqrt_mod(n % p, p)) for p in fb[1:]], dtype=np.int64)
-    polys = list(islice(factorint._qs_polynomials(n, m, fb, roots, random.Random(0)), 64))
+    fb = qs_factor_base(n, 1, size)
+    polys = factorint._qs_polynomials(n, m, fb, sympy_roots(n, fb), random.Random(0))
+    polys = list(islice(polys, 64))
     assert len({(a, b) for a, _, b, _, _ in polys}) == 64
     for a, qs, b, x1, x2 in polys:
         assert a == prod(fb[i] for i in qs)
@@ -325,6 +342,116 @@ def test_qs_polynomials_are_distinct_with_a_dividing_them_and_true_roots():
         for i in set(range(1, len(fb))) - set(qs):
             for x in (int(x1[i]), int(x2[i])):
                 assert ((a * (x - m) + b) ** 2 - n) % fb[i] == 0
+
+
+def test_sqrt_mod_matches_sympy_on_a_factor_base():
+    import random
+
+    import sympy
+    from sympy.ntheory import sqrt_mod
+
+    from leftfact import factorint
+
+    rng = random.Random(4)
+    n = seeded_prime(rng, 25) * seeded_prime(rng, 25)
+    size, _ = factorint._qs_params(n)
+    k = factorint._qs_multiplier(n, list(map(int, sympy.primerange(2, 1000))))
+    fb = qs_factor_base(n, k, size)
+    assert len(fb) == size and any(k % p == 0 for p in fb[1:])
+    for p in fb[1:]:
+        assert factorint._sqrt_mod(k * n, p) == sqrt_mod(k * n % p, p), p
+    # p - 1 = 2^8, 2^9 * 15 and 2^16: Tonelli-Shanks' loop runs longest
+    for p, step in ((257, 1), (7681, 1), (65537, 97)):
+        for x in range(1, p // 2 + 1, step):
+            assert factorint._sqrt_mod(x * x, p) == x, (p, x)
+
+
+def test_qs_relations_are_squares_mod_n_with_their_exponent_parities():
+    import random
+    from itertools import islice
+    from math import isqrt
+
+    import sympy
+
+    from leftfact import factorint
+
+    rng = random.Random(3)
+    n = seeded_prime(rng, 15) * seeded_prime(rng, 15)
+    assert len(str(n)) == 30
+    size, m = factorint._qs_params(n)
+    k = factorint._qs_multiplier(n, list(map(int, sympy.primerange(2, 1000))))
+    fb = qs_factor_base(n, k, size)
+    relations = list(islice(factorint._qs_relations(n, k * n, m, fb, sympy_roots(k * n, fb)), 64))
+    assert len(relations) == 64
+    paired = 0
+    for y, value, parities in relations:
+        assert 0 <= y < n and (y * y - value) % n == 0
+        v, want = abs(value), int(value < 0)
+        for i, p in enumerate(fb):
+            while v % p == 0:
+                v, want = v // p, want ^ 2 << i
+        assert parities == want
+        # what the factor base leaves is 1, or the square of the large
+        # prime that two partial relations shared
+        r = isqrt(v)
+        assert v == 1 or (r * r == v and fb[-1] < r < factorint._QS_LARGE_PRIME * fb[-1])
+        paired += v > 1
+    assert 0 < paired < 64
+
+
+def test_no_sieve_byte_can_pass_255():
+    import random
+    from itertools import islice
+    from math import log2
+
+    import sympy
+
+    from leftfact import factorint
+
+    # the largest kn the sieve takes: n below _QS_BELOW, multiplier 73
+    n, k = int(sympy.prevprime(factorint._QS_BELOW)), 73
+    kn = k * n
+    size, m = factorint._qs_params(n)
+    fb = qs_factor_base(n, k, size)
+    sieved = [p for p in fb if p >= factorint._QS_SKIP]
+    polys = factorint._qs_polynomials(kn, m, fb, sympy_roots(kn, fb), random.Random(0))
+    for a, _, b, _, _ in islice(polys, 64):
+        c, rest = divmod(b * b - kn, a)
+        assert rest == 0
+
+        def g(x):
+            return a * x * x + 2 * b * x + c
+
+        # a byte at x holds the rounded log2 of the distinct sieved primes
+        # that divide g(x), each at most log2 p + 1/2; g is largest in size
+        # at the ends of [-m, m] or at its vertex, near -b/a
+        vertex = [x for x in (-b // a, -b // a + 1) if -m <= x <= m]
+        top = max(abs(g(x)) for x in (-m, m, *vertex))
+        count, product = 0, 1
+        for p in sieved:
+            product *= p
+            if product > top:
+                break
+            count += 1
+        # about 112 bits: half of what a byte holds
+        assert log2(top) + count / 2 < 128
+
+
+def test_gf2_dependencies_xor_to_zero():
+    import random
+    from functools import reduce
+    from operator import xor
+
+    from leftfact import factorint
+
+    rng = random.Random(5)
+    rows = [rng.getrandbits(40) & rng.getrandbits(40) for _ in range(60)]
+    deps = list(factorint._gf2_dependencies(rows))
+    # 60 rows of 40 bits leave at least 20 dependencies, each with a row
+    # that no earlier one has
+    assert len(deps) >= 20 and len({d.bit_length() for d in deps}) == len(deps)
+    for used in deps:
+        assert used and reduce(xor, (r for i, r in enumerate(rows) if used >> i & 1)) == 0
 
 
 @pytest.mark.parametrize("power", (2, 3))

@@ -135,6 +135,20 @@ def test_variants_vanish_together_to_2000():
             assert (val == 0) == (r == 0), (p, v)
 
 
+def test_variant_tables_follow_interleaved_primes():
+    from leftfact import modular
+
+    primes = (1009, 1013)
+    separate = {}
+    for p in primes:
+        for v in VARIANTS:
+            modular._tables.cache_clear()
+            separate[p, v] = kh_equivalent_residue(v, p)
+    # each call finds the other prime's tables cached
+    interleaved = {(p, v): kh_equivalent_residue(v, p) for v in VARIANTS for p in primes}
+    assert interleaved == separate
+
+
 def test_verification_record_flag_must_mirror_residue():
     VerificationRecord(prime=5, residue=4, violates_kh=False, elapsed_ns=1, method="x")
     VerificationRecord(prime=5, residue=0, violates_kh=True, elapsed_ns=1, method="x")

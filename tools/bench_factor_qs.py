@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time the factoring of K(2..40) and the `oracles` benchmark on two
-source trees, time the change's quadratic sieve by size of cofactor, and
-write the comparison as JSON.
+"""Time the factoring of K(2..40), the quadratic sieve by size of
+cofactor, the KH-variant residues and the `oracles` benchmark on two source
+trees, and write the comparison as JSON.
 
     python3 tools/bench_factor_qs.py PARENT CHANGE --out BENCH.json [--cpu N]
 
 PARENT and CHANGE are checkouts, each with src/, perfbench/ and
-BENCHMARK.json. The layer measured is the factoring of K(n).
+BENCHMARK.json. The layers measured are the factoring of K(n) and the
+variant residues. perfbench has no span inside factoring, so the
+`sieve by size` rows are where the sieve is told apart from the rest.
 
 - `factorize K(2..40)`: both trees' leftfact packages are loaded into this
   one process (under the names leftfact_parent and leftfact_change) and
@@ -14,10 +16,13 @@ BENCHMARK.json. The layer measured is the factoring of K(n).
   goes first. sympy's factor_cache, which would hand a later run the
   factors an earlier one found, is cleared before every run. Each run also
   counts the sympy.factorint calls and their time.
-- `sieve by size`: the change's _qs_divisor on seeded products of two
+- `sieve by size`: both trees' _qs_divisor on seeded products of two
   primes of SIEVE_DIGITS digits, balanced (two halves) and unbalanced (a
-  prime of UNBALANCED_DIGITS digits times the rest), SIEVE_REPEATS runs
-  each; every run must return one of the two primes.
+  prime of UNBALANCED_DIGITS digits times the rest), in SIEVE_REPEATS
+  pairs each; every run must return one of the two primes.
+- `variants to VARIANT_P_MAX`: both trees' kh_equivalent_residue for the
+  six variants of every prime from 3 to VARIANT_P_MAX, the pass `oracles`
+  makes, in VARIANT_PAIRS pairs; the values must agree.
 - `perfbench oracles`: OBENCH_PAIRS pairs of BENCHMARK.json's command on
   the `oracles` workload (seeds from SEED on, `--seconds 30`), then
   TRACE_PAIRS traced pairs for the factorint layer.
@@ -43,32 +48,34 @@ import time
 from pathlib import Path
 
 import sympy
-from bench_numpy_free_kh import SEED, pairs, perfbench, quartiles, summarize
+from bench_numpy_free_kh import SEED, pairs, perfbench, summarize
 from sympy.ntheory import factor_cache
 
-LAYER = "factoring of K(n)"
+LAYERS_MOVED = ("factoring of K(n)", "variant residues")
 FACTOR_NS = range(2, 41)
 FACTOR_PAIRS = 6
-SIEVE_DIGITS = (26, 30, 34, 38, 42, 46, 50)
+SIEVE_DIGITS = (26, 32, 38, 44, 50)
 UNBALANCED_DIGITS = 11
 SIEVE_REPEATS = 3
 OBENCH_PAIRS = 10
 TRACE_PAIRS = 2
 KH_PAIRS = 3
+VARIANT_P_MAX = 2000
+VARIANT_PAIRS = 6
 LAYERS = ("factorint.factorize_s", "factorint.sympy_s", "factorint.sympy_escalations",
-          "factorint.own_s")
+          "factorint.own_s", "modular.variant_s", "modular.variant_calls")
 VALUES = [sum(math.factorial(i) for i in range(n)) for n in FACTOR_NS]
 
 
-def load_factorint(tree: Path, alias: str):
-    """tree's leftfact.factorint, imported as alias.factorint."""
+def load(tree: Path, alias: str, *names: str) -> list:
+    """tree's leftfact submodules names, imported as alias.name."""
     init = tree / "src" / "leftfact" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         alias, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[alias] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{alias}.factorint")
+    return [importlib.import_module(f"{alias}.{name}") for name in names]
 
 
 class Factoring:
@@ -102,9 +109,10 @@ class Factoring:
                 "sympy_escalations": len(self.calls)}
 
 
-def sieve_by_size(module) -> dict:
+def sieve_by_size(modules: dict) -> dict:
     """Seconds per _qs_divisor call on seeded products of two primes, by
-    digits and balance: [q1, median, q3] of SIEVE_REPEATS runs."""
+    digits and balance, on both trees, with the parent's median over the
+    change's."""
     rng = random.Random(SEED)
     out = {}
     for digits in SIEVE_DIGITS:
@@ -112,15 +120,43 @@ def sieve_by_size(module) -> dict:
             primes = [int(sympy.nextprime(rng.randrange(10 ** (d - 1), 10**d)))
                       for d in (small, digits - small)]
             n = primes[0] * primes[1]
-            times = []
-            for _ in range(SIEVE_REPEATS):
+
+            def probe(side: str, _i: int, n=n, primes=primes) -> dict[str, float]:
                 t0 = time.perf_counter()
-                d = module._qs_divisor(n)
-                times.append(time.perf_counter() - t0)
+                d = modules[side]._qs_divisor(n)
+                wall = time.perf_counter() - t0
                 if d not in primes:
-                    raise SystemExit(f"the sieve gave {d} for {primes}")
-            out[f"{len(str(n))} digits {kind}"] = [round(t, 6) for t in quartiles(times)]
+                    raise SystemExit(f"{side}: the sieve gave {d} for {primes}")
+                return {"qs_s": wall}
+
+            row = summarize(pairs(SIEVE_REPEATS, probe))["qs_s"]
+            row["parent_over_change"] = round(
+                row["parent_q1_median_q3"][1] / row["change_q1_median_q3"][1], 3)
+            out[f"{len(str(n))} digits {kind}"] = row
     return out
+
+
+def variant_pass(modules: dict) -> dict:
+    """Seconds for the six variants of every prime from 3 to VARIANT_P_MAX,
+    on both trees, whose values must agree."""
+    primes = [int(p) for p in sympy.primerange(3, VARIANT_P_MAX + 1)]
+    values: dict[str, list] = {}
+
+    def probe(side: str, _i: int) -> dict[str, float]:
+        module = modules[side]
+        if hasattr(module, "_tables"):  # start without the last prime's tables
+            module._tables.cache_clear()
+        t0 = time.perf_counter()
+        got = [[module.kh_equivalent_residue(v, p) for v in module.VARIANTS] for p in primes]
+        wall = time.perf_counter() - t0
+        if values.setdefault(side, got) != got:
+            raise SystemExit(f"{side}: variant values changed between runs")
+        return {"variant_s": wall}
+
+    rows = pairs(VARIANT_PAIRS, probe)
+    if values["parent"] != values["change"]:
+        raise SystemExit("the trees' variant values differ")
+    return {"primes": len(primes), **summarize(rows)}
 
 
 def main() -> None:
@@ -133,15 +169,19 @@ def main() -> None:
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    modules = {side: load_factorint(tree, f"leftfact_{side}") for side, tree in trees.items()}
+    loaded = {side: load(tree, f"leftfact_{side}", "factorint", "modular")
+              for side, tree in trees.items()}
+    factorint = {side: mods[0] for side, mods in loaded.items()}
+    modular = {side: mods[1] for side, mods in loaded.items()}
     report: dict = {
         "host": {"nproc": os.cpu_count(), "pinned_cpu": args.cpu,
                  "python": platform.python_version(), "sympy": sympy.__version__,
                  "machine": platform.machine()},
         "trees": {side: tree.name for side, tree in trees.items()},
-        "layer": LAYER,
+        "layers": LAYERS_MOVED,
         "options": {"factor_pairs": FACTOR_PAIRS, "sieve_digits": SIEVE_DIGITS,
                     "unbalanced_digits": UNBALANCED_DIGITS, "sieve_repeats": SIEVE_REPEATS,
+                    "variant_p_max": VARIANT_P_MAX, "variant_pairs": VARIANT_PAIRS,
                     "oracles_pairs": OBENCH_PAIRS, "trace_pairs": TRACE_PAIRS,
                     "kh_pairs": KH_PAIRS, "seed": SEED},
         "traced_layers": LAYERS,
@@ -153,12 +193,13 @@ def main() -> None:
         print(name, json.dumps(row), flush=True)
 
     factoring = Factoring()
-    rows = pairs(FACTOR_PAIRS, lambda side, _i: factoring.run(modules[side], side))
+    rows = pairs(FACTOR_PAIRS, lambda side, _i: factoring.run(factorint[side], side))
     if factoring.results["parent"] != factoring.results["change"]:
         raise SystemExit("the trees factor K(2..40) differently")
     record("factorize K(2..40)", summarize(rows))
 
-    record("sieve by size", sieve_by_size(modules["change"]))
+    record("sieve by size", sieve_by_size(factorint))
+    record(f"variants to {VARIANT_P_MAX}", variant_pass(modular))
 
     rows = pairs(OBENCH_PAIRS, lambda side, i: perfbench(trees[side], "oracles", SEED + i, 0))
     record("perfbench oracles", summarize(rows))
