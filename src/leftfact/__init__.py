@@ -9,7 +9,8 @@ carries an error estimate.
 The public names load on first use: `import leftfact` imports no
 submodule, and `leftfact.k_continued` (or `from leftfact import
 k_continued`) imports leftfact.analytic then. So the `kh` command line
-never loads the analytic or the factoring code.
+never loads the analytic or the factoring code, nor leftfact.modular,
+dataclasses or fractions.
 """
 
 from importlib import import_module

@@ -37,7 +37,6 @@ from .harness import (
     # bound here because perfbench/tracer.py rebinds cli.record_to_row
     record_to_row,
 )
-from .modular import VARIANTS, cost_model, kh_equivalent_residue, residue_direct
 from .primes import (
     build_sieve,
     count_pair_progressions,
@@ -378,6 +377,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 def _report_kh_status() -> int:
     from .analytic import congruence_bridge
+    from .modular import VARIANTS, kh_equivalent_residue, residue_direct
 
     bad = 0
     records = list(kh_sweep((3, 10_000)))
@@ -402,6 +402,8 @@ def _report_kh_status() -> int:
 
 
 def _report_cost_model() -> int:
+    from .modular import cost_model
+
     small = cost_model(10)
     print(f"A(10) = {small.exact_a}")
     for x in (1_000, 100_000):

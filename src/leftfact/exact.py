@@ -8,9 +8,10 @@ integers; nothing here rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "left_factorial",
@@ -99,8 +100,7 @@ def alternating_divisor_hits(n_max: int) -> list[int]:
     return hits
 
 
-@dataclass(frozen=True, slots=True)
-class StirlingTable:
+class StirlingTable(NamedTuple):
     """Dense triangular table of Stirling numbers up to max_m.
 
     kind "second" holds S(m,k); kind "first-signed" holds signed s(m,k).
@@ -302,6 +302,8 @@ def pole_residue_fraction(n: int) -> Fraction:
     n = 2 is not a pole. Kept here so the rational arithmetic stays in the
     exact module; the analytic module wraps it with pole metadata.
     """
+    from fractions import Fraction
+
     if n == 1:
         return Fraction(-1)
     if n == 2 or n < 1:

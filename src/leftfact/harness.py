@@ -17,7 +17,6 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -96,7 +95,7 @@ def _csv_rows(
     primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
 ) -> str:
     """The CSV rows of records sharing elapsed_ns and method, each ending in
-    a newline; violates_kh is what VerificationRecord requires of it."""
+    a newline; violates_kh is VerificationRecord's, residue 0 at an odd prime."""
     tail = f",{elapsed_ns},{method}\n"
     return "".join(
         [f"{p},{r},{'false' if r or p < 3 else 'true'}{tail}" for p, r in zip(primes, residues)]
@@ -107,9 +106,10 @@ def _ledger_lines(
     primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
 ) -> str:
     """The ledger lines of records sharing elapsed_ns and method: each is the
-    line json.dumps({"type": "record", **asdict(record)}, sort_keys=True)
-    gives, without building the dict, and a newline. The method is escaped
-    by the function json.dumps uses for a str."""
+    line json.dumps({"type": "record", **asdict(record), "violates_kh":
+    record.violates_kh}, sort_keys=True) gives, without building the dict,
+    and a newline. The method is escaped by the function json.dumps uses
+    for a str."""
     head = (
         f'{{"elapsed_ns": {elapsed_ns}, '
         f'"method": {json.encoder.encode_basestring_ascii(method)}, "prime": '
@@ -305,7 +305,6 @@ def canonical_lines(path: str) -> list[str]:
     return out
 
 
-@dataclass
 class FileSink:
     """The sweep's checkpoint file, and only that: its JSON schema (command,
     params, frontier, counters, version), its validation and its writes.
@@ -322,11 +321,13 @@ class FileSink:
     ahead of the checkpoint, which is the recoverable direction.
     """
 
-    path: str
-    command: str
-    params: dict[str, Any]
-    frontier: int | None = field(init=False, default=None)
-    counters: dict[str, int] = field(init=False, default_factory=dict)
+    def __init__(self, path: str, command: str, params: dict[str, Any]) -> None:
+        self.path, self.command, self.params = path, command, params
+        self.frontier: int | None = None
+        self.counters: dict[str, int] = {}
+        # the load keeps its own method: perfbench/tracer.py wraps
+        # FileSink.__post_init__ to time it
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         path = self.path

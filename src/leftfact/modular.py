@@ -61,16 +61,13 @@ class VerificationRecord:
 
     prime: int
     residue: int
-    violates_kh: bool
     elapsed_ns: int
     method: str
 
-    def __post_init__(self) -> None:
-        expected = self.residue == 0 and self.prime > 2
-        if self.violates_kh != expected:
-            raise ValueError(
-                f"violates_kh must mirror residue==0 for prime {self.prime}"
-            )
+    @property
+    def violates_kh(self) -> bool:
+        """An odd prime dividing its left factorial: a KH counterexample."""
+        return self.residue == 0 and self.prime > 2
 
 
 def _require_odd_prime(q: int) -> None:

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,8 +162,7 @@ def build_sieve(limit: int) -> PrimeSieve:
     return PrimeSieve(limit=limit, primes=primes)
 
 
-@dataclass(frozen=True, slots=True)
-class TripletReport:
+class TripletReport(NamedTuple):
     """Search outcome for P(n) = {x : x-2n, x, x+2n all prime}.
 
     For n not divisible by 3, one of the three members is divisible by 3;
@@ -179,10 +177,6 @@ class TripletReport:
     forced_candidate: int | None
     exhaustive: bool
     x_bound: int | None
-
-    def __post_init__(self) -> None:
-        if self.residue_case != 0:
-            assert self.exhaustive and set(self.members) <= {2 * self.n + 3}
 
 
 def p_set(n: int, x_bound: int = 100_000) -> TripletReport:
@@ -273,8 +267,7 @@ def pi_sequence(n: int, sieve: PrimeSieve) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class GoodPrimeResult:
+class GoodPrimeResult(NamedTuple):
     """Outcome of the good-prime inequality at index n (vacuous at n=1)."""
 
     n: int
@@ -328,8 +321,7 @@ def sum_inequality_scan(n_max: int, sieve: PrimeSieve) -> tuple[int, list[int]]:
     return n0, failures
 
 
-@dataclass(frozen=True, slots=True)
-class SignStatistics:
+class SignStatistics(NamedTuple):
     """Run-length and frequency data for a +/- sign sequence."""
 
     positives: int

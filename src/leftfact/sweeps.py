@@ -35,11 +35,12 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .exact import gcd_pair, iter_left_factorials
-from .modular import VerificationRecord, residue_direct
 from .primes import build_sieve, is_probable_prime
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .modular import VerificationRecord
 
 __all__ = [
     "MAX_SWEEP_PRIME",
@@ -500,17 +501,13 @@ def kh_sweep(
     """kh_chunks as one VerificationRecord per prime, method KERNEL_METHOD
     and the chunk's elapsed_ns; the stream starts and closes as kh_chunks's
     does."""
+    from .modular import VerificationRecord
+
     chunks = kh_chunks(prime_range, worker_count, after)
     try:
         for primes, residues, elapsed_ns in chunks:
             for p, r in zip(primes, residues):
-                yield VerificationRecord(
-                    prime=p,
-                    residue=r,
-                    violates_kh=r == 0,
-                    elapsed_ns=elapsed_ns,
-                    method=KERNEL_METHOD,
-                )
+                yield VerificationRecord(p, r, elapsed_ns, KERNEL_METHOD)
     finally:
         chunks.close()
 
@@ -556,6 +553,8 @@ def a_set_scan(r: int, n_bound: int, primes_only: bool = False) -> list[int]:
     keeps the whole interval, including the trivial 2 ∈ A(0). The odd
     primes take rest(!p, p) from kh_chunks, the other n from residue_direct.
     """
+    from .modular import residue_direct
+
     if r < 0:
         raise ValueError(f"a_set_scan requires r >= 0, got {r}")
     if n_bound < r + 1:

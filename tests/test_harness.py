@@ -34,13 +34,7 @@ from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD, KNOWN_SQUARE_HITS, MAX_
 
 
 def rec(prime, residue, ns=7, method="forward_v"):
-    return VerificationRecord(
-        prime=prime,
-        residue=residue,
-        violates_kh=residue == 0 and prime > 2,
-        elapsed_ns=ns,
-        method=method,
-    )
+    return VerificationRecord(prime=prime, residue=residue, elapsed_ns=ns, method=method)
 
 
 def json_lines(path):
@@ -289,7 +283,11 @@ def test_ledger_record_lines_are_json_dumps_and_resume_keeps_them(tmp_path_facto
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
     want = [
-        json.dumps({"type": "record", **dataclasses.asdict(r)}, sort_keys=True) + "\n"
+        json.dumps(
+            {"type": "record", **dataclasses.asdict(r), "violates_kh": r.violates_kh},
+            sort_keys=True,
+        )
+        + "\n"
         for r in records
     ]
     assert [line.decode("utf-8") for line in lines[:-1]] == want
@@ -1271,18 +1269,24 @@ def test_harness_never_imports_modular():
 
 def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
     # numpy costs about as much to import as the rest of a kh rerun; only the
-    # kernel and the vector prime problems need it
+    # kernel and the vector prime problems need it. Nor does kh load
+    # dataclasses (with inspect), fractions (with decimal) or the modular
+    # oracles, which only other commands use
     c, led, out = tmp_path / "c.json", tmp_path / "l.jsonl", tmp_path / "t.csv"
     kh = ["kh", "--from", "3", "--to", "10000", "--workers", "1",
           "--checkpoint", str(c), "--ledger", str(led), "--csv", str(out)]
     assert main(kh) == EXIT_OK
     finished = canonical_lines(led)
+    unused = ("dataclasses", "inspect", "fractions", "decimal", "leftfact.modular")
     code = (
         "import sys\n"
         "import leftfact.cli\n"
+        f"unused = {unused!r}\n"
         "print('import', 'numpy' in sys.modules, file=sys.stderr)\n"
+        "print('import loads', [m for m in unused if m in sys.modules], file=sys.stderr)\n"
         f"rc = leftfact.cli.main({kh!r})\n"
         "print('kh', rc, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "print('kh loads', [m for m in unused if m in sys.modules], file=sys.stderr)\n"
         "rc = leftfact.cli.main(['kh2', '--p-max', '200', '--n-max', '300'])\n"
         "print('kh2', rc, 'numpy' in sys.modules, file=sys.stderr)\n"
     )
@@ -1291,8 +1295,9 @@ def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
         text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-3:] == [
-        "import False", f"kh {EXIT_OK} False", f"kh2 {EXIT_OK} False"
+    assert proc.stderr.splitlines()[-5:] == [
+        "import False", "import loads []", f"kh {EXIT_OK} False", "kh loads []",
+        f"kh2 {EXIT_OK} False",
     ], proc.stderr
     assert canonical_lines(led) == finished
 
