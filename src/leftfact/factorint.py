@@ -10,7 +10,8 @@ A composite cofactor from PSI_13 up goes through these stages until one
 splits it:
 
 1. rho, for _RHO_BUDGET = 4096 steps: prime factors up to about 10^6;
-2. sympy.perfect_power, which splits p^e into e copies of p;
+2. an exact integer e-th root (_perfect_power), which splits r^e into e
+   copies of r;
 3. below 10^50, the self-initialising quadratic sieve (_qs_divisor),
    whose time depends on the size of the cofactor, not on luck: about
    0.012 s at 26 digits, 0.03 s at 32, 0.13-0.15 s at 38, 0.4-0.6 s at
@@ -19,10 +20,11 @@ splits it:
 4. sympy.factorint, for composites of 50 digits and more, and for the
    cofactors that the sieve leaves unsplit.
 
-Every factorize call with a limit goes to sympy.factorint as it is. sympy
-and numpy are imported inside the functions, and nothing here is computed
-at import, so that factoring that never goes past the bound does not pay
-for them.
+Every factorize call with a limit goes to sympy.factorint as it is. Stage
+4 and limit= calls are the only ones that import sympy, and the sieve is
+the only one that imports numpy; both are imported inside the functions,
+and nothing here is computed at import, so that factoring K(n) for n <= 40
+loads no sympy, and factoring below PSI_13 no numpy either.
 """
 
 from __future__ import annotations
@@ -404,38 +406,58 @@ def _qs_divisor(n: int) -> int | None:
     return None
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 1, floor(n^(1/k)), by Newton's
+    iteration on ints from 2^ceil(bits / k), which is above it: the
+    iterates fall to the root and stop there."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(r, e) with r^e = n and e prime, or None when n is no perfect power.
+    n has no prime factor up to 41, so r >= 43 > 2^5 and e <= bits / 5."""
+    for e in range(2, n.bit_length() // 5 + 1):
+        if is_probable_prime(e) and (r := _iroot(n, e)) ** e == n:
+            return r, e
+    return None
+
+
 def _factor_complete(v: int) -> dict[int, int]:
     """{prime: exponent} of v >= 2, every prime proven by is_probable_prime.
     Cofactors below PSI_13 are split here; from PSI_13 up, a composite that
     rho does not split within _RHO_BUDGET steps is split as a perfect power
     or, below _QS_BELOW, by the sieve, and sympy.factorint gets only what
-    is left."""
+    is left. pending holds (cofactor, multiplicity) pairs, so the root of
+    r^e is factored once, not e times."""
     out: dict[int, int] = {}
     for p in _MR_BASES:
         while v % p == 0:
             out[p] = out.get(p, 0) + 1
             v //= p
-    pending = [v] if v > 1 else []
+    pending = [(v, 1)] if v > 1 else []
     while pending:
-        n = pending.pop()
+        n, m = pending.pop()
         if is_probable_prime(n):
-            out[n] = out.get(n, 0) + 1
+            out[n] = out.get(n, 0) + m
             continue
         # below PSI_13 rho has no budget, and always splits n
         d = _brent_divisor(n, None if n < PSI_13 else _RHO_BUDGET)
         if d is None:
-            import sympy
-
-            power = sympy.perfect_power(n)
+            power = _perfect_power(n)
             if power:
-                pending += [int(power[0])] * int(power[1])
+                pending.append((power[0], m * power[1]))
                 continue
             d = _qs_divisor(n) if n < _QS_BELOW else None
             if d is None:
+                import sympy
+
                 for p, e in sympy.factorint(n).items():
-                    out[int(p)] = out.get(int(p), 0) + int(e)
+                    out[int(p)] = out.get(int(p), 0) + m * int(e)
                 continue
-        pending += [d, n // d]
+        pending += [(d, m), (n // d, m)]
     return out
 
 

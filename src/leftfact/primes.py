@@ -6,7 +6,10 @@ is_probable_prime is Miller-Rabin with the first 13 prime bases, which no
 composite below PSI_13 = 3317044064679887385961981 passes (Sorenson &
 Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
 2017), so it is a proof there. From PSI_13 up, what passes those bases
-goes on to sympy.isprime (BPSW), which is imported only then.
+also takes a strong Lucas test with Selfridge's parameters, which with
+base 2 makes the Baillie-PSW test (Baillie & Wagstaff, "Lucas
+pseudoprimes", Math. Comp. 35, 1980): no composite is known to pass it,
+and none below 2^64 does.
 
 Index convention throughout: p_1 = 2, p_2 = 3, p_3 = 5, ...
 """
@@ -49,8 +52,9 @@ _SEGMENT = 1 << 20
 
 def is_probable_prime(n: int) -> bool:
     """Whether n is prime: trial division and Miller-Rabin with the first
-    13 prime bases, exact below PSI_13; from there, sympy.isprime for what
-    passes them (Baillie-PSW)."""
+    13 prime bases, exact below PSI_13; from there, the strong Lucas test
+    for what passes them, which completes Baillie-PSW (Baillie & Wagstaff,
+    Math. Comp. 35, 1980)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -69,11 +73,57 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n < PSI_13:
-        return True
-    import sympy
+    return n < PSI_13 or _is_strong_lucas_prp(n)
 
-    return sympy.isprime(n)
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Whether the odd n > 0 is a strong Lucas probable prime with
+    Selfridge's parameters (method A): D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1, Q = (1 - D) / 4. With n + 1 = k 2^s, that is
+    U_k = 0 or V_(k 2^r) = 0 for some r < s, mod n. A square has no such D,
+    so isqrt rules it out first; a D that shares a factor with n other than
+    n itself shows n composite."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and d % n:
+            return False
+        d = 2 - d if d < 0 else -d - 2
+    q, k, s = (1 - d) // 4, n + 1, 0
+    while k % 2 == 0:
+        k, s = k // 2, s + 1
+    # U_1 = V_1 = P = 1; per bit of k, (U_2m, V_2m) = (U_m V_m, V_m^2 - 2Q^m),
+    # then for a set bit 2U_(m+1) = U_m + V_m and 2V_(m+1) = D U_m + V_m
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (d * u + v) % n
+            u, v, qk = (u + n * (u & 1)) >> 1, (v + n * (v & 1)) >> 1, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 class PrimeSieve:

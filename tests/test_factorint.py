@@ -192,25 +192,20 @@ def counted_sympy_factorint(monkeypatch):
     return seen
 
 
-def test_psi_13_goes_to_sympy(monkeypatch):
+def test_psi_13_is_split_without_sympy_isprime_or_perfect_power(monkeypatch):
     import sympy
 
-    calls = []
-    isprime = sympy.isprime
-    monkeypatch.setattr(sympy, "isprime", lambda n: calls.append("isprime") or isprime(n))
+    def delegated(*args):
+        raise AssertionError("primality and perfect powers have no sympy delegate")
+
+    monkeypatch.setattr(sympy, "isprime", delegated)
+    monkeypatch.setattr(sympy, "perfect_power", delegated)
     seen = counted_sympy_factorint(monkeypatch)
+    # it passes the 13 bases and the strong Lucas test finds it composite;
+    # rho does not split it, it is no perfect power, and the sieve splits it
     assert not is_probable_prime(PSI_13)
-    assert calls == ["isprime"]
-    # it passes the 13 bases and sympy.isprime finds it composite; rho does
-    # not split it, and the sieve does
-    f = factorize(PSI_13)
-    assert calls == ["isprime", "isprime"] and seen == []
-    assert f.factors == ((1287836182261, 1), (2575672364521, 1))
-    # below the bound nothing reaches sympy
-    calls.clear()
-    assert is_probable_prime(PSI_13 - 2) == isprime(PSI_13 - 2)
-    factorize(PSI_13 - 1)
-    assert calls == [] and seen == []
+    assert factorize(PSI_13).factors == ((1287836182261, 1), (2575672364521, 1))
+    assert seen == []
 
 
 def test_above_psi_13_rho_splits_before_sympy(monkeypatch):
@@ -467,6 +462,79 @@ def test_prime_powers_split_without_sympy_factorint(monkeypatch, power, digits):
     assert seen == []
 
 
+def test_iroot_is_the_floor_at_newton_edges():
+    from leftfact.factorint import _iroot
+
+    for e in range(2, 12):
+        for k in range(1, 70):
+            for r in (2**k - 1, 2**k, 2**k + 1):
+                for n in (r**e - 1, r**e, r**e + 1):
+                    if n >= 1:
+                        root = _iroot(n, e)
+                        assert root**e <= n < (root + 1) ** e, (n, e)
+                assert _iroot(r**e, e) == r
+
+
+def perfect_power_cases():
+    """Seeded (r, e) with r >= 43, e >= 2 and r^e < 10^60, the Newton
+    edges r = 2^k +- 1, and powers of powers."""
+    import random
+
+    from leftfact.factorint import _iroot
+
+    rng = random.Random(43)
+    # 43^36 < 10^60 < 43^37
+    exponents = [rng.randrange(2, 37) for _ in range(300)]
+    seeded = [(rng.randrange(43, _iroot(10**60 - 1, e) + 1), e) for e in exponents]
+    edges = [(2**k + d, e) for k in (6, 20, 64) for d in (-1, 1) for e in (2, 3)]
+    return seeded + edges + [(43**3, 2), (47**2, 15), (2**32 + 1, 4)]
+
+
+def test_perfect_power_matches_sympy_on_seeded_powers():
+    import sympy
+
+    from leftfact.factorint import _perfect_power
+
+    for r, e in perfect_power_cases():
+        n = r**e
+        assert n < 10**60
+        got, want = _perfect_power(n), sympy.perfect_power(n)
+        assert got and want, (r, e)
+        # ours takes the least prime exponent, sympy the greatest exponent
+        (root, prime), (base, top) = got, want
+        assert root**prime == n and is_probable_prime(prime)
+        assert top % prime == 0 and root == base ** (top // prime), (r, e)
+
+
+def test_perfect_power_splits_nothing_else():
+    import random
+
+    import sympy
+
+    from leftfact.factorint import _perfect_power
+
+    rng = random.Random(5)
+    near = [r**e + d for r, e in perfect_power_cases()[:100] for d in (-1, 1)]
+    primes = [seeded_prime(rng, d) for d in range(5, 60, 5)]
+    semiprimes = [seeded_prime(rng, d) * seeded_prime(rng, d + 1) for d in range(3, 30, 3)]
+    for n in near + primes + semiprimes:
+        assert _perfect_power(n) is None and not sympy.perfect_power(n), n
+
+
+def test_the_root_of_a_perfect_power_is_sieved_once(monkeypatch):
+    import random
+
+    from leftfact import factorint
+
+    rng = random.Random(3)
+    p, q = seeded_prime(rng, 14), seeded_prime(rng, 14)
+    sieved = []
+    divisor = factorint._qs_divisor
+    monkeypatch.setattr(factorint, "_qs_divisor", lambda n: sieved.append(n) or divisor(n))
+    assert factorize(11 * (p * q) ** 3).factors == ((11, 1), *sorted([(p, 3), (q, 3)]))
+    assert sieved == [p * q]
+
+
 def test_left_factorials_to_40_never_call_sympy_factorint(monkeypatch):
     seen = counted_sympy_factorint(monkeypatch)
     for n in range(2, 41):
@@ -474,7 +542,7 @@ def test_left_factorials_to_40_never_call_sympy_factorint(monkeypatch):
         f = factorize(v)
         assert f.complete and f.reassemble() == v, n
         assert all(is_probable_prime(p) for p, _ in f.factors), n
-    # sympy.isprime certifies the primes from PSI_13 up
+    # the strong Lucas test certifies the primes from PSI_13 up
     assert seen == []
 
 

@@ -335,3 +335,72 @@ def test_sign_statistics():
     assert stats.longest_negative_run == 2
     with pytest.raises(ValueError):
         sign_statistics(np.array([1, 0, -1]))
+
+
+# the strong Lucas pseudoprimes below 6*10^4 with Selfridge's parameters
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519)
+
+
+def test_strong_lucas_matches_sympy_on_odd_n_to_2e5():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    from leftfact.primes import _is_strong_lucas_prp
+
+    for n in range(1, 200_001, 2):
+        assert _is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+
+def test_strong_lucas_pseudoprimes_below_6e4():
+    from leftfact.primes import _is_strong_lucas_prp
+
+    passing = [n for n in range(3, 60_000, 2) if _is_strong_lucas_prp(n)]
+    assert tuple(n for n in passing if not SIEVE.is_prime(n)) == STRONG_LUCAS_PSEUDOPRIMES
+
+
+def test_strong_lucas_rules_squares_out_before_searching_for_d(monkeypatch):
+    from leftfact import primes
+
+    def no_search(a, n):
+        raise AssertionError(f"searched for D on {n}")
+
+    monkeypatch.setattr(primes, "_jacobi", no_search)
+    for p in (3, 43, 1000003, 2**61 - 1, 2**89 - 1):
+        assert not primes._is_strong_lucas_prp(p * p)
+
+
+def bpsw_cases():
+    """Seeded n from PSI_13 to 10^60: random odd numbers, primes, semiprimes
+    of two primes above 10^12, squares of primes, and PSI_13 itself."""
+    import random
+
+    import sympy
+
+    from leftfact.primes import PSI_13
+
+    rng = random.Random(27)
+
+    def prime(lo, hi):
+        return int(sympy.nextprime(rng.randrange(lo, hi)))
+
+    odd = [rng.randrange(PSI_13, 10**60) | 1 for _ in range(300)]
+    primes = [prime(PSI_13, 10**59) for _ in range(60)]
+    semiprimes = []
+    for _ in range(60):
+        p = prime(10**12, 10**30)
+        semiprimes.append(p * prime(max(10**12, PSI_13 // p), 10**60 // p))
+    squares = [prime(math.isqrt(PSI_13), 10**30) ** 2 for _ in range(30)]
+    return [PSI_13, *odd, *primes, *semiprimes, *squares]
+
+
+def test_is_probable_prime_matches_sympy_from_psi_13_to_1e60():
+    import sympy
+
+    from leftfact import is_probable_prime
+    from leftfact.primes import PSI_13
+
+    cases = bpsw_cases()
+    assert all(PSI_13 <= n < 10**60 for n in cases)
+    got = [is_probable_prime(n) for n in cases]
+    assert got == [sympy.isprime(n) for n in cases]
+    # the prime draws are prime, the semiprimes and squares composite
+    assert got[301:361] == [True] * 60 and not any(got[361:])

@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
 """Time the factoring of K(2..40), the quadratic sieve by size of
-cofactor, the KH-variant residues and the `oracles` benchmark on two source
+cofactor, the KH-variant residues and the perfbench workloads on two source
 trees, and write the comparison as JSON.
 
     python3 tools/bench_factor_qs.py PARENT CHANGE --out BENCH.json [--cpu N]
 
 PARENT and CHANGE are checkouts, each with src/, perfbench/ and
-BENCHMARK.json. The layers measured are the factoring of K(n) and the
-variant residues. perfbench has no span inside factoring, so the
+BENCHMARK.json. The layers measured are the factoring of K(n), primality
+and the variant residues. perfbench has no span inside factoring, so the
 `sieve by size` rows are where the sieve is told apart from the rest.
 
+- `factorize K(2..40) fresh`: FRESH_PAIRS pairs of a new interpreter with
+  PYTHONPATH=<tree>/src that imports the package and factors K(2), ...,
+  K(40), taking its wall time and its peak RSS (os.wait4). This is the
+  only row that sees what importing sympy costs, so it runs first, before
+  this process imports sympy or numpy: Linux starts a child's peak RSS at
+  its parent's. Each child reports whether it loaded sympy, and both
+  trees' children must print the same factorizations.
 - `factorize K(2..40)`: both trees' leftfact packages are loaded into this
   one process (under the names leftfact_parent and leftfact_change) and
   factor K(2), ..., K(40) in FACTOR_PAIRS pairs that alternate which tree
@@ -27,7 +34,7 @@ variant residues. perfbench has no span inside factoring, so the
   the `oracles` workload (seeds from SEED on, `--seconds 30`), then
   TRACE_PAIRS traced pairs for the factorint layer.
 - `perfbench kh-sweep` and `perfbench kh-rerun`: KH_PAIRS pairs each. `kh`
-  imports factorint but never factors, so these should not move.
+  loads neither factorint nor sympy, so these should not move.
 
 Each row gives both sides' medians and quartiles and how many pairs the
 change won. --cpu pins this process and its children to one core.
@@ -47,24 +54,47 @@ import sys
 import time
 from pathlib import Path
 
-import sympy
-from bench_numpy_free_kh import SEED, pairs, perfbench, summarize
-from sympy.ntheory import factor_cache
+from bench_numpy_free_kh import SEED, pairs, perfbench, run, summarize
 
-LAYERS_MOVED = ("factoring of K(n)", "variant residues")
+LAYERS_MOVED = ("factoring of K(n)", "primality")
 FACTOR_NS = range(2, 41)
+FRESH_PAIRS = 10
+FRESH_CODE = (
+    "import sys\n"
+    "from leftfact import exact, factorint\n"
+    f"got = [factorint.factorize(exact.left_factorial(n)).factors for n in {FACTOR_NS}]\n"
+    "print('sympy' in sys.modules, got)\n"
+)
 FACTOR_PAIRS = 6
 SIEVE_DIGITS = (26, 32, 38, 44, 50)
 UNBALANCED_DIGITS = 11
 SIEVE_REPEATS = 3
 OBENCH_PAIRS = 10
 TRACE_PAIRS = 2
-KH_PAIRS = 3
+KH_PAIRS = 5
 VARIANT_P_MAX = 2000
 VARIANT_PAIRS = 6
 LAYERS = ("factorint.factorize_s", "factorint.sympy_s", "factorint.sympy_escalations",
           "factorint.own_s", "modular.variant_s", "modular.variant_calls")
 VALUES = [sum(math.factorial(i) for i in range(n)) for n in FACTOR_NS]
+
+
+def fresh_factoring(trees: dict[str, Path]) -> dict:
+    """Wall time and peak RSS of FRESH_CODE in a new interpreter per run,
+    with which side loaded sympy."""
+    outputs: dict[str, str] = {}
+
+    def probe(side: str, _i: int) -> dict[str, float]:
+        wall, rss, out = run(trees[side], [sys.executable, "-c", FRESH_CODE], trees[side])
+        if outputs.setdefault(side, out) != out:
+            raise SystemExit(f"{side}: factorizations changed between runs")
+        return {"wall_s": wall, "peak_rss_mb": rss}
+
+    row = summarize(pairs(FRESH_PAIRS, probe))
+    loaded = {side: out.split(" ", 1) for side, out in outputs.items()}
+    if loaded["parent"][1] != loaded["change"][1]:
+        raise SystemExit("the trees factor K(2..40) differently in fresh processes")
+    return {"sympy_loaded": {side: flag == "True" for side, (flag, _) in loaded.items()}, **row}
 
 
 def load(tree: Path, alias: str, *names: str) -> list:
@@ -83,6 +113,8 @@ class Factoring:
     sympy.factorint counted."""
 
     def __init__(self) -> None:
+        import sympy
+
         self.calls: list[float] = []
         inner = sympy.factorint
 
@@ -98,6 +130,8 @@ class Factoring:
         self.results: dict[str, list] = {}
 
     def run(self, module, side: str) -> dict[str, float]:
+        from sympy.ntheory import factor_cache
+
         factor_cache.cache_clear()
         self.calls.clear()
         t0 = time.perf_counter()
@@ -113,6 +147,8 @@ def sieve_by_size(modules: dict) -> dict:
     """Seconds per _qs_divisor call on seeded products of two primes, by
     digits and balance, on both trees, with the parent's median over the
     change's."""
+    import sympy
+
     rng = random.Random(SEED)
     out = {}
     for digits in SIEVE_DIGITS:
@@ -139,6 +175,8 @@ def sieve_by_size(modules: dict) -> dict:
 def variant_pass(modules: dict) -> dict:
     """Seconds for the six variants of every prime from 3 to VARIANT_P_MAX,
     on both trees, whose values must agree."""
+    import sympy
+
     primes = [int(p) for p in sympy.primerange(3, VARIANT_P_MAX + 1)]
     values: dict[str, list] = {}
 
@@ -169,6 +207,9 @@ def main() -> None:
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    fresh = fresh_factoring(trees)
+    import sympy
+
     loaded = {side: load(tree, f"leftfact_{side}", "factorint", "modular")
               for side, tree in trees.items()}
     factorint = {side: mods[0] for side, mods in loaded.items()}
@@ -179,7 +220,7 @@ def main() -> None:
                  "machine": platform.machine()},
         "trees": {side: tree.name for side, tree in trees.items()},
         "layers": LAYERS_MOVED,
-        "options": {"factor_pairs": FACTOR_PAIRS, "sieve_digits": SIEVE_DIGITS,
+        "options": {"fresh_pairs": FRESH_PAIRS, "factor_pairs": FACTOR_PAIRS, "sieve_digits": SIEVE_DIGITS,
                     "unbalanced_digits": UNBALANCED_DIGITS, "sieve_repeats": SIEVE_REPEATS,
                     "variant_p_max": VARIANT_P_MAX, "variant_pairs": VARIANT_PAIRS,
                     "oracles_pairs": OBENCH_PAIRS, "trace_pairs": TRACE_PAIRS,
@@ -192,6 +233,7 @@ def main() -> None:
         report["rows"][name] = row
         print(name, json.dumps(row), flush=True)
 
+    record("factorize K(2..40) fresh", fresh)
     factoring = Factoring()
     rows = pairs(FACTOR_PAIRS, lambda side, _i: factoring.run(factorint[side], side))
     if factoring.results["parent"] != factoring.results["change"]:
