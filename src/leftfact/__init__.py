@@ -28,10 +28,9 @@ _NAMES = {
             "pole_residue slavic_constant_block"
         )),
         ("exact", (
-            "IDENTITY_IDS StirlingTable alternating_divisor_hits "
-            "alternating_factorial evaluate_identity gcd_pair "
-            "iter_left_factorials left_factorial partial_sum_gcd "
-            "pole_residue_fraction stirling_table weighted_sum"
+            "IDENTITY_IDS StirlingTable alternating_factorial "
+            "evaluate_identity gcd_pair iter_left_factorials left_factorial "
+            "partial_sum_gcd pole_residue_fraction stirling_table weighted_sum"
         )),
         ("factorint", "Factorization factorize"),
         ("harness", (
@@ -51,8 +50,8 @@ _NAMES = {
         )),
         ("sweeps", (
             "CHUNK_PRIMES SPAN_PRIMES MAX_SWEEP_PRIME KhChunk "
-            "a_set_scan batch_residues h4_witness_search kh2_scan kh_chunks "
-            "kh_sweep residue_summatory"
+            "a_set_scan alternating_divisor_hits batch_residues "
+            "h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
         )),
     )
     for name in names.split()

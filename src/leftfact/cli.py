@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from .exact import (
     IDENTITIES_WITH_M,
     IDENTITY_IDS,
-    alternating_divisor_hits,
     evaluate_identity,
     left_factorial,
 )
@@ -51,6 +50,7 @@ from .sweeps import (
     KERNEL_METHOD,
     KNOWN_SQUARE_HITS,
     a_set_scan,
+    alternating_divisor_hits,
     h4_witness_search,
     kh2_scan,
     kh_chunks,

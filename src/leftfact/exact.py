@@ -17,7 +17,6 @@ __all__ = [
     "left_factorial",
     "iter_left_factorials",
     "alternating_factorial",
-    "alternating_divisor_hits",
     "StirlingTable",
     "stirling_table",
     "weighted_sum",
@@ -72,32 +71,6 @@ def alternating_factorial(n: int) -> int:
         a = fact - a
         fact *= m + 1
     return a
-
-
-def alternating_divisor_hits(n_max: int) -> list[int]:
-    """All n with 2 <= n <= n_max such that n+1 divides n! - (n-1)! + ... ± 1!.
-
-    The scanned sum is A_{n+1}. A hit's divisor divides every later A value
-    (A_{m+1} = m! - A_m preserves divisibility by n+1 once n+1 <= m+1), and
-    so caps the primes among them. Hits exist: 3612703 divides
-    3612702! - 3612701! + ... - 1!, and no smaller prime p divides its A_p
-    (Zivkovic, Math. Comp. 68 (1999) 403-409). A composite n+1 that divided
-    A_{n+1} would make its least prime factor q a hit at q - 1, so the
-    first hit is n = 3612702: a scan returns [] below it and [3612702] at
-    n_max = 3612702. Each step works on the exact n!, so the scan's cost
-    grows about quadratically in n_max, and it does not get that far at
-    desk scale.
-    """
-    if n_max < 2:
-        raise ValueError(f"alternating_divisor_hits requires n_max >= 2, got {n_max}")
-    hits = []
-    a, fact = 1, 2  # A_2 and 2!
-    for n in range(2, n_max + 1):
-        a = fact - a  # A_{n+1} = n! - A_n
-        fact *= n + 1
-        if a % (n + 1) == 0:
-            hits.append(n)
-    return hits
 
 
 class StirlingTable(NamedTuple):

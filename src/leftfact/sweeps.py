@@ -3,19 +3,16 @@
 The KH sweep cuts its primes into chunks of CHUNK_PRIMES, the unit of
 records, checkpoints and resume, and hands the kernel spans: runs of whole
 chunks of at most SPAN_PRIMES primes, one per worker while there are chunks
-enough, cut to even out their estimated work (_spans). batch_residues
-computes a span's residues with one accumulating remainder tree over exact
-integers (Costa, Gerbicz & Harvey, "A search for Wilson primes", 2014;
-Andrejić & Tatarević, "Searching for a counterexample to Kurepa's
-conjecture", 2016). It runs one of the paper's three recurrences, forward_v
-(KERNEL_METHOD); the other two, forward_t and backward_s, stay independent
-oracles in modular.py and the tests. The recurrence steps below the span's
-first prime are folded once modulo the product of all its primes, and the
-steps between its primes descend a product tree whose leaves are groups of
-16 to 32 primes.
-For a sweep to x its work grows like M(x log x) log x, with M(n) the cost
-of an n-bit product, where per-chunk trees that each refold every step
-below their chunk grow like x^2.
+enough, cut to even out their estimated work (_spans). The kernel,
+batch_residues, computes a span's residues with one accumulating remainder
+tree over exact integers (Costa, Gerbicz & Harvey, "A search for Wilson
+primes", 2014; Andrejić & Tatarević, "Searching for a counterexample to
+Kurepa's conjecture", 2016). It runs two recurrences of one form: the
+paper's forward_v (KERNEL_METHOD), whose siblings forward_t and backward_s
+stay independent oracles in modular.py and the tests, and the alternating
+factorial's, for alternating_divisor_hits. For a sweep to x its work grows
+like M(x log x) log x, with M(n) the cost of an n-bit product, where
+per-chunk trees that each refold every step below their chunk grow like x^2.
 Each span is a pure function of its primes, so work may be partitioned
 across processes; chunk boundaries depend only on the range and the prime
 the sweep starts above, so the emitted record stream is identical for every
@@ -55,6 +52,7 @@ __all__ = [
     "KNOWN_SQUARE_HITS",
     "kh2_scan",
     "a_set_scan",
+    "alternating_divisor_hits",
     "h4_witness_search",
     "residue_summatory",
 ]
@@ -90,14 +88,14 @@ _Map = tuple[int, int]
 _IDENTITY: _Map = (0, 1)
 
 
-def _step_maps(lo: int, hi: int) -> list[_Map]:
-    """The maps of recurrence steps lo..hi-1, step i being v -> 1 - i*v,
-    that is (1, -i), with each two neighbouring steps composed into one
-    entry, which halves the Python-level work."""
+def _step_maps(lo: int, hi: int, sign: int) -> list[_Map]:
+    """The maps of recurrence steps lo..hi-1, step i being v -> 1 + sign*i*v,
+    that is (1, sign*i), with each two neighbouring steps composed into one
+    entry, (1 + sign*(i+1), i*(i+1)), which halves the Python-level work."""
     top = hi - (hi - lo) % 2
-    maps = [(-i, i * (i + 1)) for i in range(lo, top, 2)]
+    maps = [(1 + sign * (i + 1), i * (i + 1)) for i in range(lo, top, 2)]
     if top < hi:  # an odd count leaves the last step on its own
-        maps.append((1, -top))
+        maps.append((1, sign * top))
     return maps
 
 
@@ -107,10 +105,10 @@ def _compose(first: _Map, second: _Map) -> _Map:
     return a2 + b2 * a1, b2 * b1
 
 
-def _exact_map(lo: int, hi: int) -> _Map:
+def _exact_map(lo: int, hi: int, sign: int) -> _Map:
     """The exact composition of steps lo..hi-1 (identity when empty), by a
     product tree over the step maps."""
-    maps = _step_maps(lo, hi)
+    maps = _step_maps(lo, hi, sign)
     if not maps:
         return _IDENTITY
     while len(maps) > 1:
@@ -126,12 +124,12 @@ def _bits(seg: _Map) -> int:
     return max(seg[0].bit_length(), seg[1].bit_length())
 
 
-def _blocks(lo: int, hi: int, cap: int) -> list[_Map]:
+def _blocks(lo: int, hi: int, cap: int, sign: int) -> list[_Map]:
     """The exact maps of steps lo..hi-1 in consecutive blocks of at most
     about cap bits (at least _MIN_BLOCK_STEPS steps each), built on the fly.
     A block's width is even, so every block but the last starts a step pair."""
     width = max(_MIN_BLOCK_STEPS, cap // max(hi - 1, 2).bit_length()) & ~1
-    return [_exact_map(s, min(s + width, hi)) for s in range(lo, hi, width)]
+    return [_exact_map(s, min(s + width, hi), sign) for s in range(lo, hi, width)]
 
 
 def _merge(blocks: list[_Map], cap: int) -> list[_Map]:
@@ -210,14 +208,19 @@ def _apply(v: int, blocks: list[_Map], modulus: int) -> int:
 
 
 class _Span:
-    """One batch_residues call: its primes, their leaf groups, and the
-    residues, which the descent fills in leaf by leaf."""
+    """One kernel call: its primes q, odd and ascending, their leaf groups,
+    and the residues v_{p-1} mod p of the recurrence v_1 = start,
+    v_i = 1 + sign*i*v_{i-1}, which the descent fills in leaf by leaf."""
 
-    def __init__(self, q: list[int]) -> None:
+    def __init__(self, q: list[int], sign: int, start: int) -> None:
         self.q = q
+        self.sign = sign
         groups = -(-len(q) // _LEAF_PRIMES)
         self.bounds = [g * len(q) // groups for g in range(groups + 1)]
         self.residues = [0] * len(q)
+        root = self.tree(0, groups)
+        cap = root[0].bit_length() - _SLACK_BITS
+        self.descend(root, _apply(start, _blocks(2, q[0], cap, sign), root[0]), None)
 
     def tree(self, g0: int, g1: int) -> list:
         """[modulus, g0, g1, left, right] over leaf groups g0..g1-1; a leaf
@@ -243,7 +246,7 @@ class _Span:
         """
         lo, hi = self.bounds[g], self.bounds[g + 1]
         ps = self.q[lo:hi]
-        maps = _step_maps(ps[0], ps[-1] if cap is None else self.q[hi])
+        maps = _step_maps(ps[0], ps[-1] if cap is None else self.q[hi], self.sign)
         steps = iter(maps)
         out = [v % ps[0]]
         for k in range(1, len(ps)):
@@ -293,13 +296,14 @@ def batch_residues(primes: np.ndarray) -> np.ndarray:
     """rest(!q, q) for an ascending array of odd primes, by one remainder
     tree over all of them.
 
-    The tree runs the forward_v recurrence of the paper (KERNEL_METHOD):
-    v_1 = 0, v_i = 1 - i*v_{i-1}, rest(!q, q) = v_{q-1} mod q. Each step is
-    an affine map x -> a + b*x over exact integers (_step_maps), and a
-    prime's residue is the constant term a of the composition of its steps
-    i = 2..q-1, later steps outermost. The tests check it against the
-    forward_t and backward_s recurrences, computed by independent code, and
-    against the exact value of !q.
+    The kernel runs two recurrences v_i = 1 + s*i*v_{i-1}: here the paper's
+    forward_v (KERNEL_METHOD), s = -1, v_1 = 0, rest(!q, q) = v_{q-1} mod q,
+    and in alternating_divisor_hits the alternating factorial's. Each step
+    is an affine map x -> a + b*x over exact integers (_step_maps), and a
+    prime's residue is the composition of its steps i = 2..q-1, later steps
+    outermost, applied to v_1. The tests check it against the forward_t and
+    backward_s recurrences, computed by independent code, and against the
+    exact value of !q.
     The primes are cut into leaf groups of 16 to 32, and a product tree of
     the groups' moduli is built. The steps before the first prime are
     folded once, modulo the root's modulus, in blocks built on the fly. The
@@ -327,12 +331,12 @@ def batch_residues(primes: np.ndarray) -> np.ndarray:
     if np.any(q % 2 == 0):
         # a leaf steps in pairs from one end to the next
         raise ValueError("primes must be odd")
-    span = _Span(q.tolist())
-    root = span.tree(0, len(span.bounds) - 1)
-    cap = root[0].bit_length() - _SLACK_BITS
-    prefix = _blocks(2, span.q[0], cap)
-    span.descend(root, _apply(0, prefix, root[0]), None)  # v_1 = 0
-    return np.array(span.residues, dtype=np.int64)
+    return np.array(_Span(q.tolist(), *_KH).residues, dtype=np.int64)
+
+
+# the kernel's two recurrences v_i = 1 + s*i*v_{i-1}, as (s, v_1)
+_KH = (-1, 0)
+_ALTERNATING = (1, 2)
 
 
 def _kernel_task(span: np.ndarray) -> tuple[np.ndarray, int]:
@@ -568,6 +572,25 @@ def a_set_scan(r: int, n_bound: int, primes_only: bool = False) -> list[int]:
         for n in candidates
         if (residues[n] if n in residues else residue_direct(n, n).residue) == r % n
     ]
+
+
+def alternating_divisor_hits(n_max: int) -> list[int]:
+    """All n with 2 <= n <= n_max such that n+1 divides n! - (n-1)! + ... ± 1!.
+
+    The scanned sum is A_{n+1}. For an odd prime p, Wilson's theorem gives
+    A_p ≡ a(p-1) - 1 (mod p), where a(1) = 2 and a(i) = 1 + i*a(i-1): the
+    kernel's recurrence, run once per SPAN_PRIMES primes as a KH sweep's
+    spans are bounded. Composites need no code: by A_{k+1} = k! - A_k, a
+    prime q < m divides A_m exactly when it divides A_q, so every prime
+    factor of a composite hit is a prime hit. The least prime hit is 3612703
+    (Zivkovic, Math. Comp. 68 (1999) 403-409), so a composite one is at
+    least 3612703^2, far above MAX_SWEEP_PRIME.
+    """
+    if not 2 <= n_max < MAX_SWEEP_PRIME:
+        raise ValueError(f"alternating_divisor_hits requires 2 <= n_max < {MAX_SWEEP_PRIME}")
+    primes = build_sieve(n_max + 1).ints[1:]
+    spans = (primes[s : s + SPAN_PRIMES].tolist() for s in range(0, len(primes), SPAN_PRIMES))
+    return [p - 1 for q in spans for p, a in zip(q, _Span(q, *_ALTERNATING).residues) if a == 1]
 
 
 def h4_witness_search(n_bound: int, s_bound: int) -> list[tuple[int, int, int]]:

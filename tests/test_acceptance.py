@@ -393,6 +393,30 @@ def test_criterion_09_prime_problem_suite():
     )
 
 
+@pytest.mark.skipif(
+    os.environ.get("LEFTFACT_TIER_ALTFACT") != "1",
+    reason="alternating-factorial tier, about 2 min, run manually: LEFTFACT_TIER_ALTFACT=1",
+)
+def test_criterion_09_tier_altfact(tmp_path, capsys):
+    # altfact past Zivkovic's prime 3612703 in a child process, whose peak
+    # RSS wait4 reports on its own
+    out = tmp_path / "altfact.txt"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    cmd = [sys.executable, "-m", "leftfact", "altfact", "--n-max", "3700000"]
+    t0 = time.monotonic()
+    with open(out, "w", encoding="utf-8") as fh:
+        child = subprocess.Popen(cmd, env=env, stdout=fh)
+        _pid, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    dt = time.monotonic() - t0
+    with capsys.disabled():
+        print(f"\naltfact tier: n <= 3700000, {dt:.0f}s, peak RSS {usage.ru_maxrss // 1024} MB")
+    assert child.returncode == EXIT_OK
+    assert out.read_text(encoding="utf-8").rsplit(": ", 1)[1].split() == ["3612702"]
+
+
 def test_criterion_10_cost_model_and_scaling():
     t0 = time.monotonic()
     a10 = cost_model(10).exact_a

@@ -17,6 +17,8 @@ from leftfact import (
     CHUNK_PRIMES,
     MAX_SWEEP_PRIME,
     a_set_scan,
+    alternating_divisor_hits,
+    alternating_factorial,
     batch_residues,
     h4_witness_search,
     kh2_scan,
@@ -27,7 +29,7 @@ from leftfact import (
     residue_summatory,
     sweeps,
 )
-from leftfact.primes import build_sieve
+from leftfact.primes import build_sieve, is_probable_prime
 from leftfact.sweeps import (
     KERNEL_METHOD,
     KNOWN_SQUARE_HITS,
@@ -127,7 +129,7 @@ def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
     lo = ALL_PRIMES.size - 2
     span = ALL_PRIMES[lo:]
     modulus = int(span[0]) * int(span[1])
-    block = sweeps._blocks(2, int(span[0]), 0)[-2]
+    block = sweeps._blocks(2, int(span[0]), 0, -1)[-2]
     assert sweeps._bits(block) >= 2 * modulus.bit_length()
     assert np.array_equal(batch_residues(span), STEPPED[method][lo:])
 
@@ -138,9 +140,9 @@ def recorded_blocks(monkeypatch):
     built = []
     exact_map = sweeps._exact_map
 
-    def recording(lo, hi):
+    def recording(lo, hi, sign):
         built.append((lo, hi))
-        return exact_map(lo, hi)
+        return exact_map(lo, hi, sign)
 
     monkeypatch.setattr(sweeps, "_exact_map", recording)
     return built
@@ -492,6 +494,62 @@ def test_a_set_scan_validation():
         a_set_scan(-1, 100)
     with pytest.raises(ValueError):
         a_set_scan(10, 10)
+
+
+def test_alternating_residues_match_exact_to_2000():
+    # the kernel on the alternating factorial's recurrence reads a(p-1),
+    # and A_p = a(p-1) - 1 (mod p)
+    primes = primes_between(3, 2000).tolist()
+    residues = sweeps._Span(primes, *sweeps._ALTERNATING).residues
+    for p, r in zip(primes, residues):
+        assert (r - 1) % p == alternating_factorial(p) % p, p
+
+
+def _stepped_alternating(window):
+    """a(p-1) mod p for each prime p of the window, where a(1) = 2 and
+    a(i) = 1 + i*a(i-1): one step at a time, modulo the window's product."""
+    modulus = math.prod(window)
+    a, done, out = 2, 2, []
+    for p in window:
+        for i in range(done, p):
+            a = (1 + i * a) % modulus
+        done = p
+        out.append(a % p)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_alternating_residues_match_stepped_windows(seed):
+    # 40 consecutive primes between 10^4 and 10^6: the kernel folds every
+    # step below them, and two leaf groups meet across a gap
+    primes = build_sieve(10**6).primes
+    lo, hi = np.searchsorted(primes, [10**4, 10**6])
+    start = random.Random(seed).randrange(lo, hi - 40)
+    window = primes[start : start + 40].tolist()
+    got = sweeps._Span(window, *sweeps._ALTERNATING).residues
+    assert got == _stepped_alternating(window)
+
+
+def test_alternating_residues_find_zivkovics_prime_in_its_window():
+    # 3612703 divides A_3612703, and no prime near it divides its own
+    below = [n for n in range(3612703 - 500, 3612703) if is_probable_prime(n)]
+    above = [n for n in range(3612703, 3612703 + 500) if is_probable_prime(n)]
+    window = below[-20:] + above[:20]
+    t0 = time.monotonic()
+    residues = sweeps._Span(window, *sweeps._ALTERNATING).residues
+    dt = time.monotonic() - t0
+    assert [p - 1 for p, a in zip(window, residues) if a == 1] == [3612702]
+    assert dt < 3.0, dt
+
+
+def test_alternating_divisor_hits_bounds():
+    # the smallest scan, n = 2 alone: A_3 = 2! - 1! = 1
+    assert alternating_divisor_hits(2) == []
+    with pytest.raises(ValueError):
+        alternating_divisor_hits(1)
+    # n+1 past the kernel's bound raises before anything is sieved
+    with pytest.raises(ValueError):
+        alternating_divisor_hits(MAX_SWEEP_PRIME)
 
 
 def test_h4_witnesses_from_value_table():
