@@ -74,15 +74,25 @@ def _fmt_complex(v: complex) -> str:
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        v = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
 
 
 def _positive(text: str) -> int:
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _positive_float(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return v
 
 
@@ -578,9 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="the analytic extension K(z)")
     p.add_argument("which", choices=("eval", "slavic", "residues", "ratio"))
     p.add_argument("--z", type=_complex_arg, default=complex(0.5, 0.0))
-    p.add_argument("--x", type=float, default=30.0)
+    p.add_argument("--x", type=_positive_float, default=30.0)
     p.add_argument("--n-max", type=_positive, default=5)
-    p.add_argument("--tolerance", type=float)  # default: QuadratureConfig's
+    p.add_argument("--tolerance", type=_positive_float)  # default: QuadratureConfig's
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("pairs", help="count k with 6k+5 and 12k+7 both prime")

@@ -1,13 +1,14 @@
 """The scalar K(z) quadrature, kept as a test-side reference.
 
 This is the rule `leftfact.analytic._k_integral_cached` evaluated before
-its panels were vectorized: the same cuts, the same 48/24-point
-Gauss-Legendre pair (taken from mpmath) and the same tail cut, but one
-`cmath` integrand call per node inside Python sums. Within _DELTA of the
-removable point t = 1 the package now takes t^z - 1 as numpy.expm1(z log t);
-the oracle keeps the binomial series it used there before, so that the
-two agree by independent methods. Its only use is as an oracle for the
-numpy evaluation in the tests.
+its panels were vectorized: the same cuts (graded by 4 toward t = 0), the
+same 48/24-point Gauss-Legendre pair (taken from mpmath) and the same tail
+cut, but one `cmath` integrand call per node inside Python sums. The
+package takes t^z - 1 in real arithmetic from expm1, sin and cos; the
+oracle takes it as cmath.exp(z log t) - 1, and within _DELTA of the
+removable point t = 1 by a binomial series, so that the two agree by
+independent methods. Its only use is as an oracle for the numpy
+evaluation in the tests.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def scalar_k_integral(z: complex, cfg: QuadratureConfig) -> tuple[QuadratureResu
     grade = []
     while left_edge > 1e-13:
         grade.append(left_edge)
-        left_edge /= 2
+        left_edge /= 4
     cuts.extend(reversed(grade))
     cuts.append(1.0 - _DELTA)
     cuts.append(1.0 + _DELTA)

@@ -1523,6 +1523,29 @@ def test_cli_analytic_ratio_out_of_double_range(capsys):
         assert cause in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--tolerance", "nan"),
+        ("eval", "--tolerance", "inf"),
+        ("eval", "--tolerance", "0"),
+        ("eval", "--z", "nan"),
+        ("eval", "--z", "inf"),
+        ("slavic", "--z", "1+nanj"),
+        ("ratio", "--x", "inf"),
+        ("ratio", "--x", "nan"),
+        ("ratio", "--x", "-1"),
+    ],
+)
+def test_cli_analytic_rejects_non_finite_input(capsys, argv):
+    # --tolerance nan switched the error check off and exited 0; --z nan
+    # exited 1 with "cannot convert float NaN to integer"
+    assert run_cli("analytic", *argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: must be finite" in captured.err
+
+
 def test_cli_runtime_error_paths(capsys):
     # pole evaluation surfaces as a runtime failure, not a crash
     assert run_cli("analytic", "eval", "--z=-3") == EXIT_RUNTIME

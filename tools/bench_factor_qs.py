@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Time the factoring of K(2..40), the quadratic sieve by size of
-cofactor, the KH-variant residues and the perfbench workloads on two source
-trees, and write the comparison as JSON.
+cofactor, the KH-variant residues, K(z) over the oracle plan and the
+perfbench workloads on two source trees, and write the comparison as JSON.
 
     python3 tools/bench_factor_qs.py PARENT CHANGE --out BENCH.json [--cpu N]
 
 PARENT and CHANGE are checkouts, each with src/, perfbench/ and
-BENCHMARK.json. The layers measured are the factoring of K(n), primality
-and the variant residues. perfbench has no span inside factoring, so the
+BENCHMARK.json. The layers measured are the factoring of K(n), primality,
+the variant residues and the quadrature of K(z). perfbench has no span inside factoring, so the
 `sieve by size` rows are where the sieve is told apart from the rest.
 
 - `factorize K(2..40) fresh`: FRESH_PAIRS pairs of a new interpreter with
@@ -30,9 +30,15 @@ and the variant residues. perfbench has no span inside factoring, so the
 - `variants to VARIANT_P_MAX`: both trees' kh_equivalent_residue for the
   six variants of every prime from 3 to VARIANT_P_MAX, the pass `oracles`
   makes, in VARIANT_PAIRS pairs; the values must agree.
+- `k_continued over the oracle plan`: both trees' k_continued at z and
+  z + 1 for every pair of perfbench's `oracles.make_plan(SEED)`, the calls
+  `oracles` makes, in KZ_PAIRS pairs, each run with the quadrature's caches
+  cleared as in a fresh pass. Both trees' values must agree within
+  KZ_RTOL relative.
 - `perfbench oracles`: OBENCH_PAIRS pairs of BENCHMARK.json's command on
   the `oracles` workload (seeds from SEED on, `--seconds 30`), then
-  TRACE_PAIRS traced pairs for the factorint layer.
+  TRACE_PAIRS traced pairs for the factorint, modular, exact and analytic
+  layers.
 - `perfbench kh-sweep` and `perfbench kh-rerun`: KH_PAIRS pairs each. `kh`
   loads neither factorint nor sympy, so these should not move.
 
@@ -56,7 +62,7 @@ from pathlib import Path
 
 from bench_numpy_free_kh import SEED, pairs, perfbench, run, summarize
 
-LAYERS_MOVED = ("factoring of K(n)", "primality")
+LAYERS_MOVED = ("factoring of K(n)", "primality", "quadrature")
 FACTOR_NS = range(2, 41)
 FRESH_PAIRS = 10
 FRESH_CODE = (
@@ -74,8 +80,11 @@ TRACE_PAIRS = 2
 KH_PAIRS = 5
 VARIANT_P_MAX = 2000
 VARIANT_PAIRS = 6
+KZ_PAIRS = 10
+KZ_RTOL = 2e-15
 LAYERS = ("factorint.factorize_s", "factorint.sympy_s", "factorint.sympy_escalations",
-          "factorint.own_s", "modular.variant_s", "modular.variant_calls")
+          "factorint.own_s", "modular.variant_s", "modular.variant_calls",
+          "exact.identity_s", "analytic.k_continued_s", "analytic.k_continued_p50_ms")
 VALUES = [sum(math.factorial(i) for i in range(n)) for n in FACTOR_NS]
 
 
@@ -197,6 +206,34 @@ def variant_pass(modules: dict) -> dict:
     return {"primes": len(primes), **summarize(rows)}
 
 
+def k_continued_pass(modules: dict, perfbench_dir: Path) -> dict:
+    """Seconds for k_continued at z and z + 1 over oracles.make_plan(SEED)
+    on both trees, from cold caches; the values must agree within KZ_RTOL
+    relative."""
+    sys.path.insert(0, str(perfbench_dir))
+    import oracles
+
+    points = [complex(re, im) for re, im in oracles.make_plan(SEED)["points"]]
+    values: dict[str, list] = {}
+
+    def probe(side: str, _i: int) -> dict[str, float]:
+        module = modules[side]
+        module._k_integral_cached.cache_clear()
+        module._panel_nodes.cache_clear()
+        t0 = time.perf_counter()
+        got = [module.k_continued(w) for z in points for w in (z, z + 1)]
+        wall = time.perf_counter() - t0
+        if values.setdefault(side, got) != got:
+            raise SystemExit(f"{side}: k_continued values changed between runs")
+        return {"k_continued_s": wall}
+
+    rows = pairs(KZ_PAIRS, probe)
+    worst = max(abs(a - b) / abs(a) for a, b in zip(values["parent"], values["change"]))
+    if worst > KZ_RTOL:
+        raise SystemExit(f"the trees' k_continued values differ by {worst:.3e} relative")
+    return {"calls": len(values["change"]), "max_relative_difference": worst, **summarize(rows)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("parent", type=Path)
@@ -210,10 +247,11 @@ def main() -> None:
     fresh = fresh_factoring(trees)
     import sympy
 
-    loaded = {side: load(tree, f"leftfact_{side}", "factorint", "modular")
+    loaded = {side: load(tree, f"leftfact_{side}", "factorint", "modular", "analytic")
               for side, tree in trees.items()}
     factorint = {side: mods[0] for side, mods in loaded.items()}
     modular = {side: mods[1] for side, mods in loaded.items()}
+    analytic = {side: mods[2] for side, mods in loaded.items()}
     report: dict = {
         "host": {"nproc": os.cpu_count(), "pinned_cpu": args.cpu,
                  "python": platform.python_version(), "sympy": sympy.__version__,
@@ -223,6 +261,7 @@ def main() -> None:
         "options": {"fresh_pairs": FRESH_PAIRS, "factor_pairs": FACTOR_PAIRS, "sieve_digits": SIEVE_DIGITS,
                     "unbalanced_digits": UNBALANCED_DIGITS, "sieve_repeats": SIEVE_REPEATS,
                     "variant_p_max": VARIANT_P_MAX, "variant_pairs": VARIANT_PAIRS,
+                    "kz_pairs": KZ_PAIRS, "kz_rtol": KZ_RTOL,
                     "oracles_pairs": OBENCH_PAIRS, "trace_pairs": TRACE_PAIRS,
                     "kh_pairs": KH_PAIRS, "seed": SEED},
         "traced_layers": LAYERS,
@@ -242,6 +281,7 @@ def main() -> None:
 
     record("sieve by size", sieve_by_size(factorint))
     record(f"variants to {VARIANT_P_MAX}", variant_pass(modular))
+    record("k_continued over the oracle plan", k_continued_pass(analytic, trees["change"] / "perfbench"))
 
     rows = pairs(OBENCH_PAIRS, lambda side, i: perfbench(trees[side], "oracles", SEED + i, 0))
     record("perfbench oracles", summarize(rows))
