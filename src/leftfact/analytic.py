@@ -441,10 +441,11 @@ def k_slavic(z: complex | float) -> complex:
         K(z) = -(pi/e) cot(pi z) + slavic_constant_block()
                + sum_{n=0}^{_SLAVIC_TERMS-1} Gamma(z - n)
 
-    At every integer z the cot pole and the gamma-series poles cancel; the
-    finite limit is evaluated as the symmetric average at z +/- 1e-5
-    (for non-pole integers). The gamma series decays like 1/(n-1)!, and the
-    first neglected term is folded into the truncation check.
+    At every integer z the cot pole and the gamma-series poles cancel.
+    Within 1e-9 of a non-pole integer n the value is K(n) itself: !n for
+    n >= 0, and 1 at n = -2 (as in k_continued). The gamma series decays
+    like 1/(n-1)!, and the first neglected term is folded into the
+    truncation check.
     """
     z = _finite(z)
     pole_n = _pole_at(z, eps=1e-9)
@@ -452,9 +453,7 @@ def k_slavic(z: complex | float) -> complex:
         raise PoleError(f"K has a pole at z = {-pole_n}", pole_residue(pole_n))
     nearest = round(z.real)
     if abs(z - nearest) < 1e-9:
-        left = k_slavic(complex(nearest - 1e-5, z.imag))
-        right = k_slavic(complex(nearest + 1e-5, z.imag))
-        return 0.5 * (left + right)
+        return complex(float(left_factorial(nearest)) if nearest >= 0 else 1.0)
 
     acc = -(math.pi / math.e) * (
         cmath.cos(cmath.pi * z) / cmath.sin(cmath.pi * z)

@@ -198,7 +198,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         t0 = time.monotonic()
-        for primes, residues, elapsed_ns in chunks:
+        for primes, residues in chunks:
             violations = residues.count(0)
             counters["records"] += len(primes)
             counters["violations"] += violations
@@ -207,7 +207,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                     if r == 0:
                         print(f"VIOLATION: {p} divides !{p}", file=sys.stderr)
             for writer in writers:
-                writer.write_chunk(primes, residues, elapsed_ns, KERNEL_METHOD)
+                writer.write_chunk(primes, residues, KERNEL_METHOD)
             if sink is not None:
                 sink.advance(primes[-1], counters, writers)
         wall = time.monotonic() - t0
@@ -295,6 +295,9 @@ def _cmd_pset(args: argparse.Namespace) -> int:
 def _cmd_primeseq(args: argparse.Namespace) -> int:
     kind = args.which
     n_max = args.n_max
+    if kind in ("s", "pi") and n_max < 2:
+        print(f"primeseq {kind}: need --n-max >= 2, got {n_max}", file=sys.stderr)
+        return EXIT_USAGE
     if kind == "s":
         sieve = _sieve_for_primes(n_max + 1)
         values = [s_sequence(n, sieve) for n in range(2, n_max + 1)]

@@ -40,10 +40,13 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 
 # Fields whose values legitimately differ between two runs of the same
-# sweep; stripped before any determinism comparison.
+# sweep; stripped before any determinism comparison. Record lines carry
+# none of them: the first is the span-average kernel time that the record
+# lines of older ledgers carry, kept here so that such a ledger, resumed
+# with new lines, compares equal to a clean run.
 VOLATILE_FIELDS = ("elapsed_ns", "wall_seconds")
 
-CSV_HEADER = "prime,residue,violates_kh,elapsed_ns,method"
+CSV_HEADER = "prime,residue,violates_kh,method"
 
 
 class CheckpointError(Exception):
@@ -91,29 +94,22 @@ def write_checkpoint(path: str, fields: dict[str, Any]) -> None:
     _replace(path, (json.dumps(fields, sort_keys=True),))
 
 
-def _csv_rows(
-    primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
-) -> str:
-    """The CSV rows of records sharing elapsed_ns and method, each ending in
-    a newline; violates_kh is VerificationRecord's, residue 0 at an odd prime."""
-    tail = f",{elapsed_ns},{method}\n"
+def _csv_rows(primes: Sequence[int], residues: Sequence[int], method: str) -> str:
+    """The CSV rows of records sharing a method, each ending in a newline;
+    violates_kh is VerificationRecord's, residue 0 at an odd prime."""
+    tail = f",{method}\n"
     return "".join(
         [f"{p},{r},{'false' if r or p < 3 else 'true'}{tail}" for p, r in zip(primes, residues)]
     )
 
 
-def _ledger_lines(
-    primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
-) -> str:
-    """The ledger lines of records sharing elapsed_ns and method: each is the
-    line json.dumps({"type": "record", **asdict(record), "violates_kh":
+def _ledger_lines(primes: Sequence[int], residues: Sequence[int], method: str) -> str:
+    """The ledger lines of records sharing a method: each is the line
+    json.dumps({"type": "record", **asdict(record), "violates_kh":
     record.violates_kh}, sort_keys=True) gives, without building the dict,
     and a newline. The method is escaped by the function json.dumps uses
     for a str."""
-    head = (
-        f'{{"elapsed_ns": {elapsed_ns}, '
-        f'"method": {json.encoder.encode_basestring_ascii(method)}, "prime": '
-    )
+    head = f'{{"method": {json.encoder.encode_basestring_ascii(method)}, "prime": '
     return "".join(
         [
             f'{head}{p}, "residue": {r}, "type": "record", '
@@ -130,15 +126,14 @@ _LEDGER_INT = r"(?:0|[1-9][0-9]{0,599})"
 # string json.loads accepts, and the prime as group 1. A line that does not
 # match may still be a record, in another JSON layout.
 _RECORD_LINE = re.compile(
-    rf'\{{"elapsed_ns": {_LEDGER_INT}, '
-    r'"method": "(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*", '
+    r'\{"method": "(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*", '
     rf'"prime": ({_LEDGER_INT}), "residue": {_LEDGER_INT}, "type": "record", '
     r'"violates_kh": (?:true|false)\}\n?'
 )
 
 
 def record_to_row(record: VerificationRecord) -> str:
-    return _csv_rows((record.prime,), (record.residue,), record.elapsed_ns, record.method)[:-1]
+    return _csv_rows((record.prime,), (record.residue,), record.method)[:-1]
 
 
 class RecordWriter:
@@ -170,11 +165,9 @@ class RecordWriter:
         with src:
             _replace(self.path, self.kept_lines(src, frontier))
 
-    def write_chunk(
-        self, primes: Sequence[int], residues: Sequence[int], elapsed_ns: int, method: str
-    ) -> None:
+    def write_chunk(self, primes: Sequence[int], residues: Sequence[int], method: str) -> None:
         """Append the records of one sweep chunk (sweeps.KhChunk) with one write."""
-        self._fh.write(self.lines(primes, residues, elapsed_ns, method))
+        self._fh.write(self.lines(primes, residues, method))
 
     def flush_fsync(self) -> None:
         self._fh.flush()
@@ -255,7 +248,7 @@ class LedgerWriter(RecordWriter):
             )
 
     def write_record(self, record: VerificationRecord) -> None:
-        self.write_chunk((record.prime,), (record.residue,), record.elapsed_ns, record.method)
+        self.write_chunk((record.prime,), (record.residue,), record.method)
 
     def write_summary(self, **fields: Any) -> None:
         self._fh.write(json.dumps({"type": "summary", **fields}, sort_keys=True) + "\n")

@@ -50,18 +50,10 @@ class ResidueResult:
 
 @dataclass(frozen=True, slots=True)
 class VerificationRecord:
-    """Per-prime outcome of a divisibility sweep: does p divide !p?
-
-    elapsed_ns is not a per-prime measurement: it is the kernel time of the
-    record's whole span (the run of chunks one kernel call took, up to
-    sweeps.SPAN_PRIMES primes), floor-divided by the number of primes in
-    that span, so every record of a span carries the same average. It is a
-    timing field, dropped by canonical_lines.
-    """
+    """Per-prime outcome of a divisibility sweep: does p divide !p?"""
 
     prime: int
     residue: int
-    elapsed_ns: int
     method: str
 
     @property

@@ -386,6 +386,8 @@ def sign_statistics(values: np.ndarray) -> SignStatistics:
     import numpy as np
 
     signs = np.sign(np.asarray(values))
+    if signs.size == 0:
+        raise ValueError("sign_statistics requires a nonempty sequence")
     if (signs == 0).any():
         raise ValueError("sign_statistics requires nonzero values")
     changes = np.flatnonzero(np.diff(signs) != 0)

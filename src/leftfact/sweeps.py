@@ -339,12 +339,6 @@ _KH = (-1, 0)
 _ALTERNATING = (1, 2)
 
 
-def _kernel_task(span: np.ndarray) -> tuple[np.ndarray, int]:
-    t0 = time.perf_counter_ns()
-    residues = batch_residues(span)
-    return residues, time.perf_counter_ns() - t0
-
-
 def _work(lo: int, hi: int) -> float:
     """Estimated kernel time of a span of the primes from lo to hi, up to a
     constant factor. Timing batch_residues from 10^5 to 10^6, its descent
@@ -404,13 +398,11 @@ def _exit_with(sweep: int) -> None:
 
 
 class KhChunk(NamedTuple):
-    """One chunk of a KH sweep: its primes in ascending order, rest(!p, p)
-    for each, and the kernel time per prime of the span it came from (the
-    span's kernel time floor-divided by its prime count)."""
+    """One chunk of a KH sweep: its primes in ascending order, and
+    rest(!p, p) for each."""
 
     primes: list[int]
     residues: list[int]
-    elapsed_ns: int
 
 
 def kh_chunks(
@@ -421,9 +413,8 @@ def kh_chunks(
     Chunks come out in ascending prime order whatever the worker count, and
     are cut from the first prime above after (the first of the range when
     after is None), so two sweeps from the same start are chunk-for-chunk
-    identical (timing fields aside). A resumed sweep passes its checkpoint's
-    frontier, the last prime of a chunk, and gets the whole range's chunks
-    above it. The kernel runs once per span (_spans), and a span's chunks
+    identical. A resumed sweep passes its checkpoint's frontier, the last
+    prime of a chunk, and gets the whole range's chunks above it. The kernel runs once per span (_spans), and a span's chunks
     come out once it is done. A zero residue is a result, not an error: it
     is the consumer's to report. Closing the stream early, or an exception
     in it, terminates the pool's workers rather than wait for their spans.
@@ -476,14 +467,13 @@ def _chunk_stream(start: int, hi: int, worker_count: int) -> Iterator[KhChunk]:
         )
     try:
         arrays = [primes[a * CHUNK_PRIMES : b * CHUNK_PRIMES] for a, b in spans]
-        results = (pool.map if pool is not None else map)(_kernel_task, arrays)
-        for span, (residues, elapsed) in zip(arrays, results):
-            per_prime_ns = elapsed // span.size
+        # the module global batch_residues, looked up at the call, so that a
+        # rebinding of it (a test's fake kernel, a tracer) runs in its place
+        results = (pool.map if pool is not None else map)(batch_residues, arrays)
+        for span, residues in zip(arrays, results):
             for s in range(0, span.size, CHUNK_PRIMES):
                 yield KhChunk(
-                    span[s : s + CHUNK_PRIMES].tolist(),
-                    residues[s : s + CHUNK_PRIMES].tolist(),
-                    per_prime_ns,
+                    span[s : s + CHUNK_PRIMES].tolist(), residues[s : s + CHUNK_PRIMES].tolist()
                 )
     except BaseException:
         if pool is not None:
@@ -502,16 +492,15 @@ def _chunk_stream(start: int, hi: int, worker_count: int) -> Iterator[KhChunk]:
 def kh_sweep(
     prime_range: tuple[int, int], worker_count: int = 1, after: int | None = None
 ) -> Iterator[VerificationRecord]:
-    """kh_chunks as one VerificationRecord per prime, method KERNEL_METHOD
-    and the chunk's elapsed_ns; the stream starts and closes as kh_chunks's
-    does."""
+    """kh_chunks as one VerificationRecord per prime, method KERNEL_METHOD;
+    the stream starts and closes as kh_chunks's does."""
     from .modular import VerificationRecord
 
     chunks = kh_chunks(prime_range, worker_count, after)
     try:
-        for primes, residues, elapsed_ns in chunks:
+        for primes, residues in chunks:
             for p, r in zip(primes, residues):
-                yield VerificationRecord(p, r, elapsed_ns, KERNEL_METHOD)
+                yield VerificationRecord(p, r, KERNEL_METHOD)
     finally:
         chunks.close()
 
@@ -524,9 +513,12 @@ KNOWN_SQUARE_HITS = ((2, 3), (54503, 26541))
 def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
     """All (p, n) with p in the range, n <= n_bound, and p^2 | !n.
 
-    Every prime runs the same mod-p^2 accumulation over every n up to
-    n_bound (exhaustively, below p as well, where a hit would contradict
-    nothing); p = 2 surfaces !3 = 2^2, the first of KNOWN_SQUARE_HITS.
+    Every prime runs the same mod-p^2 accumulation of !n over n = 1, 2, ...
+    up to n_bound, below p as well, where a hit would contradict nothing.
+    A prime stops at n = p when p does not divide !p: every i! with i >= p
+    is 0 mod p, so !n ≡ !p (mod p) for all n >= p, and no later n has
+    p^2 | !n. p = 2 divides !2 and runs on, surfacing !3 = 2^2, the first
+    of KNOWN_SQUARE_HITS; so would any p that divides !p.
     """
     lo, hi = p_range
     if n_bound < 2:
@@ -545,6 +537,8 @@ def kh2_scan(p_range: tuple[int, int], n_bound: int) -> list[tuple[int, int]]:
                 kn = (kn + fact) % m
                 if kn == 0 and n >= 2:
                     hits.append((p, n))
+                elif n == p and kn % p:
+                    break
                 fact = fact * n % m
     return hits
 

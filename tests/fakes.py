@@ -44,10 +44,10 @@ def interrupted_after_records(n):
     that interrupt."""
     write_chunk, written = RecordWriter.write_chunk, {}
 
-    def write_or_interrupt(self, primes, residues, elapsed_ns, method):
+    def write_or_interrupt(self, primes, residues, method):
         before = written.get(id(self), 0)
         take = min(len(primes), n - before)
-        write_chunk(self, primes[:take], residues[:take], elapsed_ns, method)
+        write_chunk(self, primes[:take], residues[:take], method)
         written[id(self)] = before + take
         if before + take == n:
             raise KeyboardInterrupt

@@ -342,12 +342,15 @@ def test_slavic_matches_continuation_off_integers():
 
 
 def test_slavic_finite_at_cancelled_poles():
-    # cot blows up at integers; the gamma series cancels it; symmetric
-    # averaging recovers the finite limit
-    for z, want in ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (-2.0, 1.0)):
+    # cot blows up at integers and the gamma series cancels it: at a
+    # non-pole integer the closed form gives K(n) exactly
+    for z, want in (
+        (0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 4.0), (4.0, 10.0), (12.0, 43954714.0),
+        (-2.0, 1.0),
+    ):
         got = k_slavic(z)
-        assert abs(got - want) < 1e-5, z
-        assert abs(got - k_continued(z)) < 1e-5, z
+        assert got == want, z
+        assert abs(got - k_continued(z)) <= 1e-13 * max(1.0, want), z
 
 
 def test_slavic_rejects_true_poles_and_short_series(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -33,8 +34,8 @@ from leftfact.primes import build_sieve
 from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD, KNOWN_SQUARE_HITS, MAX_SWEEP_PRIME
 
 
-def rec(prime, residue, ns=7, method="forward_v"):
-    return VerificationRecord(prime=prime, residue=residue, elapsed_ns=ns, method=method)
+def rec(prime, residue, method="forward_v"):
+    return VerificationRecord(prime=prime, residue=residue, method=method)
 
 
 def json_lines(path):
@@ -171,7 +172,7 @@ def test_a_failed_resume_cut_keeps_the_record_file(tmp_path, monkeypatch, record
     # a ledger that holds another count of records than the checkpoint's
     # raises in kept_lines; one that holds the count meets the failing fsync
     path = tmp_path / "led.jsonl"
-    path.write_text(_ledger_lines([3, 5, 7], [1, 4, 1], 7, "forward_v") + '{"type": "summary"}\n')
+    path.write_text(_ledger_lines([3, 5, 7], [1, 4, 1], "forward_v") + '{"type": "summary"}\n')
     before = path.read_bytes()
     if fsync_fails:
         _fail_fsync(monkeypatch)
@@ -260,14 +261,8 @@ def ascending_records(draw):
     out = []
     for p in sorted(primes):
         residue = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1)))
-        out.append(
-            rec(
-                p,
-                residue,
-                ns=draw(st.integers(min_value=0, max_value=2**64)),
-                method=draw(st.one_of(st.just(KERNEL_METHOD), st.text(max_size=8))),
-            )
-        )
+        method = draw(st.one_of(st.just(KERNEL_METHOD), st.text(max_size=8)))
+        out.append(rec(p, residue, method=method))
     return out
 
 
@@ -303,7 +298,7 @@ def test_ledger_record_lines_are_json_dumps_and_resume_keeps_them(tmp_path_facto
 @settings(max_examples=60, deadline=None)
 @given(records=ascending_records(), data=st.data())
 def test_ledger_record_line_pattern_agrees_with_json_loads(tmp_path_factory, records, data):
-    lines = [_ledger_lines((r.prime,), (r.residue,), r.elapsed_ns, r.method) for r in records]
+    lines = [_ledger_lines((r.prime,), (r.residue,), r.method) for r in records]
     for line in lines:
         hit = _RECORD_LINE.fullmatch(line)
         assert hit is not None, line  # resume reads every written line without a parse
@@ -392,26 +387,29 @@ def test_ledger_resume_complete_refuses_a_ledger_short_of_the_frontier(tmp_path)
 
 
 def test_canonical_lines_strip_timing(tmp_path):
-    a = str(tmp_path / "a.jsonl")
-    b = str(tmp_path / "b.jsonl")
-    for path, ns in ((a, 10), (b, 99999)):
-        writer = LedgerWriter(path)
-        writer.write_record(rec(3, 1, ns=ns))
-        writer.write_summary(records=1, wall_seconds=float(ns))
+    # the summary's wall clock, and the span-average elapsed_ns that record
+    # lines of older ledgers carry
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path, seconds in ((a, 10.0), (b, 99999.0)):
+        writer = LedgerWriter(str(path))
+        writer.write_record(rec(3, 1))
+        writer.write_summary(records=1, wall_seconds=seconds)
         writer.close()
     assert canonical_lines(a) == canonical_lines(b)
-    assert "elapsed_ns" not in canonical_lines(a)[0]
+    b.write_text(b.read_text().replace('{"method"', '{"elapsed_ns": 52183, "method"', 1))
+    assert '"elapsed_ns": 52183' in b.read_text()
+    assert canonical_lines(a) == canonical_lines(b)
 
 
 def test_record_to_row_and_header():
-    assert CSV_HEADER == "prime,residue,violates_kh,elapsed_ns,method"
-    assert record_to_row(rec(5, 4, ns=12)) == "5,4,false,12,forward_v"
-    assert record_to_row(rec(5, 0, ns=12)).split(",")[2] == "true"
+    assert CSV_HEADER == "prime,residue,violates_kh,method"
+    assert record_to_row(rec(5, 4)) == "5,4,false,forward_v"
+    assert record_to_row(rec(5, 0)).split(",")[2] == "true"
 
 
 def test_csv_writer_is_short_when_no_kept_row_is_the_frontiers(tmp_path):
     path = tmp_path / "out.csv"
-    rows = "".join(f"{p},1,false,7,forward_v\n" for p in (3, 5, 7, 11))
+    rows = "".join(f"{p},1,false,forward_v\n" for p in (3, 5, 7, 11))
     for text, frontier, short in (
         (None, 7, True),  # missing
         ("p,n\n3,1\n", 7, True),  # stale: another header
@@ -523,7 +521,7 @@ def test_cli_factor_output(capsys):
     assert run_cli("factor", "12", "--limit", "0") == EXIT_USAGE
 
 
-def test_cli_usage_exits():
+def test_cli_usage_exits(capsys):
     # inverted range
     assert run_cli("kh", "--from", "50", "--to", "10") == EXIT_USAGE
     # below the odd-prime floor
@@ -531,6 +529,13 @@ def test_cli_usage_exits():
     # argparse-level rejection
     assert run_cli("kh", "--from", "3") == EXIT_USAGE
     assert run_cli("nonsense") == EXIT_USAGE
+    # s_n and pi_n start at n = 2, so --n-max 1 leaves no term
+    capsys.readouterr()
+    for kind in ("s", "pi"):
+        assert run_cli("primeseq", kind, "--n-max", "1") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"primeseq {kind}: need --n-max >= 2, got 1\n"
 
 
 def test_cli_kh_plain_run(tmp_path, capsys):
@@ -658,15 +663,6 @@ def test_cli_interrupt_resume_ledger_identity(tmp_path, capsys, records):
     assert canonical_lines(part) == canonical_lines(clean)
 
 
-def _csv_rows_no_timing(path):
-    lines = path.read_text().splitlines()
-    rows = []
-    for row in lines[1:]:
-        cells = row.split(",")
-        rows.append(",".join(cells[:3] + cells[4:]))  # drop elapsed_ns
-    return lines[0], rows
-
-
 def test_cli_interrupt_resume_csv_matches_clean(tmp_path, capsys):
     clean = tmp_path / "clean.csv"
     run_cli("kh", "--from", "3", "--to", "30000", "--csv", clean)
@@ -680,8 +676,7 @@ def test_cli_interrupt_resume_csv_matches_clean(tmp_path, capsys):
     run_cli("kh", "--from", "3", "--to", "30000", "--checkpoint", cp, "--csv", part)
     capsys.readouterr()
 
-    assert _csv_rows_no_timing(part) == _csv_rows_no_timing(clean)
-    assert part.read_text().splitlines().count(CSV_HEADER) == 1
+    assert part.read_bytes() == clean.read_bytes()
 
 
 def test_cli_csv_resume_fsyncs_its_directory(tmp_path, monkeypatch, capsys):
@@ -750,7 +745,7 @@ def test_cli_csv_resume_drops_a_torn_last_row(tmp_path, capsys):
     out.write_text("".join(lines[:-1]) + lines[-1][: lines[-1].index(",") + 2])
     assert _resume_csv_run(cp, out) == EXIT_OK
     assert "missing rows" not in capsys.readouterr().err
-    assert _csv_rows_no_timing(out) == _csv_rows_no_timing(clean)
+    assert out.read_bytes() == clean.read_bytes()
 
 
 def test_cli_csv_resume_drops_a_torn_row_whose_head_is_below_the_frontier(tmp_path, capsys):
@@ -763,12 +758,12 @@ def test_cli_csv_resume_drops_a_torn_row_whose_head_is_below_the_frontier(tmp_pa
     out.write_text(CSV_HEADER + "\n" + "".join(kept) + str(frontier)[:2])
     assert _resume_csv_run(cp, out) == EXIT_OK
     assert "missing rows" not in capsys.readouterr().err
-    assert _csv_rows_no_timing(out) == _csv_rows_no_timing(clean)
+    assert out.read_bytes() == clean.read_bytes()
 
 
 def test_cli_csv_resume_restarts_a_file_with_another_header(tmp_path, capsys):
     cp, out, frontier = _interrupted_csv_run(tmp_path)
-    out.write_text("p,n\n3,1,false,0,forward_v\n")
+    out.write_text("p,n\n3,1,false,forward_v\n")
     assert _resume_csv_run(cp, out) == EXIT_OK
     assert "missing rows" in capsys.readouterr().err
     lines = out.read_text().splitlines()
@@ -956,26 +951,78 @@ def test_cli_kh_summary_reports_the_workers_after_the_cpu_cap(monkeypatch, capsy
         assert capsys.readouterr().out.rstrip().endswith(shown), asked
 
 
+# sha256 of canonical_lines of the ledger of kh over [3, 10^5], as the
+# benchmark's checks compute it, and of that run's CSV
+LEDGER_1E5_SHA256 = "fd03bde06f39193d9a9b36496347bf65f0dc61d224db4d495e792379726974e7"
+CSV_1E5_SHA256 = "e8392321a4642fd2c966532f240e564dad9bd2418a456648b64d1f8888b37fa3"
+
+
 def test_cli_kh_ledger_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
     # one worker takes 10^5 as one span, two and three cut it into as many
-    # (on four CPUs: kh_chunks cuts the workers to the CPU count)
+    # (on four CPUs: kh_chunks cuts the workers to the CPU count); the
+    # record lines and the CSV carry no timing, so they agree byte for byte
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    ledgers = []
+    records, csvs = [], []
     for workers in ("1", "2", "3"):
-        led = tmp_path / f"w{workers}.jsonl"
+        led, out = tmp_path / f"w{workers}.jsonl", tmp_path / f"w{workers}.csv"
         code = run_cli(
-            "kh", "--from", "3", "--to", "100000", "--workers", workers, "--ledger", led
+            "kh", "--from", "3", "--to", "100000", "--workers", workers,
+            "--ledger", led, "--csv", out,
         )
         assert code == EXIT_OK
-        ledgers.append(canonical_lines(led))
-    assert len(ledgers[0]) == 9592  # 9591 records and the summary
-    assert ledgers[0] == ledgers[1] == ledgers[2]
+        lines = led.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 9592  # 9591 records and the summary
+        assert json.loads(lines[-1])["type"] == "summary"
+        digest = hashlib.sha256()
+        for line in canonical_lines(led):
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == LEDGER_1E5_SHA256, workers
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_1E5_SHA256, workers
+        records.append(b"".join(lines[:-1]))
+        csvs.append(out.read_bytes())
+    assert records[0] == records[1] == records[2]
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+def test_cli_kh_resumes_a_ledger_and_csv_of_the_timed_record_format(tmp_path, capsys):
+    # record lines and CSV rows once carried elapsed_ns, a span's kernel
+    # time per prime: a ledger of that format, checkpointed at the end of
+    # chunk 1, keeps its lines and resumes to the clean run canonically; the
+    # CSV under the old header is started over, with the missing-rows warning
+    argv = ["kh", "--from", "3", "--to", "20000", "--workers", "1"]
+    clean, clean_csv = tmp_path / "clean.jsonl", tmp_path / "clean.csv"
+    assert run_cli(*argv, "--ledger", clean, "--csv", clean_csv) == EXIT_OK
+    lines = clean.read_text().splitlines(keepends=True)
+    rows = clean_csv.read_text().splitlines(keepends=True)
+    frontier = json.loads(lines[CHUNK_PRIMES - 1])["prime"]
+    old_lines = [
+        line.replace('{"method"', '{"elapsed_ns": 52183, "method"', 1)
+        for line in lines[:CHUNK_PRIMES]
+    ]
+    old_rows = ["prime,residue,violates_kh,elapsed_ns,method\n"] + [
+        row.replace(",forward_v", ",52183,forward_v") for row in rows[1 : CHUNK_PRIMES + 1]
+    ]
+    led, out, cp = tmp_path / "led.jsonl", tmp_path / "out.csv", tmp_path / "cp.json"
+    led.write_text("".join(old_lines))
+    out.write_text("".join(old_rows))
+    cp.write_text(json.dumps({
+        "command": "kh", "counters": {"records": CHUNK_PRIMES, "violations": 0},
+        "frontier": frontier, "params": {"hi": 20000, "lo": 3, "method": "forward_v"},
+        "version": 1,
+    }))
+    capsys.readouterr()
+    assert run_cli(*argv, "--ledger", led, "--csv", out, "--checkpoint", cp) == EXIT_OK
+    assert f"kh: csv {out} is missing rows below the checkpoint frontier" in capsys.readouterr().err
+    resumed = led.read_text().splitlines(keepends=True)
+    assert resumed[:CHUNK_PRIMES] == old_lines
+    assert resumed[CHUNK_PRIMES:-1] == lines[CHUNK_PRIMES:-1]
+    assert canonical_lines(led) == canonical_lines(clean)
+    assert out.read_text() == rows[0] + "".join(rows[CHUNK_PRIMES + 1 :])
 
 
 def _masked(text):
-    """Ledger, CSV, checkpoint or stdout text with its timing fields zeroed."""
-    text = re.sub(r'"(elapsed_ns|wall_seconds)": [0-9.e+-]+', r'"\1": 0', text)
-    text = re.sub(r"^(\d+,\d+,(?:true|false)),\d+,", r"\1,0,", text, flags=re.M)
+    """Ledger, checkpoint or stdout text with its wall-clock times zeroed."""
+    text = re.sub(r'"wall_seconds": [0-9.e+-]+', '"wall_seconds": 0', text)
     return re.sub(r"\d+\.\d\ds \(", "0.00s (", text)
 
 
@@ -1150,7 +1197,10 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
     )
     assert code == EXIT_OK
     assert canonical_lines(led) == canonical_lines(clean)
-    assert _csv_rows_no_timing(csv) == _csv_rows_no_timing(clean_csv)
+    # record lines and the CSV carry no timing: they are the clean run's,
+    # byte for byte
+    assert led.read_bytes().splitlines()[:-1] == clean.read_bytes().splitlines()[:-1]
+    assert csv.read_bytes() == clean_csv.read_bytes()
 
 
 # The CLI over a kernel that gives prime 101 a zero residue, as a real
@@ -1233,7 +1283,7 @@ def test_cli_pooled_sweep_runs_under_every_start_method(tmp_path, start_method):
     assert proc.returncode == EXIT_OK, proc.stderr
     serial = tmp_path / "serial.csv"
     assert run_cli("kh", "--from", "3", "--to", "20000", "--workers", "1", "--csv", serial) == EXIT_OK
-    assert _csv_rows_no_timing(out) == _csv_rows_no_timing(serial)
+    assert out.read_bytes() == serial.read_bytes()
 
 
 def test_cli_kh_never_imports_sympy():

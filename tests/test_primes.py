@@ -335,6 +335,8 @@ def test_sign_statistics():
     assert stats.longest_negative_run == 2
     with pytest.raises(ValueError):
         sign_statistics(np.array([1, 0, -1]))
+    with pytest.raises(ValueError, match="nonempty"):
+        sign_statistics([])
 
 
 # the strong Lucas pseudoprimes below 6*10^4 with Selfridge's parameters

@@ -34,7 +34,6 @@ from leftfact.sweeps import (
     KERNEL_METHOD,
     KNOWN_SQUARE_HITS,
     SPAN_PRIMES,
-    _kernel_task,
     _reciprocal,
     _reducer,
 )
@@ -247,8 +246,6 @@ def test_kh_sweep_calls_the_kernel_once_per_span(monkeypatch):
     monkeypatch.setattr(sweeps, "batch_residues", counting)
     records = list(kh_sweep((3, 10**5)))
     assert calls == [len(records)] == [9591]
-    # every record of the span carries its average kernel time
-    assert len({r.elapsed_ns for r in records}) == 1
 
 
 def test_narrow_high_window_matches_direct():
@@ -363,7 +360,7 @@ def _slow_past_the_first_chunk(chunk):
     # the kernel on a window whose chunks each take minutes, bar the first
     if int(chunk[0]) > 3:
         time.sleep(120)
-    return _kernel_task(chunk)
+    return batch_residues(chunk)
 
 
 def test_kh_chunks_caps_workers_at_the_cpu_count(monkeypatch):
@@ -385,7 +382,7 @@ def test_kh_chunks_caps_workers_at_the_cpu_count(monkeypatch):
 
 def test_kh_sweep_closed_early_stops_its_workers_without_waiting(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sweeps, "_kernel_task", _slow_past_the_first_chunk)
+    monkeypatch.setattr(sweeps, "batch_residues", _slow_past_the_first_chunk)
     stream = kh_sweep((3, 20000), worker_count=2)
     assert next(stream).prime == 3
     workers = multiprocessing.active_children()
@@ -437,6 +434,29 @@ def test_kh_sweep_finished_range_builds_no_sieve(monkeypatch):
     assert list(kh_chunks((9_999_992, 10_000_000))) == []
     with pytest.raises(AssertionError, match="sieved to 10000000"):
         list(kh_chunks((3, 10_000_000), after=9_999_990))
+
+
+def _kh2_scan_every_n(p_range, n_bound):
+    """kh2_scan's oracle: the mod-p^2 accumulation of !n over every n up to
+    n_bound for every prime, without the stop at n = p."""
+    lo, hi = p_range
+    hits = []
+    for p in build_sieve(hi).primes_up_to(hi).tolist():
+        if p < lo:
+            continue
+        m, fact, kn = p * p, 1, 0
+        for n in range(1, n_bound + 1):
+            kn = (kn + fact) % m
+            if kn == 0 and n >= 2:
+                hits.append((p, n))
+            fact = fact * n % m
+    return hits
+
+
+@pytest.mark.parametrize("p_max,n_bound", [(1227, 1300), (3000, 6000)])
+def test_kh2_scan_stopping_at_n_equal_p_matches_the_scan_of_every_n(p_max, n_bound):
+    want = _kh2_scan_every_n((2, p_max), n_bound)
+    assert kh2_scan((2, p_max), n_bound) == want == [(2, 3)]
 
 
 def test_kh2_scan_finds_only_the_known_square():
