@@ -295,8 +295,11 @@ def _cmd_pset(args: argparse.Namespace) -> int:
 def _cmd_primeseq(args: argparse.Namespace) -> int:
     kind = args.which
     n_max = args.n_max
-    if kind in ("s", "pi") and n_max < 2:
-        print(f"primeseq {kind}: need --n-max >= 2, got {n_max}", file=sys.stderr)
+    # s_n and pi_n start at n = 2; the sum inequality fails at n = 1 and 2,
+    # so a scan that stops below 3 has no range where it holds
+    least = {"s": 2, "pi": 2, "sumineq": 3}.get(kind, 1)
+    if n_max < least:
+        print(f"primeseq {kind}: need --n-max >= {least}, got {n_max}", file=sys.stderr)
         return EXIT_USAGE
     if kind == "s":
         sieve = _sieve_for_primes(n_max + 1)

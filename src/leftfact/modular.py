@@ -3,7 +3,9 @@
 Machine-width contract: scalar operations accept any modulus up to
 2^63 - 1 and compute with double-width intermediates (Python integers);
 larger moduli are rejected rather than silently promoted, because the
-point of this module is the fast path. r_q denotes rest(!q, q).
+point of this module is the fast path. The KH-variant sums work on int64
+numpy tables, which hold products of two residues, so they take p only up
+to MAX_SWEEP_PRIME (p^2 < 2^63). r_q denotes rest(!q, q).
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .primes import is_probable_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_MODULUS",
@@ -163,51 +169,102 @@ def kh_equivalent_residue(variant: str, p: int) -> int:
     DERANGE: D_{p-1} mod p via D_k = k*D_{k-1} + (-1)^k; equals r_p exactly
              through the floor identity [(p-1)!/e] = D_{p-1} - 1 (odd p)
 
-    The sums read the tables of _tables(p). DERANGE stays exact on
-    purpose: no floating floor of (p-1)!/e is ever taken.
+    The five sums are int64 numpy reductions over the tables of _tables(p).
+    DERANGE composes its maps x -> k*x + (-1)^k pairwise in int64 until one
+    map is left; it stays exact on purpose: no floating floor of (p-1)!/e is
+    ever taken. Each variant keeps its own formula: none is rewritten into
+    another through Wilson's theorem. Every intermediate stays below
+    p^2 < 2^63, so p above MAX_SWEEP_PRIME is refused with ValueError
+    before anything is allocated.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {VARIANTS}")
     _require_odd_prime(p)
-    _require_machine_width(p)
+    from .sweeps import MAX_SWEEP_PRIME
+
+    if p > MAX_SWEEP_PRIME:
+        raise ValueError(f"p = {p} exceeds the int64 table bound {MAX_SWEEP_PRIME}")
 
     if variant == "DERANGE":
-        d = 1
-        sign = -1
-        for k in range(1, p):
-            d = (k * d + sign) % p
-            sign = -sign
-        return d
+        return _derangement_mod(p)
+
+    import numpy as np
 
     fact, inv_fact, rising, binom = _tables(p)
     if variant == "STANK":
-        return sum((k - 1) * fact[k] for k in range(2, p + 1)) % p
-    if variant == "T21_5":
-        return (sum(inv_fact[0::2]) - sum(inv_fact[1::2])) % p
-    if variant == "T21_2":
-        return (sum(rising[0::2]) - sum(rising[1::2])) % p
-    if variant == "T21_4":
-        return sum(b * r for b, r in zip(binom, rising)) % p
-    # T21_6
-    return sum(b * inv for b, inv in zip(binom, inv_fact)) % p
+        k_minus_1 = np.arange(1, p, dtype=np.int64)
+        total = (k_minus_1 * fact[2:] % p).sum()
+    elif variant == "T21_5":
+        total = inv_fact[0::2].sum() - inv_fact[1::2].sum()
+    elif variant == "T21_2":
+        total = rising[0::2].sum() - rising[1::2].sum()
+    elif variant == "T21_4":
+        total = (binom * rising % p).sum()
+    else:  # T21_6
+        total = (binom * inv_fact % p).sum()
+    return int(total) % p
 
 
 @functools.lru_cache(maxsize=1)
-def _tables(p: int) -> tuple[tuple[int, ...], ...]:
+def _tables(p: int) -> tuple[np.ndarray, ...]:
     """(k! for k <= p, 1/k!, (k+1)...(p-1) and binom(p-1, k) for k < p),
-    all mod the odd prime p, through (k+1)...(p-1) = (p-1)!/k! and
-    binom(p-1, k) = (p-1)!/(k! (p-1-k)!). The last p's tables are kept,
-    since the variants of one p are asked for in a row."""
-    fact = [1] * (p + 1)
-    for k in range(1, p + 1):
-        fact[k] = fact[k - 1] * k % p
-    inv_fact = [1] * p
-    inv_fact[p - 1] = pow(fact[p - 1], -1, p)
-    for k in range(p - 1, 1, -1):
-        inv_fact[k - 1] = inv_fact[k] * k % p
-    rising = [fact[p - 1] * inv % p for inv in inv_fact]
-    binom = [r * inv_fact[p - 1 - k] % p for k, r in enumerate(rising)]
-    return tuple(fact), tuple(inv_fact), tuple(rising), tuple(binom)
+    all mod the odd prime p <= MAX_SWEEP_PRIME, as read-only int64 arrays.
+
+    k! is a prefix-product scan of 1, 1, 2, ..., p and (k+1)...(p-1) the
+    same scan over p-1, ..., 1, reversed; 1/k! is (k+1)...(p-1) times the
+    one inverse of (p-1)!, and binom(p-1, k) = (k+1)...(p-1) / (p-1-k)!.
+    Every product of two residues is below p^2 < 2^63. The last p's tables
+    are kept, since the variants of one p are asked for in a row.
+    """
+    import numpy as np
+
+    fact = np.arange(p + 1, dtype=np.int64)
+    fact[0] = 1
+    _prefix_products(fact, p)
+    down = np.arange(p, 0, -1, dtype=np.int64)
+    down[0] = 1
+    rising = _prefix_products(down, p)[::-1]
+    inv_fact = rising * pow(int(fact[p - 1]), -1, p) % p
+    binom = rising * inv_fact[::-1] % p
+    tables = fact, inv_fact, rising, binom
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _prefix_products(x: np.ndarray, p: int) -> np.ndarray:
+    """x[k] -> x[0] * ... * x[k] mod p in place, for int64 x below p.
+
+    A doubling scan: after the step of stride s, x[k] is the product of
+    the 2s entries ending at k, so log2(len(x)) steps cover every k.
+    """
+    s = 1
+    while s < len(x):
+        x[s:] = x[s:] * x[:-s] % p
+        s *= 2
+    return x
+
+
+def _compose_pairs(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maps x -> a[i]*x + b[i] mod p (len(a) even), composed in pairs:
+    result i applies map 2i, then map 2i + 1. Each coefficient is at most
+    (p-1)^2 + (p-1) before its reduction."""
+    a1, b1, a2, b2 = a[0::2], b[0::2], a[1::2], b[1::2]
+    return a2 * a1 % p, (a2 * b1 + b2) % p
+
+
+def _derangement_mod(p: int) -> int:
+    """D_{p-1} mod p from D_0 = 1 by the maps x -> k*x + (-1)^k, k < p."""
+    import numpy as np
+
+    a = np.arange(1, p, dtype=np.int64)
+    b = np.ones(p - 1, dtype=np.int64)
+    b[0::2] = p - 1  # (-1)^k for odd k
+    while len(a) > 1:
+        if len(a) % 2:
+            a, b = np.append(a, 1), np.append(b, 0)
+        a, b = _compose_pairs(a, b, p)
+    return int(a[0] + b[0]) % p
 
 
 def derangement_number(n: int) -> int:

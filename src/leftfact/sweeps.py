@@ -57,7 +57,8 @@ __all__ = [
     "residue_summatory",
 ]
 
-# Largest prime whose square fits below 2^63. The kernel computes in exact
+# Largest integer whose square fits below 2^63: 13 * 233615423, so the
+# largest prime up to it is 3037000493. The kernel computes in exact
 # integers; this bound only keeps the span's prime and residue arrays int64.
 MAX_SWEEP_PRIME = 3_037_000_499
 # chunk = unit of records and checkpoint cadence; must stay fixed or old

@@ -536,6 +536,12 @@ def test_cli_usage_exits(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"primeseq {kind}: need --n-max >= 2, got 1\n"
+    # p_n^2 > p_1 + ... + p_(n+1) fails at n = 1 and 2: below 3 no range holds
+    for n_max in ("1", "2"):
+        assert run_cli("primeseq", "sumineq", "--n-max", n_max) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"primeseq sumineq: need --n-max >= 3, got {n_max}\n"
 
 
 def test_cli_kh_plain_run(tmp_path, capsys):
@@ -1444,6 +1450,17 @@ def test_cli_factor_to_40_never_imports_sympy():
     assert proc.stderr.splitlines()[-1] == f"exit {{{EXIT_OK}}} sympy False", proc.stderr
 
 
+def test_cli_report_kh_status_prints_every_line(capsys):
+    assert run_cli("report", "kh-status") == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "divisibility sweep p <= 10000: 1228 primes, 0 violations",
+        *(f"variant {v} at p = 9973: agrees"
+          for v in ("T21_2", "T21_4", "T21_5", "T21_6", "STANK", "DERANGE")),
+        "square-divisor scan p <= 200, n <= 300: hits [(2, 3)] (expected [(2, 3)])",
+        "floor((p-1)!/e) bridge at p = 23: holds",
+    ]
+
+
 def test_cli_report_topics_smoke(capsys):
     assert run_cli("report", "identities") == EXIT_OK
     out = capsys.readouterr().out
@@ -1509,6 +1526,7 @@ def test_cli_misc_commands_smoke(capsys, tmp_path):
     assert run_cli("pset", "--n", "19") == EXIT_OK
     assert "41" in capsys.readouterr().out
     assert run_cli("primeseq", "sumineq", "--n-max", "100") == EXIT_OK
+    assert "holds for all 3 <= n <= 100; failures: [1, 2]" in capsys.readouterr().out
     assert run_cli("analytic", "eval", "--z", "2.5+1.5j") == EXIT_OK
     assert run_cli("analytic", "residues", "--n-max", "5") == EXIT_OK
     assert run_cli("pairs", "--m-bound", "500") == EXIT_OK

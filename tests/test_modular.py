@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,10 @@ from leftfact import (
     residue_forward_v,
     residue_mod_p_squared,
 )
-from leftfact.primes import build_sieve
+from leftfact import modular
+from leftfact.primes import build_sieve, is_probable_prime
+from leftfact.sweeps import MAX_SWEEP_PRIME
+from variant_oracle import loop_tables, loop_variant
 
 SIEVE_2K = build_sieve(2000)
 ODD_PRIMES_2K = [int(p) for p in SIEVE_2K.primes if p >= 3]
@@ -133,6 +138,54 @@ def test_variants_vanish_together_to_2000():
             assert values[v] == (-r) % p, (p, v)
         for v, val in values.items():
             assert (val == 0) == (r == 0), (p, v)
+
+
+def test_variants_match_loop_oracle_to_2000():
+    for p in ODD_PRIMES_2K:
+        for v in VARIANTS:
+            got = kh_equivalent_residue(v, p)
+            assert type(got) is int and got == loop_variant(v, p), (p, v)
+
+
+def test_variants_match_loop_oracle_at_seeded_primes():
+    primes = [int(q) for q in build_sieve(10**5).primes if q > 2000]
+    for p in random.Random(20261021).sample(primes, 8):
+        for v in VARIANTS:
+            assert kh_equivalent_residue(v, p) == loop_variant(v, p), (p, v)
+
+
+def test_tables_are_read_only_int64_and_match_the_loops():
+    for p in (3, 5, 7, 1999):
+        tables = modular._tables(p)
+        for got, want in zip(tables, loop_tables(p)):
+            assert got.dtype == np.int64 and not got.flags.writeable, p
+            assert got.tolist() == want, p
+
+
+def test_int64_steps_hold_at_the_largest_prime():
+    # every operand at p - 1, where a product reaches (p-1)^2 + (p-1): numpy
+    # int64 wraps silently, so the bound is checked against Python ints
+    p = MAX_SWEEP_PRIME
+    while not is_probable_prime(p):
+        p -= 1
+    assert p == 3_037_000_493 and p * p + p < 2**63
+    top = p - 1
+    x = modular._prefix_products(np.full(4, top, dtype=np.int64), p)
+    assert x.tolist() == [pow(top, k, p) for k in range(1, 5)]
+    full = np.full(4, top, dtype=np.int64)
+    a, b = modular._compose_pairs(full, full.copy(), p)
+    assert a.tolist() == [top * top % p] * 2
+    assert b.tolist() == [(top * top + top) % p] * 2
+
+
+def test_prime_above_the_int64_bound_is_refused_before_allocating():
+    p = MAX_SWEEP_PRIME + 1
+    while not is_probable_prime(p):
+        p += 1
+    assert p == 3_037_000_507
+    for v in VARIANTS:
+        with pytest.raises(ValueError, match="int64 table bound"):
+            kh_equivalent_residue(v, p)
 
 
 def test_variant_tables_follow_interleaved_primes():

@@ -129,7 +129,8 @@ class Probes:
 
 
 def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict[str, float]:
-    """BENCHMARK.json's command on one workload, run in tree; its metrics."""
+    """BENCHMARK.json's command on one workload, run in tree; its metrics
+    and the share of failed queries as `fail_ratio`."""
     spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
     argv = [*spec["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", "30", "--trace", str(trace)]
@@ -137,7 +138,9 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict[str, flo
     result = json.loads(got.stdout.strip().splitlines()[-1])
     if got.returncode != 0 or not result["correct"]:
         raise SystemExit(f"perfbench {workload} failed on {tree}:\n{got.stderr[-2000:]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["fail_ratio"] = result["failed"] / result["attempted"]
+    return metrics
 
 
 def pairs(count: int, probe) -> list[dict[str, dict[str, float]]]:
