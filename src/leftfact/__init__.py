@@ -38,10 +38,10 @@ _NAMES = {
             "LedgerWriter canonical_lines write_checkpoint"
         )),
         ("modular", (
-            "MAX_MODULUS VARIANTS CostModel ResidueResult VerificationRecord "
-            "cost_model derangement_number floor_factorial_over_e "
-            "kh_equivalent_residue residue_backward_s residue_direct "
-            "residue_forward_t residue_forward_v residue_mod_p_squared"
+            "MAX_MODULUS VARIANTS CostModel ResidueResult cost_model "
+            "derangement_number floor_factorial_over_e kh_equivalent_residue "
+            "residue_backward_s residue_direct residue_forward_t "
+            "residue_forward_v residue_mod_p_squared"
         )),
         ("primes", (
             "GoodPrimeResult PrimeSieve SignStatistics TripletReport build_sieve "
@@ -50,7 +50,7 @@ _NAMES = {
         )),
         ("sweeps", (
             "CHUNK_PRIMES SPAN_PRIMES MAX_SWEEP_PRIME KhChunk "
-            "a_set_scan alternating_divisor_hits batch_residues "
+            "VerificationRecord a_set_scan alternating_divisor_hits batch_residues "
             "h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
         )),
     )

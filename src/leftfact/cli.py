@@ -82,24 +82,22 @@ def _complex_arg(text: str) -> complex:
     return v
 
 
-def _positive(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _at_least(least: int):
+    """The argparse type of an int option that must be at least least."""
+
+    def integer(text: str) -> int:
+        v = int(text)
+        if v < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {v}")
+        return v
+
+    return integer
 
 
 def _positive_float(text: str) -> float:
     v = float(text)
     if not (math.isfinite(v) and v > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return v
-
-
-def _nonnegative(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
     return v
 
 
@@ -207,7 +205,7 @@ def _cmd_kh(args: argparse.Namespace) -> int:
                     if r == 0:
                         print(f"VIOLATION: {p} divides !{p}", file=sys.stderr)
             for writer in writers:
-                writer.write_chunk(primes, residues, KERNEL_METHOD)
+                writer.write_chunk(primes, residues)
             if sink is not None:
                 sink.advance(primes[-1], counters, writers)
         wall = time.monotonic() - t0
@@ -534,73 +532,73 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kn", help="print !n exactly")
-    p.add_argument("n", type=_nonnegative)
+    p.add_argument("n", type=_at_least(0))
     p.set_defaults(func=_cmd_kn)
 
     p = sub.add_parser("factor", help="factor !n (or n itself with --raw)")
-    p.add_argument("n", type=_nonnegative)
+    p.add_argument("n", type=_at_least(0))
     p.add_argument("--raw", action="store_true", help="factor the literal n, not !n")
-    p.add_argument("--limit", type=_positive, metavar="N", help="bound the factoring effort (sympy's limit)")
+    p.add_argument("--limit", type=_at_least(1), metavar="N", help="bound the factoring effort (sympy's limit)")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("identity", help="check a summation identity exactly")
     p.add_argument("id", choices=IDENTITY_IDS + ("all",))
-    p.add_argument("--n", type=_nonnegative, default=30)
-    p.add_argument("--m", type=_nonnegative, default=3)
+    p.add_argument("--n", type=_at_least(0), default=30)
+    p.add_argument("--m", type=_at_least(0), default=3)
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("kh", help="verify p does not divide !p over a prime range")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
-    p.add_argument("--workers", type=_positive, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_at_least(1), default=os.cpu_count() or 1)
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--ledger", metavar="PATH")
     p.add_argument("--csv", metavar="PATH", help="also write the records as CSV to PATH")
     p.set_defaults(func=_cmd_kh)
 
     p = sub.add_parser("kh2", help="scan for p^2 dividing !n")
-    p.add_argument("--p-max", type=_positive, required=True)
-    p.add_argument("--n-max", type=_positive, required=True)
+    p.add_argument("--p-max", type=_at_least(1), required=True)
+    p.add_argument("--n-max", type=_at_least(2), required=True)
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV to PATH")
     p.set_defaults(func=_cmd_kh2)
 
     p = sub.add_parser("aset", help="members of A(r): n with !n ≡ r (mod n)")
-    p.add_argument("--r", type=_nonnegative, required=True)
-    p.add_argument("--n-bound", type=_positive, required=True)
+    p.add_argument("--r", type=_at_least(0), required=True)
+    p.add_argument("--n-bound", type=_at_least(1), required=True)
     p.add_argument("--primes-only", action="store_true")
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV to PATH")
     p.set_defaults(func=_cmd_aset)
 
     p = sub.add_parser("h4", help="witnesses gcd(K(n), K(n+s)) != 2")
-    p.add_argument("--n-bound", type=_positive, required=True)
-    p.add_argument("--s-bound", type=_positive, required=True)
+    p.add_argument("--n-bound", type=_at_least(2), required=True)
+    p.add_argument("--s-bound", type=_at_least(1), required=True)
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV to PATH")
     p.set_defaults(func=_cmd_h4)
 
     p = sub.add_parser("altfact", help="n for which n+1 divides n! - (n-1)! + ... +/- 1!")
-    p.add_argument("--n-max", type=_positive, required=True)
+    p.add_argument("--n-max", type=_at_least(2), required=True)
     p.set_defaults(func=_cmd_altfact)
 
     p = sub.add_parser("pset", help="prime 3-progressions x-2n, x, x+2n")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--x-bound", type=_positive, default=100_000)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--x-bound", type=_at_least(1), default=100_000)
     p.set_defaults(func=_cmd_pset)
 
     p = sub.add_parser("primeseq", help="prime-square sequence scans")
     p.add_argument("which", choices=("s", "pi", "good", "sumineq"))
-    p.add_argument("--n-max", type=_positive, required=True)
+    p.add_argument("--n-max", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_primeseq)
 
     p = sub.add_parser("analytic", help="the analytic extension K(z)")
     p.add_argument("which", choices=("eval", "slavic", "residues", "ratio"))
     p.add_argument("--z", type=_complex_arg, default=complex(0.5, 0.0))
     p.add_argument("--x", type=_positive_float, default=30.0)
-    p.add_argument("--n-max", type=_positive, default=5)
+    p.add_argument("--n-max", type=_at_least(1), default=5)
     p.add_argument("--tolerance", type=_positive_float)  # default: QuadratureConfig's
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("pairs", help="count k with 6k+5 and 12k+7 both prime")
-    p.add_argument("--m-bound", type=_positive, required=True)
+    p.add_argument("--m-bound", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("report", help="multi-check status reports")

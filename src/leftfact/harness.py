@@ -9,6 +9,8 @@ is visible. Resume therefore only ever has to discard lines past the
 frontier, never invent missing ones, and RecordWriter does that for every
 format; a format adds only its rule for which lines to keep. Each
 checkpoint write and each resume cut is one atomic replace (_replace).
+A record is a prime and its residue; the method its line or row names is
+the kernel's constant, sweeps.KERNEL_METHOD, written by the format itself.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import io
 import json
 import os
 import re
-from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
-if TYPE_CHECKING:
-    from .modular import VerificationRecord
+from .sweeps import KERNEL_METHOD, VerificationRecord
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -94,25 +95,30 @@ def write_checkpoint(path: str, fields: dict[str, Any]) -> None:
     _replace(path, (json.dumps(fields, sort_keys=True),))
 
 
-def _csv_rows(primes: Sequence[int], residues: Sequence[int], method: str) -> str:
-    """The CSV rows of records sharing a method, each ending in a newline;
-    violates_kh is VerificationRecord's, residue 0 at an odd prime."""
-    tail = f",{method}\n"
+# the kernel's method ends every CSV row and starts every ledger line
+_ROW_TAIL = f",{KERNEL_METHOD}\n"
+_LINE_HEAD = f'{{"method": {json.dumps(KERNEL_METHOD)}, "prime": '
+
+
+def _csv_rows(primes: Sequence[int], residues: Sequence[int]) -> str:
+    """The CSV rows of the records, each ending in a newline; violates_kh is
+    VerificationRecord's, residue 0 at an odd prime."""
     return "".join(
-        [f"{p},{r},{'false' if r or p < 3 else 'true'}{tail}" for p, r in zip(primes, residues)]
+        [
+            f"{p},{r},{'false' if r or p < 3 else 'true'}{_ROW_TAIL}"
+            for p, r in zip(primes, residues)
+        ]
     )
 
 
-def _ledger_lines(primes: Sequence[int], residues: Sequence[int], method: str) -> str:
-    """The ledger lines of records sharing a method: each is the line
-    json.dumps({"type": "record", **asdict(record), "violates_kh":
-    record.violates_kh}, sort_keys=True) gives, without building the dict,
-    and a newline. The method is escaped by the function json.dumps uses
-    for a str."""
-    head = f'{{"method": {json.encoder.encode_basestring_ascii(method)}, "prime": '
+def _ledger_lines(primes: Sequence[int], residues: Sequence[int]) -> str:
+    """The ledger lines of the records: each is the line
+    json.dumps({"type": "record", "method": KERNEL_METHOD, **record._asdict(),
+    "violates_kh": record.violates_kh}, sort_keys=True) gives, without
+    building the dict, and a newline."""
     return "".join(
         [
-            f'{head}{p}, "residue": {r}, "type": "record", '
+            f'{_LINE_HEAD}{p}, "residue": {r}, "type": "record", '
             f'"violates_kh": {"false" if r or p < 3 else "true"}}}\n'
             for p, r in zip(primes, residues)
         ]
@@ -122,18 +128,18 @@ def _ledger_lines(primes: Sequence[int], residues: Sequence[int], method: str) -
 # A JSON integer _ledger_lines writes, capped below the fewest digits
 # sys.set_int_max_str_digits allows (640), so json.loads parses every one
 _LEDGER_INT = r"(?:0|[1-9][0-9]{0,599})"
-# The exact record line _ledger_lines writes, newline optional: any method
-# string json.loads accepts, and the prime as group 1. A line that does not
-# match may still be a record, in another JSON layout.
+# The exact record line _ledger_lines writes, newline optional, with the
+# prime as group 1. A line that does not match may still be a record, in
+# another JSON layout or with another method.
 _RECORD_LINE = re.compile(
-    r'\{"method": "(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*", '
-    rf'"prime": ({_LEDGER_INT}), "residue": {_LEDGER_INT}, "type": "record", '
+    re.escape(_LINE_HEAD)
+    + rf'({_LEDGER_INT}), "residue": {_LEDGER_INT}, "type": "record", '
     r'"violates_kh": (?:true|false)\}\n?'
 )
 
 
 def record_to_row(record: VerificationRecord) -> str:
-    return _csv_rows((record.prime,), (record.residue,), record.method)[:-1]
+    return _csv_rows((record.prime,), (record.residue,))[:-1]
 
 
 class RecordWriter:
@@ -165,9 +171,9 @@ class RecordWriter:
         with src:
             _replace(self.path, self.kept_lines(src, frontier))
 
-    def write_chunk(self, primes: Sequence[int], residues: Sequence[int], method: str) -> None:
+    def write_chunk(self, primes: Sequence[int], residues: Sequence[int]) -> None:
         """Append the records of one sweep chunk (sweeps.KhChunk) with one write."""
-        self._fh.write(self.lines(primes, residues, method))
+        self._fh.write(self.lines(primes, residues))
 
     def flush_fsync(self) -> None:
         self._fh.flush()
@@ -248,7 +254,7 @@ class LedgerWriter(RecordWriter):
             )
 
     def write_record(self, record: VerificationRecord) -> None:
-        self.write_chunk((record.prime,), (record.residue,), record.method)
+        self.write_chunk((record.prime,), (record.residue,))
 
     def write_summary(self, **fields: Any) -> None:
         self._fh.write(json.dumps({"type": "summary", **fields}, sort_keys=True) + "\n")

@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MAX_MODULUS",
     "ResidueResult",
-    "VerificationRecord",
     "residue_backward_s",
     "residue_forward_t",
     "residue_forward_v",
@@ -52,20 +51,6 @@ class ResidueResult:
     def __post_init__(self) -> None:
         if not 0 <= self.residue < self.modulus:
             raise ValueError(f"residue {self.residue} outside [0, {self.modulus})")
-
-
-@dataclass(frozen=True, slots=True)
-class VerificationRecord:
-    """Per-prime outcome of a divisibility sweep: does p divide !p?"""
-
-    prime: int
-    residue: int
-    method: str
-
-    @property
-    def violates_kh(self) -> bool:
-        """An odd prime dividing its left factorial: a KH counterexample."""
-        return self.residue == 0 and self.prime > 2
 
 
 def _require_odd_prime(q: int) -> None:

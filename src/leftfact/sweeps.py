@@ -29,15 +29,13 @@ import threading
 import time
 from bisect import bisect_left
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .exact import gcd_pair, iter_left_factorials
 from .primes import build_sieve, is_probable_prime
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .modular import VerificationRecord
 
 __all__ = [
     "MAX_SWEEP_PRIME",
@@ -46,6 +44,7 @@ __all__ = [
     "KERNEL_METHOD",
     "batch_residues",
     "KhChunk",
+    "VerificationRecord",
     "kh_chunks",
     "kh_sweep",
     "sweep_workers",
@@ -125,12 +124,12 @@ def _bits(seg: _Map) -> int:
     return max(seg[0].bit_length(), seg[1].bit_length())
 
 
-def _blocks(lo: int, hi: int, cap: int, sign: int) -> list[_Map]:
+def _blocks(lo: int, hi: int, cap: int, sign: int) -> Iterator[_Map]:
     """The exact maps of steps lo..hi-1 in consecutive blocks of at most
-    about cap bits (at least _MIN_BLOCK_STEPS steps each), built on the fly.
+    about cap bits (at least _MIN_BLOCK_STEPS steps each), built as taken.
     A block's width is even, so every block but the last starts a step pair."""
     width = max(_MIN_BLOCK_STEPS, cap // max(hi - 1, 2).bit_length()) & ~1
-    return [_exact_map(s, min(s + width, hi), sign) for s in range(lo, hi, width)]
+    return (_exact_map(s, min(s + width, hi), sign) for s in range(lo, hi, width))
 
 
 def _merge(blocks: list[_Map], cap: int) -> list[_Map]:
@@ -198,7 +197,7 @@ def _reducer(modulus: int):
     return reduce
 
 
-def _apply(v: int, blocks: list[_Map], modulus: int) -> int:
+def _apply(v: int, blocks: Iterable[_Map], modulus: int) -> int:
     """v through the blocks in turn, reduced modulo modulus after each, so
     that no product grows past two moduli."""
     reduce = _reducer(modulus)
@@ -406,6 +405,18 @@ class KhChunk(NamedTuple):
     residues: list[int]
 
 
+class VerificationRecord(NamedTuple):
+    """Per-prime outcome of a KH sweep: rest(!p, p), and does p divide !p?"""
+
+    prime: int
+    residue: int
+
+    @property
+    def violates_kh(self) -> bool:
+        """An odd prime dividing its left factorial: a KH counterexample."""
+        return self.residue == 0 and self.prime > 2
+
+
 def kh_chunks(
     prime_range: tuple[int, int], worker_count: int = 1, after: int | None = None
 ) -> Iterator[KhChunk]:
@@ -493,15 +504,12 @@ def _chunk_stream(start: int, hi: int, worker_count: int) -> Iterator[KhChunk]:
 def kh_sweep(
     prime_range: tuple[int, int], worker_count: int = 1, after: int | None = None
 ) -> Iterator[VerificationRecord]:
-    """kh_chunks as one VerificationRecord per prime, method KERNEL_METHOD;
-    the stream starts and closes as kh_chunks's does."""
-    from .modular import VerificationRecord
-
+    """kh_chunks as one VerificationRecord per prime; the stream starts and
+    closes as kh_chunks's does."""
     chunks = kh_chunks(prime_range, worker_count, after)
     try:
         for primes, residues in chunks:
-            for p, r in zip(primes, residues):
-                yield VerificationRecord(p, r, KERNEL_METHOD)
+            yield from map(VerificationRecord, primes, residues)
     finally:
         chunks.close()
 

@@ -1,12 +1,15 @@
 """Fakes that drive kh's interrupted-run and violation paths from outside
-the command, in the test's own process."""
+the command, in the test's own process, and the environment of a child
+process that runs this checkout's package."""
 
 from __future__ import annotations
 
 import contextlib
+import os
 
 import pytest
 
+import leftfact
 from leftfact import sweeps
 from leftfact.harness import FileSink, RecordWriter
 
@@ -44,10 +47,10 @@ def interrupted_after_records(n):
     that interrupt."""
     write_chunk, written = RecordWriter.write_chunk, {}
 
-    def write_or_interrupt(self, primes, residues, method):
+    def write_or_interrupt(self, primes, residues):
         before = written.get(id(self), 0)
         take = min(len(primes), n - before)
-        write_chunk(self, primes[:take], residues[:take], method)
+        write_chunk(self, primes[:take], residues[:take])
         written[id(self)] = before + take
         if before + take == n:
             raise KeyboardInterrupt
@@ -72,3 +75,12 @@ def zero_residue_at(monkeypatch, prime):
         return residues
 
     monkeypatch.setattr(sweeps, "batch_residues", zero_at)
+
+
+def child_env():
+    """os.environ with PYTHONPATH led by the source this test imports, so a
+    child process runs it whatever the working directory or an installed
+    copy of the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}

@@ -19,10 +19,9 @@ import time
 
 import numpy as np
 import pytest
-from fakes import interrupted_at_advance, zero_residue_at
+from fakes import child_env, interrupted_at_advance, zero_residue_at
 from stepper import residue_digest
 
-import leftfact
 from leftfact import (
     a_set_scan,
     batch_residues,
@@ -192,21 +191,18 @@ def _ledger_digest(path) -> str:
 
 @pytest.mark.skipif(
     os.environ.get("LEFTFACT_TIER_1E7") != "1",
-    reason="10^7 tier, about 10 min, run manually: LEFTFACT_TIER_1E7=1",
+    reason="10^7 tier, about 11 min (635 s at 66 MB), run manually: LEFTFACT_TIER_1E7=1",
 )
 def test_criterion_03_tier_kh_1e7(tmp_path, capsys):
     # the checkpointed CLI sweep in a child process, whose peak RSS wait4
     # reports on its own
     led = tmp_path / "led.jsonl"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
     cmd = [
         sys.executable, "-m", "leftfact", "kh", "--from", "3", "--to", str(10**7),
         "--workers", "1", "--checkpoint", str(tmp_path / "cp.json"), "--ledger", str(led),
     ]
     t0 = time.monotonic()
-    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    child = subprocess.Popen(cmd, env=child_env(), stdout=subprocess.DEVNULL)
     _pid, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
     dt = time.monotonic() - t0
@@ -401,13 +397,10 @@ def test_criterion_09_tier_altfact(tmp_path, capsys):
     # altfact past Zivkovic's prime 3612703 in a child process, whose peak
     # RSS wait4 reports on its own
     out = tmp_path / "altfact.txt"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
     cmd = [sys.executable, "-m", "leftfact", "altfact", "--n-max", "3700000"]
     t0 = time.monotonic()
     with open(out, "w", encoding="utf-8") as fh:
-        child = subprocess.Popen(cmd, env=env, stdout=fh)
+        child = subprocess.Popen(cmd, env=child_env(), stdout=fh)
         _pid, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
     dt = time.monotonic() - t0

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from math import prod
@@ -8,8 +7,8 @@ from math import prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fakes import child_env
 
-import leftfact
 from leftfact import Factorization, factorize, is_probable_prime, left_factorial
 from leftfact.factorint import PSI_13
 
@@ -549,11 +548,8 @@ def test_left_factorials_to_40_never_call_sympy_factorint(monkeypatch):
 def run_isolated(code):
     """stdout of code run in a fresh interpreter that imports this tree's
     leftfact."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()

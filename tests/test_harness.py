@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from fakes import interrupted_after_records, interrupted_at_advance, zero_residue_at
+from fakes import child_env, interrupted_after_records, interrupted_at_advance, zero_residue_at
 
 import leftfact
 from leftfact import (
@@ -34,8 +33,8 @@ from leftfact.primes import build_sieve
 from leftfact.sweeps import CHUNK_PRIMES, KERNEL_METHOD, KNOWN_SQUARE_HITS, MAX_SWEEP_PRIME
 
 
-def rec(prime, residue, method="forward_v"):
-    return VerificationRecord(prime=prime, residue=residue, method=method)
+def rec(prime, residue):
+    return VerificationRecord(prime=prime, residue=residue)
 
 
 def json_lines(path):
@@ -172,7 +171,7 @@ def test_a_failed_resume_cut_keeps_the_record_file(tmp_path, monkeypatch, record
     # a ledger that holds another count of records than the checkpoint's
     # raises in kept_lines; one that holds the count meets the failing fsync
     path = tmp_path / "led.jsonl"
-    path.write_text(_ledger_lines([3, 5, 7], [1, 4, 1], "forward_v") + '{"type": "summary"}\n')
+    path.write_text(_ledger_lines([3, 5, 7], [1, 4, 1]) + '{"type": "summary"}\n')
     before = path.read_bytes()
     if fsync_fails:
         _fail_fsync(monkeypatch)
@@ -253,17 +252,15 @@ def test_ledger_resume_rejects_malformed_line_and_leaves_no_temp_file(tmp_path, 
 
 @st.composite
 def ascending_records(draw):
-    """VerificationRecords on ascending primes: violations (residue 0),
-    primes far past int64, the kernel's method and arbitrary method text."""
+    """VerificationRecords on ascending primes: violations (residue 0) and
+    primes far past int64."""
     primes = draw(
         st.lists(st.integers(min_value=2, max_value=2**80), min_size=1, max_size=6, unique=True)
     )
-    out = []
-    for p in sorted(primes):
-        residue = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1)))
-        method = draw(st.one_of(st.just(KERNEL_METHOD), st.text(max_size=8)))
-        out.append(rec(p, residue, method=method))
-    return out
+    return [
+        rec(p, draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))))
+        for p in sorted(primes)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +276,8 @@ def test_ledger_record_lines_are_json_dumps_and_resume_keeps_them(tmp_path_facto
         lines = fh.read().splitlines(keepends=True)
     want = [
         json.dumps(
-            {"type": "record", **dataclasses.asdict(r), "violates_kh": r.violates_kh},
+            {"type": "record", "method": KERNEL_METHOD, **r._asdict(),
+             "violates_kh": r.violates_kh},
             sort_keys=True,
         )
         + "\n"
@@ -298,7 +296,7 @@ def test_ledger_record_lines_are_json_dumps_and_resume_keeps_them(tmp_path_facto
 @settings(max_examples=60, deadline=None)
 @given(records=ascending_records(), data=st.data())
 def test_ledger_record_line_pattern_agrees_with_json_loads(tmp_path_factory, records, data):
-    lines = [_ledger_lines((r.prime,), (r.residue,), r.method) for r in records]
+    lines = [_ledger_lines((r.prime,), (r.residue,)) for r in records]
     for line in lines:
         hit = _RECORD_LINE.fullmatch(line)
         assert hit is not None, line  # resume reads every written line without a parse
@@ -311,18 +309,26 @@ def test_ledger_record_line_pattern_agrees_with_json_loads(tmp_path_factory, rec
             hit = _RECORD_LINE.fullmatch(bent)
             if hit is not None:
                 assert int(hit[1]) == json.loads(bent)["prime"], bent
-    # the same ledger in another JSON layout (compact, keys reversed) resumes
-    # through json.loads to the same records and count
+    # the same ledger in another JSON layout (compact, keys reversed), or
+    # naming another method, matches the pattern nowhere; it resumes through
+    # json.loads to the same records and count, its lines kept byte for byte
     d = tmp_path_factory.mktemp("ledger")
-    other = [
-        json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"
-        for line in lines
-    ]
-    assert not any(_RECORD_LINE.fullmatch(line) for line in other)
+    method = data.draw(st.text(max_size=8).filter(lambda m: m != KERNEL_METHOD))
+    others = {
+        "compact.jsonl": [
+            json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n"
+            for line in lines
+        ],
+        "method.jsonl": [
+            json.dumps({**json.loads(line), "method": method}, sort_keys=True) + "\n"
+            for line in lines
+        ],
+    }
+    assert not any(_RECORD_LINE.fullmatch(line) for other in others.values() for line in other)
     kept = data.draw(st.integers(min_value=1, max_value=len(records)))
     frontier = records[kept - 1].prime
     resumed = []
-    for name, text in (("ours.jsonl", lines), ("other.jsonl", other)):
+    for name, text in (("ours.jsonl", lines), *others.items()):
         path = d / name
         path.write_text("".join(text) + '{"type": "summary"}\n')
         before = path.read_bytes()
@@ -331,8 +337,8 @@ def test_ledger_record_line_pattern_agrees_with_json_loads(tmp_path_factory, rec
         assert path.read_bytes() == before
         LedgerWriter(str(path), resume_frontier=frontier, records=kept).close()
         assert path.read_text() == "".join(text[:kept])
-        resumed.append([json.loads(line) for line in text[:kept]])
-    assert resumed[0] == resumed[1]
+        resumed.append([(o["prime"], o["residue"]) for o in map(json.loads, text[:kept])])
+    assert resumed[0] == resumed[1] == resumed[2]
 
 
 def test_ledger_resume_restores_missing_final_newline(tmp_path):
@@ -542,6 +548,12 @@ def test_cli_usage_exits(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"primeseq sumineq: need --n-max >= 3, got {n_max}\n"
+    # the bounds that kh2_scan, h4_witness_search and alternating_divisor_hits
+    # would refuse are argparse's to refuse
+    for argv in (("h4", "--n-bound", "1", "--s-bound", "1"), ("altfact", "--n-max", "1"),
+                 ("kh2", "--p-max", "10", "--n-max", "1")):
+        assert run_cli(*argv) == EXIT_USAGE, argv
+        assert "must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_cli_kh_plain_run(tmp_path, capsys):
@@ -1134,14 +1146,6 @@ def test_cli_kh_chunk_writes_match_per_record_writes(
         assert [(l["residue"], l["violates_kh"]) for l in flagged] == [(0, True)]
 
 
-def _child_env():
-    # run the very source this test imports, whatever the working directory
-    # or an installed copy of the package
-    src = os.path.dirname(os.path.dirname(os.path.abspath(leftfact.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": pythonpath}
-
-
 # The CLI, stopped as it is about to persist its kth chunk (argv[1]): by
 # SIGKILL when argv[2] is "kill", else by a KeyboardInterrupt, as from
 # Ctrl-C. That chunk's records are already with the writers, so the record
@@ -1176,7 +1180,7 @@ def test_cli_sigkill_then_resume_matches_clean_run(tmp_path):
         "kh", "--from", "3", "--to", "100000",
         "--checkpoint", str(cp), "--ledger", str(led), "--csv", str(csv),
     ]
-    env = _child_env()
+    env = child_env()
     # [3, 10^5] has ten chunks, so the kill at chunk 4 falls mid-sweep
     killed = subprocess.run(
         [sys.executable, "-c", _STOPPED_AT_ADVANCE, "4", "kill", *args],
@@ -1233,7 +1237,7 @@ def test_cli_reports_a_kernel_violation_once(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _KERNEL_ZERO_AT_101,
          "kh", "--from", "3", "--to", "500", "--workers", "1", "--ledger", str(led)],
-        capture_output=True, text=True, timeout=120, env=_child_env(),
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == EXIT_ANOMALY, proc.stderr
     assert proc.stderr == "VIOLATION: 101 divides !101\n"
@@ -1263,7 +1267,7 @@ def test_cli_pooled_sweep_closed_early_exits_and_leaves_no_worker(tmp_path):
         "kh", "--from", "3", "--to", "30000", "--workers", "2",
         "--checkpoint", str(tmp_path / "cp.json"), "--csv", str(tmp_path / "out.csv"),
     ]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=_child_env())
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == -signal.SIGINT, proc.stderr
     assert proc.stderr.rstrip().endswith("KeyboardInterrupt"), proc.stderr
     assert saved(tmp_path / "cp.json")["counters"]["records"] == CHUNK_PRIMES
@@ -1285,7 +1289,7 @@ def test_cli_pooled_sweep_runs_under_every_start_method(tmp_path, start_method):
         sys.executable, "-c", script, start_method,
         "kh", "--from", "3", "--to", "20000", "--workers", "2", "--csv", str(out),
     ]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=_child_env())
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == EXIT_OK, proc.stderr
     serial = tmp_path / "serial.csv"
     assert run_cli("kh", "--from", "3", "--to", "20000", "--workers", "1", "--csv", serial) == EXIT_OK
@@ -1306,7 +1310,7 @@ def test_cli_kh_never_imports_sympy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=120, env=_child_env(),
+        text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"exit {EXIT_OK} sympy False", proc.stderr
@@ -1315,11 +1319,16 @@ def test_cli_kh_never_imports_sympy():
 
 
 def test_harness_never_imports_modular():
-    # the record files need VerificationRecord for annotations only
-    code = "import sys, leftfact.harness\nprint('leftfact.modular' in sys.modules)\n"
+    # the record files and the KH sweep's records live outside modular
+    code = (
+        "import sys, leftfact.harness\n"
+        "from leftfact import kh_sweep\n"
+        "assert len(list(kh_sweep((3, 2000)))) == 302\n"
+        "print('leftfact.modular' in sys.modules)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -1350,7 +1359,7 @@ def test_cli_kh_rerun_and_kh2_never_import_numpy(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=120, env=_child_env(),
+        text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-5:] == [
@@ -1369,7 +1378,7 @@ def test_tool_help_exits_0(tool):
     # one fails here rather than at the tool's next run
     proc = subprocess.run(
         [sys.executable, os.path.join(TOOLS, tool), "--help"], capture_output=True,
-        text=True, timeout=120, env=_child_env(),
+        text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:"), proc.stdout
@@ -1395,7 +1404,7 @@ def test_perfbench_tracer_finds_the_names_it_rebinds(tmp_path):
           str(tmp_path / "c.json"), "--ledger", str(tmp_path / "l.jsonl"), "--csv", str(tmp_path / "t.csv")]
     proc = subprocess.run(
         [sys.executable, "-c", code, *kh], capture_output=True, text=True, timeout=120,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     rc, *names = proc.stdout.splitlines()[-1].split()
@@ -1416,15 +1425,15 @@ def test_package_names_all_resolve_in_their_order():
         "weighted_sum Factorization factorize "
         "CheckpointCorrupt CheckpointError CheckpointMismatch FileSink LedgerWriter "
         "canonical_lines write_checkpoint "
-        "MAX_MODULUS VARIANTS CostModel ResidueResult VerificationRecord cost_model "
+        "MAX_MODULUS VARIANTS CostModel ResidueResult cost_model "
         "derangement_number floor_factorial_over_e kh_equivalent_residue "
         "residue_backward_s residue_direct residue_forward_t residue_forward_v "
         "residue_mod_p_squared GoodPrimeResult PrimeSieve SignStatistics "
         "TripletReport build_sieve count_pair_progressions good_prime_check "
         "is_probable_prime p_set "
         "pi_sequence s_sequence sign_statistics sum_inequality_scan CHUNK_PRIMES "
-        "SPAN_PRIMES MAX_SWEEP_PRIME KhChunk a_set_scan alternating_divisor_hits "
-        "batch_residues h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
+        "SPAN_PRIMES MAX_SWEEP_PRIME KhChunk VerificationRecord a_set_scan "
+        "alternating_divisor_hits batch_residues h4_witness_search kh2_scan kh_chunks kh_sweep residue_summatory"
     ).split()
     for name in leftfact.__all__:
         getattr(leftfact, name)
@@ -1442,7 +1451,7 @@ def test_cli_factor_to_40_never_imports_sympy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "!26 = 2 * 49297 * 1348619023 * 121525196147" in proc.stdout

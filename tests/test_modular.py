@@ -205,10 +205,13 @@ def test_variant_tables_follow_interleaved_primes():
 def test_verification_record_flag_must_mirror_residue():
     # only an odd prime with residue 0 violates KH: !2 = 2 is 0 mod 2
     flags = {
-        (p, r): VerificationRecord(prime=p, residue=r, method="x").violates_kh
+        (p, r): VerificationRecord(prime=p, residue=r).violates_kh
         for p, r in ((2, 0), (3, 0), (5, 0), (5, 4))
     }
     assert flags == {(2, 0): False, (3, 0): True, (5, 0): True, (5, 4): False}
+    # a KH sweep's record, in sweeps: the method is the files', not the record's
+    assert VerificationRecord._fields == ("prime", "residue")
+    assert VerificationRecord.__module__ == "leftfact.sweeps"
 
 
 def test_derangement_numbers():

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import random
 import time
+import tracemalloc
+from bisect import bisect_left
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -128,7 +130,7 @@ def test_fold_memo_short_tail_chunk_takes_plain_mod(method):
     lo = ALL_PRIMES.size - 2
     span = ALL_PRIMES[lo:]
     modulus = int(span[0]) * int(span[1])
-    block = sweeps._blocks(2, int(span[0]), 0, -1)[-2]
+    block = list(sweeps._blocks(2, int(span[0]), 0, -1))[-2]
     assert sweeps._bits(block) >= 2 * modulus.bit_length()
     assert np.array_equal(batch_residues(span), STEPPED[method][lo:])
 
@@ -177,6 +179,21 @@ def test_prefix_fold_builds_blocks_of_the_root_modulus(method, recorded_blocks):
     assert 1 < len(prefix) and width * end.bit_length() < modulus_bits
 
 
+def test_prefix_fold_holds_one_block_at_a_time():
+    # the steps below a span's first prime are built block by block as the
+    # fold takes them, never as one list: that list holds about 2.4 MB of
+    # maps from 2*10^5, and ten times that from 2*10^6
+    ints = build_sieve(200_200).ints
+    q = ints[bisect_left(ints, 200_000) :][:16]
+    tracemalloc.start()
+    try:
+        sweeps._Span(q, *sweeps._KH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000, peak
+
+
 @KERNEL
 def test_gaps_are_applied_in_blocks_narrower_than_their_modulus(method, monkeypatch):
     # a gap about ln(p) times wider than the modulus it meets is never built
@@ -185,6 +202,7 @@ def test_gaps_are_applied_in_blocks_narrower_than_their_modulus(method, monkeypa
     apply = sweeps._apply
 
     def recording(v, blocks, modulus):
+        blocks = list(blocks)
         applied.append((modulus.bit_length(), [sweeps._bits(b) for b in blocks]))
         return apply(v, blocks, modulus)
 
@@ -328,12 +346,8 @@ def test_kh_sweep_empty_and_invalid_ranges():
 
 def test_kh_sweep_worker_count_does_not_change_records(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    serial = [(r.prime, r.residue, r.method) for r in kh_sweep((3, 9000))]
-    pooled = [
-        (r.prime, r.residue, r.method)
-        for r in kh_sweep((3, 9000), worker_count=3)
-    ]
-    assert serial == pooled
+    serial = list(kh_sweep((3, 9000)))
+    assert serial == list(kh_sweep((3, 9000), worker_count=3))
 
 
 def test_kh_chunks_pool_has_one_worker_per_span(monkeypatch):
