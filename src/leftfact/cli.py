@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .exact import (
     IDENTITIES_WITH_M,
     IDENTITY_IDS,
+    IDENTITY_LEAST_N,
     evaluate_identity,
     left_factorial,
 )
@@ -144,6 +145,10 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 def _cmd_identity(args: argparse.Namespace) -> int:
     ids = IDENTITY_IDS if args.id == "all" else (args.id,)
+    least = max(IDENTITY_LEAST_N.get(iid, 0) for iid in ids)
+    if args.n < least:
+        print(f"identity {args.id}: need --n >= {least}, got {args.n}", file=sys.stderr)
+        return EXIT_USAGE
     bad = 0
     for iid in ids:
         params = {"n": args.n}
@@ -245,6 +250,12 @@ def _cmd_kh2(args: argparse.Namespace) -> int:
 
 
 def _cmd_aset(args: argparse.Namespace) -> int:
+    if args.n_bound < args.r + 1:
+        print(
+            f"aset: need --n-bound >= --r + 1 = {args.r + 1}, got {args.n_bound}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     members = a_set_scan(args.r, args.n_bound, primes_only=args.primes_only)
     if args.csv:
         _write_table(args.csv, "n", ((n,) for n in members))
@@ -277,6 +288,12 @@ def _cmd_altfact(args: argparse.Namespace) -> int:
 
 
 def _cmd_pset(args: argparse.Namespace) -> int:
+    if args.x_bound <= 2 * args.n + 3:
+        print(
+            f"pset: need --x-bound > 2 * --n + 3 = {2 * args.n + 3}, got {args.x_bound}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     rep = p_set(args.n, x_bound=args.x_bound)
     gap = 2 * args.n
     print(f"P({args.n}) (gap {gap}, n mod 3 = {rep.residue_case}):")

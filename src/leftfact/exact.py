@@ -3,10 +3,18 @@
 The left factorial is K(n) = !n = 0! + 1! + ... + (n-1)!, with K(0) = 0.
 Everything in this module is computed with exact arbitrary-precision
 integers; nothing here rounds.
+
+`weighted_sum` is memoised per process (`functools.lru_cache`, at most
+WEIGHTED_SUM_CACHE sums): the identities share their sums, I224, I225 and
+IDUAL all have R_m(n) on the left and I226 and IDUAL re-sum R_k(n) and
+Q_k(n) for every k <= m, so each distinct (kind, m, n) is summed once. Each
+side of an identity still keeps its own formula; only the repeated sums
+are shared. Nothing else here is cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -23,6 +31,7 @@ __all__ = [
     "evaluate_identity",
     "IDENTITY_IDS",
     "IDENTITIES_WITH_M",
+    "IDENTITY_LEAST_N",
     "gcd_pair",
     "partial_sum_gcd",
 ]
@@ -118,12 +127,26 @@ def stirling_table(kind: str, max_m: int) -> StirlingTable:
     return StirlingTable(kind=kind, max_m=max_m, rows=tuple(rows))
 
 
+# covers criterion 06's grid (m <= 8, n <= 60: 1709 distinct sums)
+WEIGHTED_SUM_CACHE = 2048
+
+
+@functools.lru_cache(maxsize=WEIGHTED_SUM_CACHE, typed=True)
 def weighted_sum(kind: str, m: int, n: int) -> int:
     """Direct evaluation of the K-weighted and factorial-weighted sums.
 
     Q: Q_m(n) = sum_{k<n} k^m K(k)
     R: R_m(n) = sum_{k<n} binom(k,m) K(k)
     K_m: K_m(n) = sum_{k<n} binom(k,m) k!
+
+    Memoised: the last WEIGHTED_SUM_CACHE distinct (kind, m, n) are kept,
+    keyed by type as well, so 5.0 is not served the sum cached for 5 (and
+    still raises); errors are not cached. A sum is below n^m n!, so an
+    entry takes at most (log2 n! + m log2 n) / 8 bytes for the int plus
+    about 210 for its key and cache node. Worst case, all WEIGHTED_SUM_CACHE
+    entries at the largest n: 0.7 MB for n <= 100 and 6 MB for n <= 2000
+    (m <= 10). Criterion 06's 1709 sums hold 0.4 MB. `__wrapped__` is the
+    uncached loop and `cache_clear()` empties the memo.
     """
     if kind not in ("Q", "R", "K_m"):
         raise ValueError(f"kind must be one of Q, R, K_m; got {kind!r}")
@@ -145,6 +168,8 @@ def weighted_sum(kind: str, m: int, n: int) -> int:
 IDENTITY_IDS = ("I221", "I222", "I223", "I224", "I225", "I226", "IDUAL")
 # the identities that take a parameter m besides n
 IDENTITIES_WITH_M = ("I224", "I225", "I226", "IDUAL")
+# the least n of the identities without m; those with m take any m, n >= 0
+IDENTITY_LEAST_N = {"I221": 1, "I222": 2, "I223": 2}
 
 
 def evaluate_identity(identity_id: str, **params: int) -> tuple[int, int]:
@@ -170,24 +195,21 @@ def evaluate_identity(identity_id: str, **params: int) -> tuple[int, int]:
     m = params.get("m")
     if n is None:
         raise ValueError(f"{identity_id} requires parameter n")
+    least = IDENTITY_LEAST_N.get(identity_id)
+    if least is not None and n < least:
+        raise ValueError(f"{identity_id} requires n >= {least}, got {n}")
 
     if identity_id == "I221":
-        if n < 1:
-            raise ValueError(f"I221 requires n >= 1, got {n}")
         lhs = weighted_sum("Q", 0, n + 1)
         rhs = n * left_factorial(n - 1) + 1
         return lhs, rhs
 
     if identity_id == "I222":
-        if n < 2:
-            raise ValueError(f"I222 requires n >= 2, got {n}")
         lhs = 2 * weighted_sum("Q", 1, n)
         rhs = left_factorial(n) + n * (n - 1) * left_factorial(n - 2)
         return lhs, rhs
 
     if identity_id == "I223":
-        if n < 2:
-            raise ValueError(f"I223 requires n >= 2, got {n}")
         lhs = 6 * weighted_sum("Q", 2, n)
         rhs = (
             (2 * n - 1) * left_factorial(n)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from math import gcd, isqrt, log, log2, prod
+from math import floor, gcd, isqrt, log, log2, prod
 from typing import TYPE_CHECKING
 
 from .primes import _MR_BASES, PSI_13, is_probable_prime
@@ -244,6 +244,15 @@ def _qs_polynomials(
             yield a, qs, b, x1, x2
 
 
+def _sieve_cut(threshold: float) -> int:
+    """The int c for which a byte b in 0..255 has b > c exactly when
+    b > threshold: floor(threshold), clamped to [-1, 255]. Against a float
+    threshold numpy 2 widens a uint8 row to float64, and numpy 1's
+    value-based casting compares it in float16, which rounds the threshold;
+    a Python int compares exactly under both."""
+    return min(max(floor(threshold), -1), 255)
+
+
 def _qs_relations(
     n: int, kn: int, m: int, fb: list[int], roots: np.ndarray
 ) -> Iterator[tuple[int, int, int]]:
@@ -264,7 +273,9 @@ def _qs_relations(
     log2(m sqrt(kn / 2) / the large-prime bound) + _QS_THRESHOLD, drops by
     their expected share of a value's bits instead. The positions above it
     are tested against every prime's roots in one candidates-by-primes
-    matrix of x mod p, and each is trial divided by the primes it hits."""
+    matrix of x mod p, and each is trial divided by the primes it hits.
+    The bytes are compared with the integer _sieve_cut of the threshold, so
+    the row is never widened to floats."""
     from random import Random
 
     import numpy as np
@@ -277,7 +288,7 @@ def _qs_relations(
     # a prime of k has one root, and divides a value once in p, not twice
     two = roots != 0
     skipped = np.where(two, 2 * bits / (p - 1), bits / p)[1:skip].sum()
-    threshold = log2(m) + log2(kn / 2) / 2 - log2(large) + _QS_THRESHOLD - skipped
+    cut = _sieve_cut(log2(m) + log2(kn / 2) / 2 - log2(large) + _QS_THRESHOLD - skipped)
     # the sieved primes' hits are x1 + jp and x2 + jp for j < counts
     counts = np.tile(-(-width // p[skip:]), 2)
     starts = np.cumsum(counts) - counts
@@ -297,7 +308,7 @@ def _qs_relations(
             weights = np.repeat(np.concatenate((weight, weight * two[skip:])), counts)
         row.fill(0)
         np.add.at(row, np.concatenate((x1[skip:], x2[skip:])).repeat(counts) + offsets, weights)
-        candidates = np.flatnonzero(row[:width] > threshold)
+        candidates = np.flatnonzero(row[:width] > cut)
         r = candidates[:, None] % p
         hits = ((r == x1) | (r == x2)) & divides
         for x, hit in zip(candidates.tolist(), hits):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from leftfact import (
     stirling_table,
     weighted_sum,
 )
+from leftfact.cli import main
+from leftfact.exact import WEIGHTED_SUM_CACHE
 
 KNOWN_VALUES = {
     0: 0,
@@ -137,10 +140,90 @@ def test_weighted_sum_base_cases():
 
 
 def test_weighted_sum_rejects_bad_input():
-    with pytest.raises(ValueError):
-        weighted_sum("S", 1, 5)
-    with pytest.raises(ValueError):
-        weighted_sum("Q", -1, 5)
+    # also once valid sums are cached: errors are not cached
+    weighted_sum("Q", 1, 5)
+    weighted_sum("K_m", 1, 5)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            weighted_sum("S", 1, 5)
+        with pytest.raises(ValueError):
+            weighted_sum("Q", -1, 5)
+        with pytest.raises(ValueError):
+            weighted_sum("K_m", 1, -1)
+
+
+def reference_weighted_sums(m_max: int, n_max: int) -> dict[tuple[str, int, int], int]:
+    """Every Q_m(n), R_m(n), K_m(n) for m <= m_max, n <= n_max, by prefix
+    sums over K(k) and k! taken from math.factorial."""
+    ks = [0]
+    for k in range(n_max):
+        ks.append(ks[-1] + math.factorial(k))
+    out = {}
+    for m in range(m_max + 1):
+        terms = {
+            "Q": [k**m * ks[k] for k in range(n_max)],
+            "R": [math.comb(k, m) * ks[k] for k in range(n_max)],
+            "K_m": [math.comb(k, m) * math.factorial(k) for k in range(n_max)],
+        }
+        for kind, row in terms.items():
+            total = 0
+            for n in range(n_max + 1):
+                out[kind, m, n] = total
+                if n < n_max:
+                    total += row[n]
+    return out
+
+
+def test_weighted_sum_memo_matches_the_uncached_loop():
+    reference = reference_weighted_sums(9, 80)
+    assert len(reference) == 3 * 10 * 81
+    for (kind, m, n), want in reference.items():
+        assert weighted_sum.__wrapped__(kind, m, n) == want, (kind, m, n)
+        # the first call may compute or hit; the second is served by the memo
+        assert weighted_sum(kind, m, n) == weighted_sum(kind, m, n) == want, (kind, m, n)
+
+
+def test_weighted_sum_repeated_call_is_a_cache_hit():
+    first = weighted_sum("R", 4, 33)
+    before = weighted_sum.cache_info()
+    assert weighted_sum("R", 4, 33) == first
+    after = weighted_sum.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_weighted_sum_memo_keeps_types_apart():
+    # with typed=False, 5.0 would hash to the cached 5 and return its sum
+    assert weighted_sum("Q", 1, 5) == 1 * 1 + 2 * 2 + 3 * 4 + 4 * 10
+    with pytest.raises(TypeError):
+        weighted_sum("Q", 1, 5.0)
+
+
+def test_weighted_sum_memo_is_bounded_and_holds_criterion_06_grid():
+    info = weighted_sum.cache_info()
+    assert info.maxsize is not None and info.maxsize == WEIGHTED_SUM_CACHE
+    weighted_sum.cache_clear()
+    for n in range(1, 61):
+        evaluate_identity("I221", n=n)
+    for n in range(2, 61):
+        evaluate_identity("I222", n=n)
+        evaluate_identity("I223", n=n)
+    for ident in ("I224", "I225", "I226", "IDUAL"):
+        for m in range(9):
+            for n in range(61):
+                evaluate_identity(ident, m=m, n=n)
+    info = weighted_sum.cache_info()
+    # 8962 calls, 1709 distinct sums, every one still held at the end
+    assert (info.hits, info.misses, info.currsize) == (7253, 1709, 1709)
+    assert info.currsize < info.maxsize
+
+
+def test_identity_all_output_is_pinned(capsys):
+    # sha256 of the stdout of `leftfact identity all --m 8 --n 60` before
+    # weighted_sum was memoised
+    capsys.readouterr()
+    assert main(["identity", "all", "--m", "8", "--n", "60"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "ba674a0b52e98314639013de4ba05b49d3d84edbf965724b9b33e797e0e791ca"
 
 
 def test_identity_sum_of_k_small_cases():

@@ -5,7 +5,7 @@ import sys
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from fakes import child_env
 
@@ -391,6 +391,34 @@ def test_qs_relations_are_squares_mod_n_with_their_exponent_parities():
         assert v == 1 or (r * r == v and fb[-1] < r < factorint._QS_LARGE_PRIME * fb[-1])
         paired += v > 1
     assert 0 < paired < 64
+
+
+@settings(max_examples=300)
+@given(
+    row=st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=300),
+    threshold=st.one_of(
+        st.floats(min_value=-300, max_value=600),
+        st.integers(min_value=-300, max_value=600).map(float),
+        st.integers(min_value=-3, max_value=258).map(lambda t: t + 0.5),
+    ),
+)
+@example(row=[0, 1, 254, 255], threshold=-1.0)
+@example(row=[0, 1, 254, 255], threshold=-0.5)
+@example(row=[0, 1, 254, 255], threshold=254.999)
+@example(row=[0, 1, 254, 255], threshold=255.0)
+@example(row=[0, 1, 254, 255], threshold=1e9)
+def test_sieve_cut_picks_the_positions_the_float_threshold_picks(row, threshold):
+    import numpy as np
+
+    from leftfact import factorint
+
+    # the positions b > threshold, compared exactly, in Python
+    want = [x for x, b in enumerate(row) if b > threshold]
+    for t in (threshold, np.float64(threshold)):
+        cut = factorint._sieve_cut(t)
+        assert type(cut) is int and -1 <= cut <= 255
+        got = np.flatnonzero(np.array(row, dtype=np.uint8) > cut).tolist()
+        assert got == want, (t, cut)
 
 
 def test_no_sieve_byte_can_pass_255():

@@ -556,6 +556,39 @@ def test_cli_usage_exits(capsys):
         assert "must be >= 2, got 1" in capsys.readouterr().err
 
 
+def test_cli_identity_below_least_n_exits_usage(capsys):
+    capsys.readouterr()
+    assert run_cli("identity", "I221", "--n", "0") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "identity I221: need --n >= 1, got 0\n"
+    # all takes the largest least n of its identities, I222's and I223's 2
+    assert run_cli("identity", "all", "--n", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "identity all: need --n >= 2, got 1\n"
+    assert run_cli("identity", "I224", "--n", "0") == EXIT_OK
+
+
+def test_cli_aset_n_bound_below_r_plus_one_exits_usage(capsys):
+    capsys.readouterr()
+    assert run_cli("aset", "--r", "5", "--n-bound", "3") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aset: need --n-bound >= --r + 1 = 6, got 3\n"
+    assert run_cli("aset", "--r", "5", "--n-bound", "6") == EXIT_OK
+
+
+def test_cli_pset_x_bound_at_most_2n_plus_3_exits_usage(capsys):
+    capsys.readouterr()
+    for x_bound in ("2", "5"):
+        assert run_cli("pset", "--n", "1", "--x-bound", x_bound) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pset: need --x-bound > 2 * --n + 3 = 5, got {x_bound}\n"
+    assert run_cli("pset", "--n", "1", "--x-bound", "6") == EXIT_OK
+
+
 def test_cli_kh_plain_run(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     code = run_cli("kh", "--from", "3", "--to", "2000", "--csv", csv_path)
