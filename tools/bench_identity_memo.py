@@ -9,8 +9,8 @@ PARENT and CHANGE are checkouts, each with src/, perfbench/ and
 BENCHMARK.json. The layers measured are the identity suite (perfbench's
 `exact.identity_s`) and the factoring of K(n) (`factorint.factorize_s`).
 
-- `identity all --m 8 --n 2000 fresh`: PAIRS pairs of `python -m
-  leftfact.cli identity all --m 8 --n 2000` in a new interpreter, its wall
+- `identity all --m 8 --n 1500 fresh`: PAIRS pairs of `python -m
+  leftfact.cli identity all --m 8 --n 1500` in a new interpreter, its wall
   time and peak RSS; both trees must print the same lines. It runs before
   this process imports numpy: Linux starts a child's peak RSS at its
   parent's.
@@ -47,7 +47,8 @@ PAIRS = 10
 TRACE_PAIRS = 3
 SEED = 331
 WORKLOADS = ("oracles", "kh-sweep", "kh-rerun")
-IDENTITY_ALL = ["-m", "leftfact.cli", "identity", "all", "--m", "8", "--n", "2000"]
+# n = 2000 would exit 1: its sums pass the int-to-str digit limit (ROADMAP item 10)
+IDENTITY_ALL = ["-m", "leftfact.cli", "identity", "all", "--m", "8", "--n", "1500"]
 LAYERS = ("exact.identity_s", "exact.identity_calls", "factorint.factorize_s",
           "factorint.factorize_calls", "modular.variant_s", "analytic.k_continued_s")
 
@@ -122,7 +123,7 @@ def main() -> None:
         report["rows"][name] = row
         print(name, json.dumps(row), flush=True)
 
-    record("identity all --m 8 --n 2000 fresh", identity_all(trees))
+    record("identity all --m 8 --n 1500 fresh", identity_all(trees))
     loaded = {side: load(tree, f"leftfact_{side}", "exact", "factorint")
               for side, tree in trees.items()}
     exact = {side: mods[0] for side, mods in loaded.items()}
